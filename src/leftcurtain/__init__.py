@@ -14,7 +14,7 @@ from .curtain import (
     LiftedCoupling,
     PointConstruction,
     StepMap,
-    TableInterval,
+    TABLE_DTYPE,
     build_curtain,
     coupling,
     curve_rows,
@@ -29,7 +29,6 @@ from .measures import (
     DiscreteMeasure,
     Order,
     OrderResult,
-    QuantileFunction,
     check_convex_order,
     measure_from_json,
     measure_to_json,
@@ -41,15 +40,11 @@ from .measures import (
 )
 from .oracle import Infeasible, NegativeKernel, curtain_incremental, joint_tv, shadow_lp, simplex_solve
 from .pwl import (
-    AffineLine,
     NonConvexPotential,
     PiecewiseLinear,
-    chord,
     contact_points,
     convex_hull,
     measure_from_potential,
-    one_sided_slopes,
-    ray,
 )
 from .shadow import ShadowInvalid, shadow, shadow_of_restriction
 from .verify import (
@@ -65,7 +60,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineLine",
     "BreakpointOverflow",
     "CurtainTable",
     "DecomposeError",
@@ -82,14 +76,12 @@ __all__ = [
     "OrderResult",
     "PiecewiseLinear",
     "PointConstruction",
-    "QuantileFunction",
     "ShadowInvalid",
     "StepMap",
-    "TableInterval",
+    "TABLE_DTYPE",
     "VerificationReport",
     "build_curtain",
     "check_convex_order",
-    "chord",
     "contact_points",
     "convex_hull",
     "coupling",
@@ -102,13 +94,11 @@ __all__ = [
     "measure_from_json",
     "measure_from_potential",
     "measure_to_json",
-    "one_sided_slopes",
     "point_construction",
     "put_potential",
     "quantile_left",
     "quantize_density",
     "random_cx_pair",
-    "ray",
     "restricted_measure",
     "sample_y",
     "sample_y_many",

@@ -40,13 +40,7 @@ from .measures import (
     quantile_left,
 )
 from .shadow import ShadowInvalid, shadow
-from .verify import (
-    VerificationReport,
-    verify_coupling,
-    verify_left_monotone,
-    verify_marginal_identity,
-    verify_shadow_consistency,
-)
+from .verify import verify_all
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -138,12 +132,7 @@ def _cmd_verify(args) -> int:
     mu, nu = _load_pair(args)
     _require_order(mu, nu)
     pi = LiftedCoupling.from_json(_read_json(args.coupling))
-    table = build_curtain(mu, nu)
-    rep = VerificationReport()
-    verify_coupling(pi, mu, nu, tol=args.tol, report=rep)
-    verify_left_monotone(table, report=rep)
-    verify_marginal_identity(table, nu, samples=100, seed=0, mu=mu, report=rep)
-    verify_shadow_consistency(table, mu, nu, grid=10, seed=0, coupling_obj=pi, report=rep)
+    rep = verify_all(build_curtain(mu, nu), pi, mu, nu, tol=args.tol)
     _write_text(args.out, rep.to_json())
     return EXIT_OK if rep.passed() else EXIT_VERIFICATION
 
@@ -160,7 +149,7 @@ def _cmd_sample(args) -> int:
     us = np.clip(us, eps, 1.0 - 1e-16)
     vs = np.clip(vs, eps, 1.0 - 1e-16)
     ys = sample_y_many(table, us, vs)
-    xs = np.array([quantile_left(mu, float(u)) for u in us])
+    xs = quantile_left(mu, us)
     lines = ["u,v,x,y"]
     for u, v, x, y in zip(us, vs, xs, ys):
         lines.append(",".join(repr(float(t)) for t in (u, v, x, y)))

@@ -45,6 +45,15 @@ MAX_INTERVALS = 10**6
 
 _PROBE_FRACTIONS = (0.6180339887498949, 0.5, 0.38196601125010515, 0.27, 0.73, 0.911, 0.089)
 
+#: row layout of :attr:`CurtainTable.intervals`
+TABLE_DTYPE = np.dtype(
+    [(name, np.float64) for name in ("u_lo", "u_hi", "g", "r", "q", "s", "phi_lo", "dphi")]
+    + [("component", np.int64)]
+)
+
+#: column names of :attr:`LiftedCoupling.intervals` and of its JSON rows
+_COUPLING_ROW_KEYS = ("u_lo", "u_hi", "x", "r", "s")
+
 
 class InternalGeometry(RuntimeError):
     """The ray/envelope search failed; indicates a geometry bug, not bad input."""
@@ -77,9 +86,6 @@ class PointConstruction:
     @property
     def trivial(self) -> bool:
         return self.s - self.r <= DEGENERATE_KERNEL_EPS
-
-    def astuple(self):
-        return (self.r, self.q, self.g, self.s, self.phi)
 
 
 class _Pair:
@@ -175,128 +181,91 @@ def _ray_meets_gap(
 # -- curtain table ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TableInterval:
-    """Constant destination data on the quantile interval ``(u_lo, u_hi]``.
+def _trivial(rows: np.ndarray) -> np.ndarray:
+    """Mask of the point-kernel rows of a table."""
+    return rows["s"] - rows["r"] <= DEGENERATE_KERNEL_EPS
 
-    ``phi`` varies linearly inside the interval: ``phi(u) = phi_lo + dphi *
-    (u - u_lo)``.  Trivial intervals (point kernel) store ``r = q = g =
-    s``; on non-trivial intervals ``r`` equals ``q`` in the interior of the
-    interval, and pointwise queries at exact breakpoints follow the
-    left-limit convention.
+
+def _phi_on(t: np.ndarray, u, rows=slice(None)):
+    """phi at level ``u`` on the linear piece of the selected rows of ``t``."""
+    return t["phi_lo"][rows] + t["dphi"][rows] * (u - t["u_lo"][rows])
+
+
+@dataclass(frozen=True, eq=False)
+class CurtainTable:
+    """Piecewise-constant-in-``u`` representation of ``(G, R, Q, S, phi)``.
+
+    ``intervals`` is one structured array of dtype :data:`TABLE_DTYPE`,
+    one row per quantile interval ``(u_lo, u_hi]`` in increasing order.
+    On a row ``phi(u) = phi_lo + dphi * (u - u_lo)``.  Point-kernel rows
+    (``s - r <= DEGENERATE_KERNEL_EPS``) store ``r = q = g = s``; on the
+    other rows ``r`` equals ``q`` in the interior of the interval, and
+    pointwise queries at exact breakpoints follow the left-limit
+    convention.  ``component`` is the irreducible component of the row,
+    ``-1`` for static atoms.
     """
 
-    u_lo: float
-    u_hi: float
-    g: float
-    r: float
-    q: float
-    s: float
-    phi_lo: float
-    dphi: float
-    component: int = 0
+    intervals: np.ndarray
 
-    @property
-    def trivial(self) -> bool:
-        return self.s - self.r <= DEGENERATE_KERNEL_EPS
-
-    @property
-    def length(self) -> float:
-        return self.u_hi - self.u_lo
-
-    def phi_at(self, u: float) -> float:
-        return self.phi_lo + self.dphi * (u - self.u_lo)
-
-    def with_bounds(self, u_lo: float, u_hi: float) -> "TableInterval":
-        return TableInterval(
-            u_lo, u_hi, self.g, self.r, self.q, self.s,
-            self.phi_at(u_lo), self.dphi, self.component,
-        )
-
-
-@dataclass(frozen=True)
-class CurtainTable:
-    """Piecewise-constant-in-``u`` representation of ``(G, R, Q, S, phi)``."""
-
-    intervals: tuple[TableInterval, ...]
-
-    @cached_property
-    def _his(self) -> np.ndarray:
-        return np.array([iv.u_hi for iv in self.intervals])
-
-    @cached_property
-    def _svals(self) -> np.ndarray:
-        return np.array([iv.s for iv in self.intervals])
-
-    def locate(self, u: float) -> TableInterval:
+    def locate(self, u: float) -> int:
+        """Index of the row whose interval ``(u_lo, u_hi]`` holds ``u``."""
         if not (0.0 < u <= 1.0):
             raise ValueError("quantile level must lie in (0, 1]")
-        i = int(np.searchsorted(self._his, u, side="left"))
-        i = min(i, len(self.intervals) - 1)
-        return self.intervals[i]
-
-    def g(self, u: float) -> float:
-        return self.locate(u).g
-
-    def r(self, u: float) -> float:
-        return self.locate(u).r
-
-    def s(self, u: float) -> float:
-        return self.locate(u).s
+        i = int(self.intervals["u_hi"].searchsorted(u, side="left"))
+        return min(i, len(self.intervals) - 1)
 
     def phi(self, u: float) -> float:
         """phi(u); accepts ``u = 0`` (right limit) and returns 0 at ``u = 1``."""
         if u <= 0.0:
-            return self.intervals[0].phi_lo
-        return self.locate(u).phi_at(u)
+            return float(self.intervals["phi_lo"][0])
+        return float(_phi_on(self.intervals, u, self.locate(u)))
 
     def phi_right_limit(self, u: float) -> float:
         """Right limit of phi at ``u`` (phi itself is left-continuous)."""
+        t = self.intervals
         if u <= 0.0:
-            return self.intervals[0].phi_lo
+            return float(t["phi_lo"][0])
         if u >= 1.0:
             return 0.0
-        i = int(np.searchsorted(self._his, u, side="left"))
-        i = min(i, len(self.intervals) - 1)
-        iv = self.intervals[i]
-        if iv.u_hi - u > 1e-15:
-            return iv.phi_at(u)
-        if i + 1 < len(self.intervals):
-            nxt = self.intervals[i + 1]
-            return nxt.phi_at(nxt.u_lo)
+        i = self.locate(u)
+        if t["u_hi"][i] - u > 1e-15:
+            return float(_phi_on(t, u, i))
+        if i + 1 < len(t):
+            return float(t["phi_lo"][i + 1])
         return 0.0
 
     def s_inverse(self, y: float) -> float:
         """Right-continuous inverse of the non-decreasing step function S."""
-        j = int(np.searchsorted(self._svals, y, side="right")) - 1
+        j = int(self.intervals["s"].searchsorted(y, side="right")) - 1
         if j < 0:
             return 0.0
-        return self.intervals[j].u_hi
+        return float(self.intervals["u_hi"][j])
 
     @cached_property
     def breakpoints(self) -> np.ndarray:
-        return np.concatenate(([self.intervals[0].u_lo], self._his))
+        return np.concatenate(([self.intervals["u_lo"][0]], self.intervals["u_hi"]))
+
+    @cached_property
+    def _lower_branch(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per row, the lower destination and the share of the row's mass
+        sent there: ``(r, (s - g) / (s - r))``, or ``(g, 1)`` on point kernels."""
+        t = self.intervals
+        split = ~_trivial(t)
+        share = np.where(split, (t["s"] - t["g"]) / np.where(split, t["s"] - t["r"], 1.0), 1.0)
+        return np.where(split, t["r"], t["g"]), share
 
     def nontrivial_runs(self) -> list[list[int]]:
         """Maximal index runs where the kernel genuinely splits mass and the
         upper function stays above the next quantile across junctions."""
-        runs: list[list[int]] = []
-        current: list[int] = []
-        for i, iv in enumerate(self.intervals):
-            if iv.trivial:
-                if current:
-                    runs.append(current)
-                    current = []
-                continue
-            if current:
-                prev = self.intervals[current[-1]]
-                if not (iv.g < prev.s - POS_EPS):
-                    runs.append(current)
-                    current = []
-            current.append(i)
-        if current:
-            runs.append(current)
-        return runs
+        t = self.intervals
+        split = ~_trivial(t)
+        joined = np.zeros(len(t), dtype=bool)
+        joined[1:] = split[:-1] & (t["g"][1:] < t["s"][:-1] - POS_EPS)
+        idx = np.flatnonzero(split)
+        if idx.size == 0:
+            return []
+        cuts = np.flatnonzero(~joined[idx])[1:]
+        return [run.tolist() for run in np.split(idx, cuts)]
 
 
 @dataclass
@@ -316,24 +285,23 @@ class _AtomContext:
     right_xs: np.ndarray
     a_right: np.ndarray
     sigma_l: float
-    component: int
 
 
 def _component_table(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    component: int,
-    max_intervals: int,
-    counter: list[int],
-) -> list[TableInterval]:
-    """Curtain table of one irreducible component with probability marginals."""
+    mu: DiscreteMeasure, nu: DiscreteMeasure, max_intervals: int, counter: list[int]
+) -> list[tuple]:
+    """Curtain rows of one irreducible component with probability marginals.
+
+    Rows are tuples ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the
+    component's own quantile levels.
+    """
     pair = _Pair(mu, nu)
     d = pair.gap
     union_xs = np.union1d(mu.xs, nu.xs)
     cum = np.concatenate(([0.0], mu.cum_weights))
     cum[-1] = 1.0
 
-    out: list[TableInterval] = []
+    out: list[tuple] = []
     for i, xi in enumerate(mu.xs):
         lo, hi = float(cum[i]), float(cum[i + 1])
         left_xs = union_xs[union_xs <= xi + POS_EPS]
@@ -347,10 +315,10 @@ def _component_table(
             sigma_l = max(0.0, float(chords.max()))
         else:
             sigma_l = 0.0
-        ctx = _AtomContext(pair, float(xi), left_xs, d_left, d_xi, right_xs, a_right, sigma_l, component)
+        ctx = _AtomContext(pair, float(xi), left_xs, d_left, d_xi, right_xs, a_right, sigma_l)
         _discover(ctx, lo, hi, out, max_intervals, counter, depth=0)
 
-    out.sort(key=lambda iv: iv.u_lo)
+    out.sort(key=lambda row: row[0])
     return _chain_and_merge(out)
 
 
@@ -369,27 +337,27 @@ def _discover(ctx, lo, hi, out, max_intervals, counter, depth):
     if counter[0] > max_intervals:
         raise BreakpointOverflow(f"more than {max_intervals} table intervals")
 
-    interval = None
+    row = None
     for frac in _PROBE_FRACTIONS:
         probe = lo + (hi - lo) * frac
         if not (lo < probe < hi):
             continue
         try:
-            interval = _config_at(ctx, probe, lo, hi)
+            row = _config_at(ctx, probe, lo, hi)
         except InternalGeometry:
-            interval = None
+            row = None
             continue
-        if interval.u_lo < probe <= interval.u_hi + 1e-15:
+        if row[0] < probe <= row[1] + 1e-15:
             break
-        interval = None
-    if interval is None:
+        row = None
+    if row is None:
         raise InternalGeometry(f"no stable configuration found on ({lo}, {hi}]")
 
-    a = max(interval.u_lo, lo)
-    b = min(interval.u_hi, hi)
+    a = max(row[0], lo)
+    b = min(row[1], hi)
     _discover(ctx, lo, a, out, max_intervals, counter, depth + 1)
     if b > a:
-        out.append(interval.with_bounds(a, b))
+        out.append(_rebound(row, a, b))
     _discover(ctx, b, hi, out, max_intervals, counter, depth + 1)
 
 
@@ -402,7 +370,7 @@ def _value_near(xs: np.ndarray, vals: np.ndarray, point: float) -> float:
     return float(np.interp(point, xs, vals))
 
 
-def _config_at(ctx: _AtomContext, u: float, lo: float, hi: float) -> TableInterval:
+def _config_at(ctx: _AtomContext, u: float, lo: float, hi: float) -> tuple:
     """Configuration at the probe level and its exact validity interval.
 
     All constraints keeping the current contact pair optimal are affine in
@@ -422,9 +390,7 @@ def _config_at(ctx: _AtomContext, u: float, lo: float, hi: float) -> TableInterv
             u_detach = math.inf
         if u > u_detach + 1e-12:
             raise InternalGeometry("contact at the quantile past its detachment level")
-        return TableInterval(
-            lo, min(u_detach, hi), xi, xi, xi, xi, ctx.sigma_l, 0.0, ctx.component
-        )
+        return (lo, min(u_detach, hi), xi, xi, xi, xi, ctx.sigma_l, 0.0)
 
     q_pt, s_pt = pc.q, pc.s
     if q_pt >= xi - POS_EPS or s_pt <= xi + POS_EPS:
@@ -465,31 +431,35 @@ def _config_at(ctx: _AtomContext, u: float, lo: float, hi: float) -> TableInterv
     if not (lo_v < u <= hi_v + 1e-15):
         raise InternalGeometry("probe fell outside its own validity interval")
     phi_lo = phi_a - phi_b * lo_v
-    return TableInterval(lo_v, hi_v, xi, q_pt, q_pt, s_pt, phi_lo, -phi_b, ctx.component)
+    return (lo_v, hi_v, xi, q_pt, q_pt, s_pt, phi_lo, -phi_b)
 
 
-def _chain_and_merge(intervals: list[TableInterval]) -> list[TableInterval]:
+def _rebound(row: tuple, u_lo: float, u_hi: float) -> tuple:
+    """The component row moved to ``(u_lo, u_hi]``, phi kept on its line."""
+    lo, _, g, r, q, s, phi_lo, dphi = row
+    return (u_lo, u_hi, g, r, q, s, phi_lo + dphi * (u_lo - lo), dphi)
+
+
+def _chain_and_merge(rows: list[tuple]) -> list[tuple]:
     """Snap shared endpoints and merge adjacent identical configurations."""
-    chained: list[TableInterval] = []
-    for iv in intervals:
+    chained: list[tuple] = []
+    for row in rows:
         if chained:
             prev = chained[-1]
-            if iv.u_lo != prev.u_hi:
-                iv = iv.with_bounds(prev.u_hi, iv.u_hi)
+            if row[0] != prev[1]:
+                row = _rebound(row, prev[1], row[1])
+            _, u_hi, g, r, _, s, _, dphi = row
             same = (
-                abs(iv.g - prev.g) <= POS_EPS
-                and abs(iv.r - prev.r) <= POS_EPS
-                and abs(iv.s - prev.s) <= POS_EPS
-                and abs(iv.dphi - prev.dphi) <= 1e-9
+                abs(g - prev[2]) <= POS_EPS
+                and abs(r - prev[3]) <= POS_EPS
+                and abs(s - prev[5]) <= POS_EPS
+                and abs(dphi - prev[7]) <= 1e-9
             )
             if same:
-                chained[-1] = TableInterval(
-                    prev.u_lo, iv.u_hi, prev.g, prev.r, prev.q, prev.s,
-                    prev.phi_lo, prev.dphi, prev.component,
-                )
+                chained[-1] = (prev[0], u_hi, *prev[2:])
                 continue
-        if iv.length > 0:
-            chained.append(iv)
+        if row[1] - row[0] > 0:
+            chained.append(row)
     return chained
 
 
@@ -512,65 +482,49 @@ def build_curtain(
     pieces.sort(key=lambda t: (t[0], t[1]))
 
     counter = [0]
-    intervals: list[TableInterval] = []
+    rows: list[tuple] = []
     offset = 0.0
     comp_index = 0
     for _, kind, payload in pieces:
         if kind == 0:
             x, w = payload
-            intervals.append(
-                TableInterval(offset, offset + w, x, x, x, x, 0.0, 0.0, component=-1)
-            )
+            rows.append((offset, offset + w, x, x, x, x, 0.0, 0.0, -1))
             offset += w
         else:
             comp = payload
             w = comp.mass
             local = _component_table(
-                comp.mu_part.scaled(1.0 / w),
-                comp.nu_part.scaled(1.0 / w),
-                comp_index,
-                max_intervals,
-                counter,
+                comp.mu_part.scaled(1.0 / w), comp.nu_part.scaled(1.0 / w), max_intervals, counter
             )
-            for iv in local:
-                intervals.append(
-                    TableInterval(
-                        offset + w * iv.u_lo,
-                        offset + w * iv.u_hi,
-                        iv.g,
-                        iv.r,
-                        iv.q,
-                        iv.s,
-                        w * iv.phi_lo,
-                        iv.dphi,
-                        component=comp_index,
-                    )
+            for u_lo, u_hi, g, r, q, s, phi_lo, dphi in local:
+                rows.append(
+                    (offset + w * u_lo, offset + w * u_hi, g, r, q, s, w * phi_lo, dphi, comp_index)
                 )
             offset += w
             comp_index += 1
-    if not intervals:
+    if not rows:
         raise ValueError("empty inputs")
-    intervals[0] = intervals[0].with_bounds(0.0, intervals[0].u_hi)
-    last = intervals[-1]
-    intervals[-1] = TableInterval(
-        last.u_lo, 1.0, last.g, last.r, last.q, last.s,
-        last.phi_lo, last.dphi, last.component,
-    )
-    return CurtainTable(tuple(intervals))
+    table = np.array(rows, dtype=TABLE_DTYPE)
+    # stretch the outer rows to the closed level range, phi kept on its line
+    table["phi_lo"][0] += table["dphi"][0] * (0.0 - table["u_lo"][0])
+    table["u_lo"][0] = 0.0
+    table["u_hi"][-1] = 1.0
+    table.flags.writeable = False
+    return CurtainTable(table)
 
 
 # -- lifted coupling -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LiftedCoupling:
     """Curtain kernels integrated over the quantile level.
 
-    ``intervals`` carries ``(u_lo, u_hi, x, r, s)`` rows; the flattened
-    joint measure lives on source/destination pairs.
+    ``intervals`` is an ``(N, 5)`` float array of ``(u_lo, u_hi, x, r, s)``
+    rows; the flattened joint measure lives on source/destination pairs.
     """
 
-    intervals: tuple[tuple[float, float, float, float, float], ...]
+    intervals: np.ndarray
     joint_x: np.ndarray
     joint_y: np.ndarray
     joint_w: np.ndarray
@@ -581,24 +535,25 @@ class LiftedCoupling:
     def second_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.joint_y.copy(), self.joint_w.copy())
 
+    @cached_property
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per row, the (lower, upper) destinations, their shares of the
+        row's mass, and which of the two exist (a point kernel sends its
+        whole share to ``x`` and has no upper atom)."""
+        _, _, x, r, s = self.intervals.T
+        split = s - r > DEGENERATE_KERNEL_EPS
+        w_r = np.where(split, (s - x) / np.where(split, s - r, 1.0), 1.0)
+        ys = np.column_stack((np.where(split, r, x), s))
+        shares = np.column_stack((w_r, 1.0 - w_r))
+        return ys, shares, np.column_stack((np.ones_like(split), split))
+
     def restricted_second_marginal(self, u: float) -> DiscreteMeasure:
         """Destination mass of the quantile levels up to ``u``."""
-        ys: list[float] = []
-        ws: list[float] = []
-        for (u_lo, u_hi, x, r, s) in self.intervals:
-            if u <= u_lo:
-                break
-            frac = min(u, u_hi) - u_lo
-            if frac <= 0:
-                continue
-            if s - r <= DEGENERATE_KERNEL_EPS:
-                ys.append(x)
-                ws.append(frac)
-            else:
-                w_r = (s - x) / (s - r)
-                ys.extend((r, s))
-                ws.extend((frac * w_r, frac * (1.0 - w_r)))
-        return DiscreteMeasure(ys, ws)
+        ys, shares, exists = self._kernels
+        k = int(self.intervals[:, 0].searchsorted(u, side="left"))
+        frac = np.minimum(u, self.intervals[:k, 1]) - self.intervals[:k, 0]
+        live = exists[:k] & (frac > 0)[:, None]
+        return DiscreteMeasure(ys[:k][live], (frac[:, None] * shares[:k])[live])
 
     def straddle_mass(self, z: float) -> float:
         """Joint mass on pairs whose source and destination bracket ``z``."""
@@ -610,27 +565,20 @@ class LiftedCoupling:
     def to_json(self, components=None) -> dict:
         return {
             "components": components if components is not None else [],
-            "intervals": [
-                {"u_lo": a, "u_hi": b, "x": x, "r": r, "s": s}
-                for (a, b, x, r, s) in self.intervals
-            ],
-            "joint": [
-                [float(x), float(y), float(w)]
-                for x, y, w in zip(self.joint_x, self.joint_y, self.joint_w)
-            ],
+            "intervals": [dict(zip(_COUPLING_ROW_KEYS, row)) for row in self.intervals.tolist()],
+            "joint": np.column_stack((self.joint_x, self.joint_y, self.joint_w)).tolist(),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "LiftedCoupling":
-        intervals = tuple(
-            (float(r["u_lo"]), float(r["u_hi"]), float(r["x"]), float(r["r"]), float(r["s"]))
-            for r in obj["intervals"]
+        rows = [[float(r[key]) for key in _COUPLING_ROW_KEYS] for r in obj["intervals"]]
+        joint = np.array(obj["joint"], dtype=float).reshape(-1, 3)
+        return LiftedCoupling(
+            np.array(rows, dtype=float).reshape(-1, 5),
+            joint[:, 0].copy(),
+            joint[:, 1].copy(),
+            joint[:, 2].copy(),
         )
-        joint = obj["joint"]
-        xs = np.array([row[0] for row in joint], dtype=float)
-        ys = np.array([row[1] for row in joint], dtype=float)
-        ws = np.array([row[2] for row in joint], dtype=float)
-        return LiftedCoupling(intervals, xs, ys, ws)
 
 
 def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
@@ -638,27 +586,27 @@ def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
 
     The kernel is constant on every table interval, so the flattened joint
     measure is an exact finite sum; its first marginal is ``mu`` by
-    construction and its second marginal is the target law.
+    construction and its second marginal is the target law.  Weights of
+    equal ``(x, y)`` pairs are added in table order.
     """
-    pairs: dict[tuple[float, float], float] = {}
-    rows = []
-    for iv in table.intervals:
-        rows.append((iv.u_lo, iv.u_hi, iv.g, iv.r, iv.s))
-        du = iv.length
-        if du <= 0:
-            continue
-        if iv.trivial:
-            pairs[(iv.g, iv.g)] = pairs.get((iv.g, iv.g), 0.0) + du
-        else:
-            w_r = (iv.s - iv.g) / (iv.s - iv.r)
-            pairs[(iv.g, iv.r)] = pairs.get((iv.g, iv.r), 0.0) + du * w_r
-            pairs[(iv.g, iv.s)] = pairs.get((iv.g, iv.s), 0.0) + du * (1.0 - w_r)
-    keys = sorted(pairs)
-    xs = np.array([k[0] for k in keys])
-    ys = np.array([k[1] for k in keys])
-    ws = np.array([pairs[k] for k in keys])
-    keep = ws > 0
-    return LiftedCoupling(tuple(rows), xs[keep], ys[keep], ws[keep])
+    t = table.intervals
+    lower, w_r = table._lower_branch
+    du = t["u_hi"] - t["u_lo"]
+    xs = np.repeat(t["g"], 2)
+    ys = np.column_stack((lower, t["s"])).ravel()
+    ws = np.column_stack((du * w_r, du * (1.0 - w_r))).ravel()
+    # a point kernel sends nothing to its upper atom; empty intervals carry no mass
+    live = np.repeat(du > 0, 2) & (ws != 0)
+    # numpy sorts complex numbers by (real, imag), so x + iy keys order the
+    # (x, y) pairs like tuples; a 1-D unique is several times faster than
+    # np.unique(..., axis=0) on small tables
+    keys = np.empty(np.count_nonzero(live), dtype=complex)
+    keys.real, keys.imag = xs[live], ys[live]
+    pairs, inverse = np.unique(keys, return_inverse=True)
+    weights = np.bincount(inverse, weights=ws[live], minlength=len(pairs))
+    keep = weights > 0
+    rows = np.column_stack([t[name] for name in ("u_lo", "u_hi", "g", "r", "s")])
+    return LiftedCoupling(rows, pairs.real[keep], pairs.imag[keep], weights[keep])
 
 
 def sample_y(table: CurtainTable, u: float, v: float) -> float:
@@ -670,24 +618,15 @@ def sample_y(table: CurtainTable, u: float, v: float) -> float:
     """
     if not (0.0 < u < 1.0) or not (0.0 < v < 1.0):
         raise ValueError("both coordinates must lie in (0, 1)")
-    iv = table.locate(u)
-    if iv.trivial:
-        return iv.g
-    threshold = (iv.s - iv.g) / (iv.s - iv.r)
-    return iv.r if v <= threshold else iv.s
+    return float(sample_y_many(table, np.array([u]), np.array([v]))[0])
 
 
 def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Vectorised :func:`sample_y` for Monte Carlo use."""
-    his = np.array([iv.u_hi for iv in table.intervals])
-    idx = np.minimum(np.searchsorted(his, us, side="left"), len(table.intervals) - 1)
-    g = np.array([iv.g for iv in table.intervals])[idx]
-    r = np.array([iv.r for iv in table.intervals])[idx]
-    s = np.array([iv.s for iv in table.intervals])[idx]
-    spread = s - r
-    nontrivial = spread > DEGENERATE_KERNEL_EPS
-    thresh = (s - g) / np.where(nontrivial, spread, 1.0)
-    return np.where(nontrivial, np.where(vs <= thresh, r, s), g)
+    t = table.intervals
+    lower, share = table._lower_branch
+    idx = np.minimum(np.searchsorted(t["u_hi"], us, side="left"), len(t) - 1)
+    return np.where(vs <= share[idx], lower[idx], t["s"][idx])
 
 
 # -- destination maps in source coordinates --------------------------------
@@ -728,26 +667,31 @@ def td_tu(table: CurtainTable) -> tuple[StepMap, StepMap]:
     one configuration and flagged multi-valued otherwise (genuine source
     atoms spanning several configurations).
     """
-    lower: dict[float, list[float]] = {}
-    upper: dict[float, list[float]] = {}
-    for iv in table.intervals:
-        lo_list = lower.setdefault(iv.g, [])
-        up_list = upper.setdefault(iv.g, [])
-        if not lo_list or lo_list[-1] != iv.r:
-            lo_list.append(iv.r)
-        if not up_list or up_list[-1] != iv.s:
-            up_list.append(iv.s)
-    xs = np.array(sorted(lower))
-    lo_vals = tuple(tuple(lower[x]) for x in xs)
-    up_vals = tuple(tuple(upper[x]) for x in xs)
-    multi = np.array([len(a) > 1 or len(b) > 1 for a, b in zip(lo_vals, up_vals)])
+    t = table.intervals
+    order = np.argsort(t["g"], kind="stable")
+    g = t["g"][order]
+    new_x = np.concatenate(([True], g[1:] != g[:-1]))
+    firsts = np.flatnonzero(new_x)
+
+    def step_values(column):
+        """Distinct consecutive values per source position, in table order."""
+        v = column[order]
+        keep = new_x | np.concatenate(([True], v[1:] != v[:-1]))
+        groups = np.split(v[keep], np.flatnonzero(new_x[keep])[1:])
+        counts = np.add.reduceat(keep.astype(np.intp), firsts)
+        return tuple(tuple(grp.tolist()) for grp in groups), counts > 1
+
+    lo_vals, lo_multi = step_values(t["r"])
+    up_vals, up_multi = step_values(t["s"])
+    xs = g[new_x]
+    multi = lo_multi | up_multi
     return StepMap(xs, lo_vals, multi.copy()), StepMap(xs, up_vals, multi.copy())
 
 
-def curve_rows(table: CurtainTable) -> list[tuple[float, float, float, float, float, float]]:
+def curve_rows(table: CurtainTable) -> np.ndarray:
     """Rows ``(u, G, R, Q, S, phi)`` at both endpoints of every interval."""
-    rows = []
-    for iv in table.intervals:
-        rows.append((iv.u_lo, iv.g, iv.r, iv.q, iv.s, iv.phi_lo))
-        rows.append((iv.u_hi, iv.g, iv.r, iv.q, iv.s, iv.phi_at(iv.u_hi)))
-    return rows
+    t = table.intervals
+    shape = [t[name] for name in ("g", "r", "q", "s")]
+    lo = np.column_stack([t["u_lo"], *shape, t["phi_lo"]])
+    hi = np.column_stack([t["u_hi"], *shape, _phi_on(t, t["u_hi"])])
+    return np.stack((lo, hi), axis=1).reshape(-1, 6)

@@ -34,7 +34,9 @@ class DiscreteMeasure:
         ws = np.asarray(ws, dtype=float).ravel()
         if xs.shape != ws.shape:
             raise ValueError("positions and weights must have equal length")
-        if np.any(ws < -1e-15):
+        if not (np.isfinite(xs).all() and np.isfinite(ws).all()):
+            raise ValueError("atom positions and weights must be finite")
+        if (ws < -1e-15).any():
             raise ValueError("atom weights must be non-negative")
         if xs.size:
             order = np.argsort(xs, kind="stable")
@@ -116,11 +118,8 @@ class DiscreteMeasure:
         xs, ws = xs[order], ws[order]
         if xs.size == 0:
             return 0.0
-        mx, mw = _merge_atoms(xs, ws, pos_tol, signed=True)
+        _, mw = _merge_atoms(xs, ws, pos_tol)
         return 0.5 * float(np.abs(mw).sum())
-
-    def allclose(self, other: "DiscreteMeasure", tol: float = 1e-9) -> bool:
-        return self.tv_distance(other) <= tol
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
@@ -134,7 +133,7 @@ class DiscreteMeasure:
         )
 
 
-def _merge_atoms(xs, ws, pos_tol, signed=False):
+def _merge_atoms(xs, ws, pos_tol):
     """Merge consecutive atoms whose positions differ by at most ``pos_tol``."""
     out_x = [xs[0]]
     out_w = [ws[0]]
@@ -144,33 +143,7 @@ def _merge_atoms(xs, ws, pos_tol, signed=False):
         else:
             out_x.append(x)
             out_w.append(w)
-    xs = np.array(out_x)
-    ws = np.array(out_w)
-    if signed:
-        return xs, ws
-    return xs, ws
-
-
-class QuantileFunction:
-    """Left-continuous quantile function of a probability measure.
-
-    ``G(u) = inf{x : F(x) >= u}`` evaluated with the left-continuous
-    convention: on ``(F(x_{i-1}), F(x_i)]`` the value is ``x_i``.
-    """
-
-    def __init__(self, measure: DiscreteMeasure):
-        if abs(measure.mass - 1.0) > MASS_TOL:
-            raise ValueError(f"quantile function requires a probability measure, mass={measure.mass}")
-        self.measure = measure
-
-    def __call__(self, u):
-        u_arr = np.asarray(u, dtype=float)
-        if np.any((u_arr <= 0.0) | (u_arr >= 1.0)):
-            raise ValueError("quantile level must lie in (0, 1)")
-        idx = np.searchsorted(self.measure.cum_weights, u_arr, side="left")
-        idx = np.minimum(idx, self.measure.n_atoms - 1)
-        out = self.measure.xs[idx]
-        return float(out) if out.ndim == 0 else out
+    return np.array(out_x), np.array(out_w)
 
 
 def put_potential(eta: DiscreteMeasure) -> PiecewiseLinear:
@@ -188,9 +161,20 @@ def put_potential(eta: DiscreteMeasure) -> PiecewiseLinear:
     return PiecewiseLinear(eta.xs, ys, 0.0, eta.mass)
 
 
-def quantile_left(eta: DiscreteMeasure, u: float) -> float:
-    """Left-continuous quantile of a probability measure at ``u`` in (0,1)."""
-    return QuantileFunction(eta)(u)
+def quantile_left(eta: DiscreteMeasure, u):
+    """Left-continuous quantile of a probability measure at ``u`` in (0, 1).
+
+    ``G(u) = inf{x : F(x) >= u}``: on ``(F(x_{i-1}), F(x_i)]`` the value is
+    ``x_i``.  A scalar level gives a float, an array of levels an array.
+    """
+    if abs(eta.mass - 1.0) > MASS_TOL:
+        raise ValueError(f"quantile function requires a probability measure, mass={eta.mass}")
+    u_arr = np.asarray(u, dtype=float)
+    if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
+        raise ValueError("quantile level must lie in (0, 1)")
+    idx = np.minimum(np.searchsorted(eta.cum_weights, u_arr, side="left"), eta.n_atoms - 1)
+    out = eta.xs[idx]
+    return float(out) if out.ndim == 0 else out
 
 
 def restricted_measure(mu: DiscreteMeasure, u: float) -> DiscreteMeasure:

@@ -16,7 +16,6 @@ is testable on the canonical representation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,20 +28,6 @@ CONTACT_EPS = 1e-10
 
 class NonConvexPotential(ValueError):
     """Raised when a slope extraction meets a negative jump beyond tolerance."""
-
-
-@dataclass(frozen=True)
-class AffineLine:
-    """Line anchored at ``(anchor_x, anchor_y)`` with a fixed slope."""
-
-    anchor_x: float
-    anchor_y: float
-    slope: float
-
-    def __call__(self, k):
-        k = np.asarray(k, dtype=float)
-        out = self.anchor_y + self.slope * (k - self.anchor_x)
-        return float(out) if out.ndim == 0 else out
 
 
 class PiecewiseLinear:
@@ -157,29 +142,6 @@ def _collinear_mask(xs, ys, slope_left, slope_right, eps):
 
 
 # -- module-level operations ----------------------------------------------
-
-
-def evaluate(f: PiecewiseLinear, k: float) -> float:
-    return f(k)
-
-
-def one_sided_slopes(f: PiecewiseLinear, k: float, eps: float = EPS_GEOM):
-    return f.one_sided_slopes(k, eps)
-
-
-def chord(f: PiecewiseLinear, x: float, z: float) -> AffineLine:
-    """Secant line of ``f`` through ``x`` and ``z`` (constant line if ``x == z``)."""
-    if x > z:
-        raise ValueError(f"chord requires x <= z, got {x} > {z}")
-    if x == z:
-        return AffineLine(x, f(x), 0.0)
-    fx, fz = f(x), f(z)
-    return AffineLine(x, fx, (fz - fx) / (z - x))
-
-
-def ray(f: PiecewiseLinear, a: float, slope: float) -> AffineLine:
-    """Line through ``(a, f(a))`` with the given slope."""
-    return AffineLine(a, f(a), float(slope))
 
 
 def convex_hull(f: PiecewiseLinear, eps: float = EPS_GEOM) -> PiecewiseLinear:

@@ -97,17 +97,15 @@ def verify_left_monotone(table: CurtainTable, report: VerificationReport | None 
     For interval indices ``i < j`` the upper function must not decrease and
     the later lower value must avoid the open band ``(R_i, S_i)``.
     """
-    ivs = table.intervals
+    r = np.ascontiguousarray(table.intervals["r"])
+    s = np.ascontiguousarray(table.intervals["s"])
     violations = 0
-    for i in range(len(ivs)):
-        s_i = ivs[i].s
-        r_i = ivs[i].r
-        for j in range(i + 1, len(ivs)):
-            if ivs[j].s < s_i - MONO_EPS:
-                violations += 1
-            r_j = ivs[j].r
-            if r_i + MONO_EPS < r_j < s_i - MONO_EPS:
-                violations += 1
+    for i in range(len(r) - 1):
+        later_r = r[i + 1 :]
+        violations += int(np.count_nonzero(s[i + 1 :] < s[i] - MONO_EPS))
+        violations += int(
+            np.count_nonzero((r[i] + MONO_EPS < later_r) & (later_r < s[i] - MONO_EPS))
+        )
     if report is not None:
         report.monotonicity_violations = violations
         report.record("monotonicity_violations", violations, 0)
@@ -123,20 +121,11 @@ def destination_cdf(table: CurtainTable, y: float) -> float:
     below ``y``.
     """
     v = table.s_inverse(y)
-    total = v
-    for iv in table.intervals:
-        if iv.u_hi <= v:
-            continue
-        lo = max(iv.u_lo, v)
-        frac = iv.u_hi - lo
-        if frac <= 0:
-            continue
-        if iv.trivial:
-            if iv.g <= y:
-                total += frac
-        elif iv.r <= y:
-            total += frac * (iv.s - iv.g) / (iv.s - iv.r)
-    return total
+    t = table.intervals
+    lower, share = table._lower_branch
+    above = int(t["u_hi"].searchsorted(v, side="right"))  # rows with u_hi > v
+    frac = t["u_hi"][above:] - np.maximum(t["u_lo"][above:], v)
+    return v + float((frac * share[above:])[lower[above:] <= y].sum())
 
 
 def verify_marginal_identity(
@@ -168,12 +157,9 @@ def verify_marginal_identity(
         y = float(rng.uniform(lo, hi))
         if np.abs(atoms - y).min() > 1e-7:
             ys.append(y)
-    f_nu = _cdf(nu)
-
     worst = 0.0
     sandwich = 0.0
-    for y in ys:
-        target = f_nu(y)
+    for y, target in zip(ys, nu.cdf(np.array(ys)).tolist()):
         value = destination_cdf(table, y)
         worst = max(worst, abs(value - target))
         v = table.s_inverse(y)
@@ -188,13 +174,6 @@ def verify_marginal_identity(
         report.record("proby_residual_max", worst, DEFAULT_TOL)
         report.record("phi_sandwich_violation_max", sandwich, 1e-8)
     return worst
-
-
-def _cdf(eta: DiscreteMeasure):
-    def f(y: float) -> float:
-        return float(eta.cdf(y))
-
-    return f
 
 
 def verify_shadow_consistency(

@@ -34,7 +34,7 @@ from leftcurtain import (
     verify_left_monotone,
     verify_marginal_identity,
 )
-from leftcurtain.curtain import CurtainTable, TableInterval
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
 from leftcurtain.measures import random_cx_pair
 from conftest import barrier_instance
 
@@ -129,18 +129,19 @@ def test_criterion_4_left_monotonicity(bank):
         total += verify_left_monotone(table)
     flagged = 0
     for seed, mu, nu, table, pi, oracle in instances[:20]:
-        splitting = [i for i, iv in enumerate(table.intervals) if not iv.trivial]
-        if not splitting:
+        t = table.intervals
+        splitting = np.flatnonzero(t["s"] - t["r"] > DEGENERATE_KERNEL_EPS)
+        if not splitting.size:
             continue
-        i = splitting[0]
-        ivs = list(table.intervals)
-        iv = ivs[i]
+        i = int(splitting[0])
+        rows = np.concatenate((t[: i + 1], t[i : i + 1]))
+        iv = rows[i]
         # plant a later lower value inside the earlier open band
-        inside = 0.5 * (iv.r + iv.s)
-        planted = TableInterval(
-            iv.u_hi, iv.u_hi + 1e-3, iv.g, inside, inside, iv.s + 1.0, 0.0, 0.0
+        inside = 0.5 * (iv["r"] + iv["s"])
+        rows[i + 1] = (
+            iv["u_hi"], iv["u_hi"] + 1e-3, iv["g"], inside, inside, iv["s"] + 1.0, 0.0, 0.0, 0
         )
-        if verify_left_monotone(CurtainTable(tuple(ivs[: i + 1] + [planted]))) > 0:
+        if verify_left_monotone(CurtainTable(rows)) > 0:
             flagged += 1
         else:
             flagged -= 10**6
@@ -159,11 +160,15 @@ def _component_frames(mu, nu, table):
     dec = decompose(mu, nu)
     frames = {}
     for k, comp in enumerate(dec.components):
-        ivs = [iv for iv in table.intervals if iv.component == k]
-        offset = min(iv.u_lo for iv in ivs)
+        t = table.intervals
+        offset = float(t["u_lo"][t["component"] == k].min())
         frames[k] = (offset, comp.mass, comp.mu_part.scaled(1 / comp.mass),
                      comp.nu_part.scaled(1 / comp.mass))
     return frames
+
+
+def _phi_at(rows, u):
+    return rows["phi_lo"] + rows["dphi"] * (u - rows["u_lo"])
 
 
 def test_criterion_5_phi_laws(bank):
@@ -173,15 +178,13 @@ def test_criterion_5_phi_laws(bank):
     fd_worst = 0.0
     for seed, mu, nu, table, pi, oracle in instances:
         # Lipschitz-type lower bound at interval representatives
-        pts = []
-        for iv in table.intervals:
-            mid = 0.5 * (iv.u_lo + iv.u_hi)
-            pts.append((mid, iv.phi_at(mid)))
-            pts.append((iv.u_hi, iv.phi_at(iv.u_hi)))
-        pts.sort()
-        us = np.array([p[0] for p in pts])
-        ps = np.array([p[1] for p in pts])
-        for i in range(len(pts)):
+        t = table.intervals
+        mids = 0.5 * (t["u_lo"] + t["u_hi"])
+        us = np.concatenate((mids, t["u_hi"]))
+        ps = np.concatenate((_phi_at(t, mids), _phi_at(t, t["u_hi"])))
+        order = np.lexsort((ps, us))
+        us, ps = us[order], ps[order]
+        for i in range(len(us)):
             gap = (ps[i] - (us[i:] - us[i])) - ps[i:]
             lip_worst = max(lip_worst, float(gap.max(initial=0.0)))
         # non-increasing along splitting runs
@@ -190,27 +193,29 @@ def test_criterion_5_phi_laws(bank):
             for idx in run:
                 iv = table.intervals[idx]
                 if last is not None:
-                    mono_worst = max(mono_worst, iv.phi_lo - last)
-                last = iv.phi_at(iv.u_hi)
+                    mono_worst = max(mono_worst, iv["phi_lo"] - last)
+                last = _phi_at(iv, iv["u_hi"])
         # finite-difference slope identity, 20 interior points per run
         frames = _component_frames(mu, nu, table)
         for run in table.nontrivial_runs():
-            run_ivs = [table.intervals[idx] for idx in run]
-            lo = run_ivs[0].u_lo
-            hi = run_ivs[-1].u_hi
+            run_ivs = table.intervals[run]
+            lo = run_ivs["u_lo"][0]
+            hi = run_ivs["u_hi"][-1]
             for j in range(20):
                 u = lo + (hi - lo) * (j + 0.5) / 20
-                iv = next(r for r in run_ivs if r.u_lo < u <= r.u_hi or r is run_ivs[-1])
-                u = min(max(u, iv.u_lo + iv.length / 4), iv.u_hi - iv.length / 4)
-                h = iv.length / 8
-                offset, w, mu_l, nu_l = frames[iv.component]
+                k = min(int(np.searchsorted(run_ivs["u_hi"], u, side="left")), len(run) - 1)
+                iv = run_ivs[k]
+                length = iv["u_hi"] - iv["u_lo"]
+                u = min(max(u, iv["u_lo"] + length / 4), iv["u_hi"] - length / 4)
+                h = length / 8
+                offset, w, mu_l, nu_l = frames[int(iv["component"])]
                 u_l = (u - offset) / w
                 h_l = h / w
                 fd = (
                     point_construction(mu_l, nu_l, u_l + h_l).phi
                     - point_construction(mu_l, nu_l, u_l - h_l).phi
                 ) / (2 * h_l)
-                expect = -(iv.s - iv.g) / (iv.s - iv.r)
+                expect = -(iv["s"] - iv["g"]) / (iv["s"] - iv["r"])
                 fd_worst = max(fd_worst, abs(fd - expect))
     ok = lip_worst <= 1e-10 and mono_worst <= 1e-10 and fd_worst <= 1e-6
     _line(

@@ -132,6 +132,26 @@ def test_sample_command_reproducible(pair_files, tmp_path):
     assert all(float(r["x"]) == 0.0 for r in rows)
 
 
+def test_sample_x_is_left_quantile_of_multi_atom_source(tmp_path):
+    mu = dm((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))
+    nu = dm((-2.0, 0.125), (0.0, 0.125), (0.5, 0.5), (1.0, 0.125), (3.0, 0.125))
+    mu_path = tmp_path / "mu.json"
+    nu_path = tmp_path / "nu.json"
+    mu_path.write_text(json.dumps(measure_to_json(mu)))
+    nu_path.write_text(json.dumps(measure_to_json(nu)))
+    out = tmp_path / "s.csv"
+    args = ["sample", "--mu", str(mu_path), "--nu", str(nu_path), "--n", "400", "--seed", "3"]
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+    with open(out) as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 400
+    for r in rows:
+        u = float(r["u"])
+        expected = -1.0 if u <= 0.25 else (0.5 if u <= 0.75 else 2.0)
+        assert float(r["x"]) == expected
+    assert {float(r["x"]) for r in rows} == {-1.0, 0.5, 2.0}
+
+
 def test_decompose_command(tmp_path):
     mu = dm((-1.0, 0.5), (1.0, 0.5))
     nu = dm((-2.0, 0.25), (0.0, 0.5), (2.0, 0.25))
@@ -155,6 +175,15 @@ def test_order_failure_exit_code(tmp_path):
     nu_path.write_text(json.dumps(measure_to_json(nu)))
     rc = main(["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(tmp_path / "x.json")])
     assert rc == EXIT_ORDER
+
+
+def test_non_finite_atom_is_an_input_error(tmp_path):
+    mu_path = tmp_path / "mu.json"
+    nu_path = tmp_path / "nu.json"
+    mu_path.write_text('{"type": "atoms", "atoms": [[NaN, 0.5], [1.0, 0.5]]}')
+    nu_path.write_text(json.dumps(measure_to_json(dm((-1.0, 0.5), (2.0, 0.5)))))
+    rc = main(["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(tmp_path / "x.json")])
+    assert rc == EXIT_IO
 
 
 def test_io_failure_exit_code(tmp_path):

@@ -13,8 +13,13 @@ from leftcurtain import (
     sample_y_many,
     td_tu,
 )
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
 from leftcurtain.decompose import decompose
 from conftest import dm, random_instance
+
+
+def phi_at(rows, u):
+    return rows["phi_lo"] + rows["dphi"] * (u - rows["u_lo"])
 
 
 def single_component_instances(count, start=0):
@@ -106,8 +111,8 @@ class TestBuildCurtain:
         table = build_curtain(mu, nu)
         assert len(table.intervals) == 1
         iv = table.intervals[0]
-        assert (iv.u_lo, iv.u_hi) == (0.0, 1.0)
-        assert (iv.r, iv.s) == (-1.0, 1.0)
+        assert (iv["u_lo"], iv["u_hi"]) == (0.0, 1.0)
+        assert (iv["r"], iv["s"]) == (-1.0, 1.0)
 
     def test_three_atom_table(self, three_atom):
         # frozen from the incremental-shadow oracle
@@ -115,11 +120,11 @@ class TestBuildCurtain:
         table = build_curtain(mu, nu)
         assert len(table.intervals) == 2
         first, second = table.intervals
-        assert first.u_hi == pytest.approx(0.5)
-        assert (first.r, first.g, first.s) == (-3.0, -1.0, 0.0)
-        assert (second.r, second.g, second.s) == (-3.0, 1.0, 3.0)
+        assert first["u_hi"] == pytest.approx(0.5)
+        assert (first["r"], first["g"], first["s"]) == (-3.0, -1.0, 0.0)
+        assert (second["r"], second["g"], second["s"]) == (-3.0, 1.0, 3.0)
         # envelope slope: (1 - u) / 3 on both intervals
-        assert first.phi_lo == pytest.approx(1 / 3)
+        assert first["phi_lo"] == pytest.approx(1 / 3)
         assert table.phi(0.5) == pytest.approx(1 / 6)
         assert table.phi(1.0) == pytest.approx(0.0, abs=1e-12)
 
@@ -128,9 +133,9 @@ class TestBuildCurtain:
         table = build_curtain(mu, nu)
         assert len(table.intervals) == 2
         first, second = table.intervals
-        assert (first.r, first.g, first.s) == (-2.0, -1.0, 0.0)
-        assert first.u_hi == pytest.approx(0.5)
-        assert (second.r, second.g, second.s) == (0.0, 1.0, 2.0)
+        assert (first["r"], first["g"], first["s"]) == (-2.0, -1.0, 0.0)
+        assert first["u_hi"] == pytest.approx(0.5)
+        assert (second["r"], second["g"], second["s"]) == (0.0, 1.0, 2.0)
 
     def test_table_reproduces_point_construction(self):
         for seed, mu, nu in single_component_instances(8):
@@ -138,23 +143,23 @@ class TestBuildCurtain:
             rng = np.random.default_rng(seed + 1)
             for u in rng.uniform(1e-4, 1 - 1e-4, size=50):
                 pc = point_construction(mu, nu, float(u))
-                iv = table.locate(float(u))
-                assert pc.g == pytest.approx(iv.g, abs=1e-10)
-                assert pc.q == pytest.approx(iv.q, abs=1e-10)
-                assert pc.s == pytest.approx(iv.s, abs=1e-10)
-                assert pc.phi == pytest.approx(iv.phi_at(float(u)), abs=1e-10)
-                if not iv.trivial:
-                    assert pc.r == pytest.approx(iv.r, abs=1e-10)
+                iv = table.intervals[table.locate(float(u))]
+                assert pc.g == pytest.approx(iv["g"], abs=1e-10)
+                assert pc.q == pytest.approx(iv["q"], abs=1e-10)
+                assert pc.s == pytest.approx(iv["s"], abs=1e-10)
+                assert pc.phi == pytest.approx(phi_at(iv, float(u)), abs=1e-10)
+                if iv["s"] - iv["r"] > DEGENERATE_KERNEL_EPS:
+                    assert pc.r == pytest.approx(iv["r"], abs=1e-10)
 
     def test_breakpoints_cover_unit_interval(self):
         for seed in range(12):
             mu, nu = random_instance(seed)
             table = build_curtain(mu, nu)
-            assert table.intervals[0].u_lo == 0.0
-            assert table.intervals[-1].u_hi == 1.0
-            for a, b in zip(table.intervals[:-1], table.intervals[1:]):
-                assert a.u_hi == b.u_lo
-                assert a.length > 0
+            t = table.intervals
+            assert t["u_lo"][0] == 0.0
+            assert t["u_hi"][-1] == 1.0
+            assert np.array_equal(t["u_hi"][:-1], t["u_lo"][1:])
+            assert np.all(t["u_hi"] - t["u_lo"] > 0)
 
     def test_contact_points_match_construction(self, three_atom):
         """Envelope contacts around the quantile are exactly (Q, S)."""
@@ -282,8 +287,8 @@ class TestPhiLaws:
         table = build_curtain(mu, nu)
         pts = []
         for iv in table.intervals:
-            mid = 0.5 * (iv.u_lo + iv.u_hi)
-            pts.extend([(mid, iv.phi_at(mid)), (iv.u_hi, iv.phi_at(iv.u_hi))])
+            mid = 0.5 * (iv["u_lo"] + iv["u_hi"])
+            pts.extend([(mid, phi_at(iv, mid)), (iv["u_hi"], phi_at(iv, iv["u_hi"]))])
         pts.sort()
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
@@ -299,19 +304,19 @@ class TestPhiLaws:
             for idx in run:
                 iv = table.intervals[idx]
                 if last is not None:
-                    assert iv.phi_lo <= last + 1e-10
-                assert iv.dphi <= 1e-12  # nonincreasing inside intervals
-                last = iv.phi_at(iv.u_hi)
+                    assert iv["phi_lo"] <= last + 1e-10
+                assert iv["dphi"] <= 1e-12  # nonincreasing inside intervals
+                last = phi_at(iv, iv["u_hi"])
 
     @pytest.mark.parametrize("seed", range(10))
     def test_phi_bounds_and_terminal_value(self, seed):
         """phi stays within [0, 1 - u] and vanishes at the top level."""
         mu, nu = random_instance(seed)
         table = build_curtain(mu, nu)
-        for iv in table.intervals:
-            for u in (iv.u_lo + iv.length / 2, iv.u_hi):
-                val = iv.phi_at(u)
-                assert -1e-10 <= val <= 1.0 - u + 1e-10
+        t = table.intervals
+        for u in (t["u_lo"] + (t["u_hi"] - t["u_lo"]) / 2, t["u_hi"]):
+            val = phi_at(t, u)
+            assert np.all(-1e-10 <= val) and np.all(val <= 1.0 - u + 1e-10)
         assert table.phi(1.0) <= 1e-9
 
     @pytest.mark.parametrize("start", [0, 11, 29, 47])
@@ -322,15 +327,15 @@ class TestPhiLaws:
         for run in table.nontrivial_runs():
             for idx in run:
                 iv = table.intervals[idx]
-                h = iv.length / 8
+                h = (iv["u_hi"] - iv["u_lo"]) / 8
                 if h < 1e-9:
                     continue
-                u0 = 0.5 * (iv.u_lo + iv.u_hi)
+                u0 = 0.5 * (iv["u_lo"] + iv["u_hi"])
                 fd = (
                     point_construction(mu, nu, u0 + h).phi
                     - point_construction(mu, nu, u0 - h).phi
                 ) / (2 * h)
-                expect = -(iv.s - iv.g) / (iv.s - iv.r)
+                expect = -(iv["s"] - iv["g"]) / (iv["s"] - iv["r"])
                 assert fd == pytest.approx(expect, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))

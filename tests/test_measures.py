@@ -16,6 +16,15 @@ from leftcurtain import (
 from conftest import dm
 
 
+class TestDiscreteMeasure:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_positions_and_weights(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([bad, 1.0], [0.5, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure([0.0, 1.0], [bad, 0.5])
+
+
 class TestPutPotential:
     def test_point_mass(self):
         p = put_potential(dm((0.0, 1.0)))
@@ -54,6 +63,16 @@ class TestQuantileLeft:
             quantile_left(eta, 0.0)
         with pytest.raises(ValueError):
             quantile_left(eta, 1.0)
+
+    def test_array_levels_match_scalar_levels(self):
+        eta = dm((-2.0, 0.25), (0.0, 0.5), (1.0, 0.25))
+        us = np.array([1e-9, 0.25, 0.2500001, 0.5, 0.75, 0.7500001, 1 - 1e-12])
+        got = quantile_left(eta, us)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [quantile_left(eta, float(u)) for u in us]
+        assert got.tolist() == [-2.0, -2.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+        with pytest.raises(ValueError):
+            quantile_left(eta, np.array([0.5, 1.0]))
 
 
 class TestRestrictedMeasure:

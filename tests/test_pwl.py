@@ -8,12 +8,10 @@ from hypothesis import strategies as st
 from leftcurtain import (
     DiscreteMeasure,
     PiecewiseLinear,
-    chord,
     contact_points,
     convex_hull,
     measure_from_potential,
     put_potential,
-    ray,
 )
 from leftcurtain.pwl import NonConvexPotential
 
@@ -40,28 +38,6 @@ class TestEvaluation:
     def test_evaluation_is_vectorised(self):
         p = put_potential(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]))
         np.testing.assert_allclose(p(np.array([-2.0, 0.0, 2.0])), [0.0, 0.5, 2.0])
-
-
-class TestChordAndRay:
-    def test_chord_through_two_points(self):
-        p = put_potential(DiscreteMeasure([0.0], [1.0]))
-        line = chord(p, -1.0, 1.0)
-        assert line(0.0) == pytest.approx(0.5)
-
-    def test_degenerate_chord_is_constant(self):
-        p = put_potential(DiscreteMeasure([0.0], [1.0]))
-        line = chord(p, 0.5, 0.5)
-        assert line(123.0) == p(0.5)
-
-    def test_zero_slope_ray_is_constant(self):
-        p = put_potential(DiscreteMeasure([0.0], [1.0]))
-        line = ray(p, 0.5, 0.0)
-        assert line(-7.0) == p(0.5)
-
-    def test_chord_rejects_reversed_endpoints(self):
-        p = put_potential(DiscreteMeasure([0.0], [1.0]))
-        with pytest.raises(ValueError):
-            chord(p, 1.0, -1.0)
 
 
 class TestConvexHull:
@@ -175,8 +151,8 @@ def test_contact_chord_reconstructs_hull(f, salt):
     for y in rng.uniform(lo, hi, size=25):
         x, z = contact_points(f, h, float(y))
         if math.isfinite(x) and math.isfinite(z):
-            line = chord(f, x, z)
-            assert abs(line(y) - h(y)) <= 1e-8
+            slope = 0.0 if x == z else (f(z) - f(x)) / (z - x)
+            assert abs(f(x) + slope * (y - x) - h(y)) <= 1e-8
 
 
 @given(plfs())

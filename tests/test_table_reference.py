@@ -1,0 +1,107 @@
+"""Column consumers of the curtain table against plain per-row loops.
+
+Each reference walks the rows one at a time, the way the definitions
+read.  Where the arithmetic is the same the results must be equal; the
+destination law sums in another order, so it gets a tolerance of a few
+float64 ulps of its [0, 1] range.
+"""
+
+import numpy as np
+import pytest
+
+from leftcurtain import build_curtain, coupling, destination_cdf, verify_left_monotone
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, POS_EPS, CurtainTable
+from leftcurtain.verify import MONO_EPS
+from conftest import random_instance
+
+
+def _split(row):
+    return row["s"] - row["r"] > DEGENERATE_KERNEL_EPS
+
+
+def loop_coupling(table):
+    pairs = {}
+    for row in table.intervals:
+        du = row["u_hi"] - row["u_lo"]
+        if du <= 0:
+            continue
+        g = float(row["g"])
+        if not _split(row):
+            pairs[(g, g)] = pairs.get((g, g), 0.0) + du
+            continue
+        w_r = (row["s"] - row["g"]) / (row["s"] - row["r"])
+        for y, w in ((float(row["r"]), du * w_r), (float(row["s"]), du * (1.0 - w_r))):
+            pairs[(g, y)] = pairs.get((g, y), 0.0) + w
+    keys = sorted(k for k in pairs if pairs[k] > 0)
+    return (
+        np.array([k[0] for k in keys]),
+        np.array([k[1] for k in keys]),
+        np.array([pairs[k] for k in keys]),
+    )
+
+
+def loop_left_monotone(table):
+    rows = table.intervals
+    count = 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            count += rows["s"][j] < rows["s"][i] - MONO_EPS
+            count += rows["r"][i] + MONO_EPS < rows["r"][j] < rows["s"][i] - MONO_EPS
+    return count
+
+
+def loop_destination_cdf(table, y):
+    v = table.s_inverse(y)
+    total = v
+    for row in table.intervals:
+        frac = row["u_hi"] - max(row["u_lo"], v)
+        if row["u_hi"] <= v or frac <= 0:
+            continue
+        if not _split(row):
+            total += frac if row["g"] <= y else 0.0
+        elif row["r"] <= y:
+            total += frac * (row["s"] - row["g"]) / (row["s"] - row["r"])
+    return total
+
+
+def loop_runs(table):
+    runs, current = [], []
+    for i, row in enumerate(table.intervals):
+        if not _split(row):
+            if current:
+                runs.append(current)
+                current = []
+            continue
+        if current and not row["g"] < table.intervals["s"][current[-1]] - POS_EPS:
+            runs.append(current)
+            current = []
+        current.append(i)
+    if current:
+        runs.append(current)
+    return runs
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_columns_match_row_loops(seed):
+    mu, nu = random_instance(seed)
+    table = build_curtain(mu, nu)
+    pi = coupling(table, mu)
+    for got, want in zip((pi.joint_x, pi.joint_y, pi.joint_w), loop_coupling(table)):
+        assert np.array_equal(got, want)
+    assert verify_left_monotone(table) == loop_left_monotone(table)
+    assert table.nontrivial_runs() == loop_runs(table)
+    for y in np.linspace(nu.xs[0] - 1.0, nu.xs[-1] + 1.0, 41):
+        assert destination_cdf(table, y) == pytest.approx(
+            loop_destination_cdf(table, y), abs=4 * np.finfo(float).eps
+        )
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_violation_count_matches_loop_on_shuffled_rows(seed):
+    mu, nu = random_instance(seed)
+    rows = build_curtain(mu, nu).intervals.copy()
+    perm = np.random.default_rng(seed).permutation(len(rows))
+    rows["r"] = rows["r"][perm]
+    rows["s"] = rows["s"][perm]
+    table = CurtainTable(rows)
+    assert verify_left_monotone(table) == loop_left_monotone(table)

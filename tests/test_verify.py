@@ -11,7 +11,7 @@ from leftcurtain import (
     verify_marginal_identity,
     verify_shadow_consistency,
 )
-from leftcurtain.curtain import CurtainTable, TableInterval
+from leftcurtain.curtain import CurtainTable
 from leftcurtain.verify import VerificationReport
 from conftest import dm, random_instance
 
@@ -53,23 +53,17 @@ class TestVerifyLeftMonotone:
     def test_hand_swapped_lower_value_detected(self, three_atom):
         mu, nu = three_atom
         table = build_curtain(mu, nu)
-        ivs = list(table.intervals)
-        iv = ivs[1]
+        rows = table.intervals.copy()
         # push the later lower value inside the earlier open band (-3, 0)
-        ivs[1] = TableInterval(
-            iv.u_lo, iv.u_hi, iv.g, -1.5, iv.q, iv.s, iv.phi_lo, iv.dphi, iv.component
-        )
-        assert verify_left_monotone(CurtainTable(tuple(ivs))) > 0
+        rows["r"][1] = -1.5
+        assert verify_left_monotone(CurtainTable(rows)) > 0
 
     def test_decreasing_upper_value_detected(self, three_atom):
         mu, nu = three_atom
         table = build_curtain(mu, nu)
-        ivs = list(table.intervals)
-        iv = ivs[1]
-        ivs[1] = TableInterval(
-            iv.u_lo, iv.u_hi, iv.g, iv.r, iv.q, -2.5, iv.phi_lo, iv.dphi, iv.component
-        )
-        assert verify_left_monotone(CurtainTable(tuple(ivs))) > 0
+        rows = table.intervals.copy()
+        rows["s"][1] = -2.5
+        assert verify_left_monotone(CurtainTable(rows)) > 0
 
     def test_jumping_lower_function_is_legal(self, three_atom):
         """The lower function may jump down across intervals."""
