@@ -7,7 +7,6 @@ table, plus independent brute-force oracles and theorem-level verifiers.
 """
 
 from .curtain import (
-    BreakpointOverflow,
     CurtainTable,
     ExcessPotential,
     InternalGeometry,
@@ -60,7 +59,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BreakpointOverflow",
     "CurtainTable",
     "DecomposeError",
     "Decomposition",

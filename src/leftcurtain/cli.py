@@ -150,10 +150,8 @@ def _cmd_sample(args) -> int:
     vs = np.clip(vs, eps, 1.0 - 1e-16)
     ys = sample_y_many(table, us, vs)
     xs = quantile_left(mu, us)
-    lines = ["u,v,x,y"]
-    for u, v, x, y in zip(us, vs, xs, ys):
-        lines.append(",".join(repr(float(t)) for t in (u, v, x, y)))
-    _write_text(args.out, "\n".join(lines))
+    columns = (map(repr, c.tolist()) for c in (us, vs, xs, ys))
+    _write_text(args.out, "\n".join(["u,v,x,y", *map(",".join, zip(*columns))]))
     return EXIT_OK
 
 

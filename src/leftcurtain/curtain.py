@@ -12,9 +12,13 @@ envelope's linear piece through ``G(u)``.
 Because all inputs are atomic, ``E_u`` is affine in ``u`` on ``[G(u),
 oo)`` while ``u`` stays inside one source atom's quantile interval, so the
 contact configuration is piecewise constant in ``u`` and its breakpoints
-solve linear equations.  The table builder probes a generic level, reads
-off the contact pair, and intersects the affine validity constraints
-exactly; no root finding or discretisation in ``u`` is involved.
+solve linear equations.  The table builder sweeps the levels of each
+source atom once from left to right: a point kernel up to the closed-form
+detachment level, then a chord whose contacts move outwards each time a
+kink pierces it.  No hull is rebuilt, and no root finding or
+discretisation in ``u`` is involved.  :func:`point_construction` computes
+the same data at one level from the envelope itself and serves as the
+pointwise reference.
 """
 
 from __future__ import annotations
@@ -40,10 +44,8 @@ POS_EPS = 1e-11
 #: kernels with spread below this emit a point mass at the current quantile
 DEGENERATE_KERNEL_EPS = 1e-13
 
-#: default cap on the number of table intervals
-MAX_INTERVALS = 10**6
-
-_PROBE_FRACTIONS = (0.6180339887498949, 0.5, 0.38196601125010515, 0.27, 0.73, 0.911, 0.089)
+#: piercing levels (and tangent slopes) closer than this are one sweep event
+TIE_EPS = 1e-12
 
 #: row layout of :attr:`CurtainTable.intervals`
 TABLE_DTYPE = np.dtype(
@@ -56,11 +58,9 @@ _COUPLING_ROW_KEYS = ("u_lo", "u_hi", "x", "r", "s")
 
 
 class InternalGeometry(RuntimeError):
-    """The ray/envelope search failed; indicates a geometry bug, not bad input."""
-
-
-class BreakpointOverflow(RuntimeError):
-    """Table refinement exceeded the configured interval bound."""
+    """The envelope has no finite contact pair, the anchored ray misses the
+    gap, or a source atom detaches with no kink to its left; indicates a
+    geometry bug, not bad input."""
 
 
 @dataclass(frozen=True)
@@ -268,204 +268,85 @@ class CurtainTable:
         return [run.tolist() for run in np.split(idx, cuts)]
 
 
-@dataclass
-class _AtomContext:
-    """Per-source-atom data for the interval discovery.
-
-    For ``u`` in this atom's quantile interval and ``k > xi``, the excess
-    potential at a target kink ``q`` is ``a_right[q] - u * (q - xi)``; left
-    of ``xi`` it equals the ``u``-independent gap.
-    """
-
-    pair: _Pair
-    xi: float
-    left_xs: np.ndarray
-    d_left: np.ndarray
-    d_xi: float
-    right_xs: np.ndarray
-    a_right: np.ndarray
-    sigma_l: float
-
-
-def _component_table(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, max_intervals: int, counter: list[int]
-) -> list[tuple]:
+def _component_table(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
     """Curtain rows of one irreducible component with probability marginals.
+
+    One left-to-right sweep over the levels of each source atom ``x_i``.
+    On the atom's quantile interval the excess potential is the gap ``D``
+    at kinks ``p <= x_i`` and ``A(k) - u (k - x_i)`` at target kinks
+    ``k > x_i``, with ``A = P_nu - P_mu(x_i)``.  The envelope touches at
+    ``x_i`` (a point kernel) up to ``u_detach``; from then on its piece
+    over ``x_i`` is a chord ``(q, s)`` with slope ``phi(u) = phi_a - phi_b
+    u``.  A kink ``p < q`` pierces the chord when ``phi`` falls to the
+    slope of ``D`` from ``p`` to ``q``, a kink ``k > s`` when it falls to
+    the slope of the excess from ``s`` to ``k``; the outermost kink among
+    simultaneous piercings becomes the new contact.  ``q`` only moves left
+    and ``s`` only right, so every atom ends after finitely many steps.
+    The chord an atom ends with carries over to the next atom if it spans
+    that atom; otherwise the next atom starts as a point kernel.
 
     Rows are tuples ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the
     component's own quantile levels.
     """
     pair = _Pair(mu, nu)
-    d = pair.gap
-    union_xs = np.union1d(mu.xs, nu.xs)
+    kinks = np.union1d(mu.xs, nu.xs)
+    d = pair.gap(kinks)
+    ys = nu.xs
+    p_nu_ys = pair.p_nu(ys)
     cum = np.concatenate(([0.0], mu.cum_weights))
     cum[-1] = 1.0
 
-    out: list[tuple] = []
-    for i, xi in enumerate(mu.xs):
+    rows: list[tuple] = []
+    q = s = -1  # chord contacts as indices into ``kinks`` and ``ys``; -1: none
+    for i, xi in enumerate(mu.xs.tolist()):
         lo, hi = float(cum[i]), float(cum[i + 1])
-        left_xs = union_xs[union_xs <= xi + POS_EPS]
-        d_left = d(left_xs)
-        d_xi = float(d(xi))
-        right_xs = nu.xs[nu.xs > xi + POS_EPS]
-        a_right = pair.p_nu(right_xs) - pair.p_mu(xi) if right_xs.size else np.empty(0)
-        strict = left_xs < xi - POS_EPS
-        if strict.any():
-            chords = (d_xi - d_left[strict]) / (xi - left_xs[strict])
-            sigma_l = max(0.0, float(chords.max()))
-        else:
-            sigma_l = 0.0
-        ctx = _AtomContext(pair, float(xi), left_xs, d_left, d_xi, right_xs, a_right, sigma_l)
-        _discover(ctx, lo, hi, out, max_intervals, counter, depth=0)
-
-    out.sort(key=lambda row: row[0])
-    return _chain_and_merge(out)
-
-
-def _discover(ctx, lo, hi, out, max_intervals, counter, depth):
-    """Cover ``(lo, hi]`` with maximal constant-configuration intervals.
-
-    Slivers below 1e-13 of quantile measure are dropped: they arise from
-    float noise around configuration changes, carry negligible kernel
-    weight, and are re-absorbed when neighbouring endpoints are chained.
-    """
-    if hi - lo <= 1e-13:
-        return
-    if depth > 60:
-        raise InternalGeometry("interval discovery recursion exhausted")
-    counter[0] += 1
-    if counter[0] > max_intervals:
-        raise BreakpointOverflow(f"more than {max_intervals} table intervals")
-
-    row = None
-    for frac in _PROBE_FRACTIONS:
-        probe = lo + (hi - lo) * frac
-        if not (lo < probe < hi):
-            continue
-        try:
-            row = _config_at(ctx, probe, lo, hi)
-        except InternalGeometry:
-            row = None
-            continue
-        if row[0] < probe <= row[1] + 1e-15:
-            break
-        row = None
-    if row is None:
-        raise InternalGeometry(f"no stable configuration found on ({lo}, {hi}]")
-
-    a = max(row[0], lo)
-    b = min(row[1], hi)
-    _discover(ctx, lo, a, out, max_intervals, counter, depth + 1)
-    if b > a:
-        out.append(_rebound(row, a, b))
-    _discover(ctx, b, hi, out, max_intervals, counter, depth + 1)
-
-
-def _value_near(xs: np.ndarray, vals: np.ndarray, point: float) -> float:
-    """Value at a grid point, matched by position within tolerance."""
-    i = int(np.searchsorted(xs, point))
-    for j in (i, i - 1):
-        if 0 <= j < xs.size and abs(xs[j] - point) <= POS_EPS:
-            return float(vals[j])
-    return float(np.interp(point, xs, vals))
-
-
-def _config_at(ctx: _AtomContext, u: float, lo: float, hi: float) -> tuple:
-    """Configuration at the probe level and its exact validity interval.
-
-    All constraints keeping the current contact pair optimal are affine in
-    ``u`` (the branch of the excess potential right of the quantile tilts
-    at unit rate per unit of restricted mass), so the validity interval is
-    an intersection of half-lines solved in closed form.
-    """
-    pc = ctx.pair.construct(u)
-    xi = ctx.xi
-    slack = 1e-14
-
-    if pc.s <= xi + POS_EPS:  # point kernel: envelope touches at the quantile
-        if ctx.right_xs.size:
-            slopes0 = (ctx.a_right - ctx.d_xi) / (ctx.right_xs - xi)
-            u_detach = float(slopes0.min()) - ctx.sigma_l
-        else:
-            u_detach = math.inf
-        if u > u_detach + 1e-12:
-            raise InternalGeometry("contact at the quantile past its detachment level")
-        return (lo, min(u_detach, hi), xi, xi, xi, xi, ctx.sigma_l, 0.0)
-
-    q_pt, s_pt = pc.q, pc.s
-    if q_pt >= xi - POS_EPS or s_pt <= xi + POS_EPS:
-        raise InternalGeometry("probe hit a degenerate contact configuration")
-    d_q = _value_near(ctx.left_xs, ctx.d_left, q_pt)
-    a_s = _value_near(ctx.right_xs, ctx.a_right, s_pt)
-    span = s_pt - q_pt
-    phi_b = (s_pt - xi) / span
-    phi_a = (a_s - d_q) / span
-
-    alphas = []
-    betas = []
-    # left constraints: the gap stays above the chord at every kink <= xi
-    mask = np.abs(ctx.left_xs - q_pt) > POS_EPS
-    p = ctx.left_xs[mask]
-    alphas.append(ctx.d_left[mask] - d_q - phi_a * (p - q_pt))
-    betas.append(phi_b * (p - q_pt))
-    # right constraints: the tilting branch stays above the chord at kinks > xi
-    if ctx.right_xs.size:
-        maskr = np.abs(ctx.right_xs - s_pt) > POS_EPS
-        q_arr = ctx.right_xs[maskr]
-        alphas.append(ctx.a_right[maskr] - d_q - phi_a * (q_arr - q_pt))
-        betas.append(phi_b * (q_arr - q_pt) - (q_arr - xi))
-    # supporting-line slope stays within [0, 1 - u]
-    alphas.append(np.array([phi_a, 1.0 - phi_a]))
-    betas.append(np.array([-phi_b, phi_b - 1.0]))
-
-    alpha = np.concatenate(alphas)
-    beta = np.concatenate(betas)
-    lo_v, hi_v = -math.inf, math.inf
-    pos = beta > 1e-14
-    neg = beta < -1e-14
-    if pos.any():
-        lo_v = float(((-alpha[pos] - slack) / beta[pos]).max())
-    if neg.any():
-        hi_v = float(((-alpha[neg] - slack) / beta[neg]).min())
-    lo_v, hi_v = max(lo_v, lo), min(hi_v, hi)
-    if not (lo_v < u <= hi_v + 1e-15):
-        raise InternalGeometry("probe fell outside its own validity interval")
-    phi_lo = phi_a - phi_b * lo_v
-    return (lo_v, hi_v, xi, q_pt, q_pt, s_pt, phi_lo, -phi_b)
-
-
-def _rebound(row: tuple, u_lo: float, u_hi: float) -> tuple:
-    """The component row moved to ``(u_lo, u_hi]``, phi kept on its line."""
-    lo, _, g, r, q, s, phi_lo, dphi = row
-    return (u_lo, u_hi, g, r, q, s, phi_lo + dphi * (u_lo - lo), dphi)
-
-
-def _chain_and_merge(rows: list[tuple]) -> list[tuple]:
-    """Snap shared endpoints and merge adjacent identical configurations."""
-    chained: list[tuple] = []
-    for row in rows:
-        if chained:
-            prev = chained[-1]
-            if row[0] != prev[1]:
-                row = _rebound(row, prev[1], row[1])
-            _, u_hi, g, r, _, s, _, dphi = row
-            same = (
-                abs(g - prev[2]) <= POS_EPS
-                and abs(r - prev[3]) <= POS_EPS
-                and abs(s - prev[5]) <= POS_EPS
-                and abs(dphi - prev[7]) <= 1e-9
-            )
-            if same:
-                chained[-1] = (prev[0], u_hi, *prev[2:])
+        a = p_nu_ys - pair.p_mu(xi)
+        first_right = int(ys.searchsorted(xi + POS_EPS, side="right"))
+        u = lo
+        if s < first_right:  # no chord spans x_i: point kernel until detachment
+            d_xi = float(d[kinks.searchsorted(xi)])
+            n_left = int(kinks.searchsorted(xi - POS_EPS, side="left"))
+            left = (d_xi - d[:n_left]) / (xi - kinks[:n_left])
+            right = (a[first_right:] - d_xi) / (ys[first_right:] - xi)
+            sigma = max(0.0, float(left.max())) if n_left else 0.0
+            u_detach = float(right.min()) - sigma if right.size else math.inf
+            if u_detach >= hi - TIE_EPS:
+                rows.append((lo, hi, xi, xi, xi, xi, sigma, 0.0))
+                q = s = -1
                 continue
-        if row[1] - row[0] > 0:
-            chained.append(row)
-    return chained
+            if u_detach > lo + TIE_EPS:
+                rows.append((lo, u_detach, xi, xi, xi, xi, sigma, 0.0))
+                u = u_detach
+            if not n_left:
+                raise InternalGeometry(f"source atom {xi} detaches with no kink to its left")
+            # the tangents from (x_i, D(x_i)): outermost kinks of extreme slope
+            q = int(np.flatnonzero(left >= left.max() - TIE_EPS)[0])
+            s = first_right + int(np.flatnonzero(right <= right.min() + TIE_EPS)[-1])
+        while True:
+            x_q, x_s, d_q, a_s = kinks[q], ys[s], d[q], a[s]
+            span = x_s - x_q
+            phi_a = (a_s - d_q) / span
+            phi_b = (x_s - xi) / span
+            # piercing levels: phi(u) meets the chord slope of each outer kink
+            left = (phi_a - (d_q - d[:q]) / (x_q - kinks[:q])) / phi_b
+            right = ((a[s + 1 :] - a_s) / (ys[s + 1 :] - x_s) - phi_a) * (span / (xi - x_q))
+            nxt = min(left.min(initial=math.inf), right.min(initial=math.inf))
+            if nxt >= hi - TIE_EPS:  # the chord lasts to the end of the atom
+                rows.append((u, hi, xi, x_q, x_q, x_s, phi_a - phi_b * u, -phi_b))
+                break
+            if nxt > u + TIE_EPS:
+                rows.append((u, nxt, xi, x_q, x_q, x_s, phi_a - phi_b * u, -phi_b))
+                u = nxt
+            hit = np.flatnonzero(left <= nxt + TIE_EPS)
+            if hit.size:
+                q = int(hit[0])
+            hit = np.flatnonzero(right <= nxt + TIE_EPS)
+            if hit.size:
+                s += 1 + int(hit[-1])
+    return rows
 
 
-def build_curtain(
-    mu: DiscreteMeasure, nu: DiscreteMeasure, *, max_intervals: int = MAX_INTERVALS
-) -> CurtainTable:
+def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     """Exact curtain table for a convex-ordered atomic pair.
 
     The pair is first split into irreducible components; each component is
@@ -481,7 +362,6 @@ def build_curtain(
         pieces.append((comp.a, 1, comp))
     pieces.sort(key=lambda t: (t[0], t[1]))
 
-    counter = [0]
     rows: list[tuple] = []
     offset = 0.0
     comp_index = 0
@@ -493,9 +373,7 @@ def build_curtain(
         else:
             comp = payload
             w = comp.mass
-            local = _component_table(
-                comp.mu_part.scaled(1.0 / w), comp.nu_part.scaled(1.0 / w), max_intervals, counter
-            )
+            local = _component_table(comp.mu_part.scaled(1.0 / w), comp.nu_part.scaled(1.0 / w))
             for u_lo, u_hi, g, r, q, s, phi_lo, dphi in local:
                 rows.append(
                     (offset + w * u_lo, offset + w * u_hi, g, r, q, s, w * phi_lo, dphi, comp_index)

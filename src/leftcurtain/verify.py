@@ -135,6 +135,7 @@ def verify_marginal_identity(
     seed: int = 0,
     mu: DiscreteMeasure | None = None,
     report: VerificationReport | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Residual of the quantile-form identity for the destination law.
 
@@ -171,7 +172,7 @@ def verify_marginal_identity(
     if report is not None:
         report.proby_residual_max = worst
         report.phi_sandwich_violation_max = sandwich
-        report.record("proby_residual_max", worst, DEFAULT_TOL)
+        report.record("proby_residual_max", worst, tol)
         report.record("phi_sandwich_violation_max", sandwich, 1e-8)
     return worst
 
@@ -184,6 +185,7 @@ def verify_shadow_consistency(
     seed: int = 0,
     coupling_obj: LiftedCoupling | None = None,
     report: VerificationReport | None = None,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Max distance between restricted destination mass and shadows.
 
@@ -204,7 +206,7 @@ def verify_shadow_consistency(
         worst = max(worst, got.tv_distance(expected))
     if report is not None:
         report.shadow_consistency_tv_max = worst
-        report.record("shadow_consistency_tv_max", worst, DEFAULT_TOL)
+        report.record("shadow_consistency_tv_max", worst, tol)
     return worst
 
 
@@ -222,8 +224,8 @@ def verify_all(
     rep = VerificationReport()
     verify_coupling(pi, mu, nu, tol, report=rep)
     verify_left_monotone(table, report=rep)
-    verify_marginal_identity(table, nu, samples=samples, seed=seed, mu=mu, report=rep)
+    verify_marginal_identity(table, nu, samples=samples, seed=seed, mu=mu, report=rep, tol=tol)
     verify_shadow_consistency(
-        table, mu, nu, grid=shadow_grid, seed=seed, coupling_obj=pi, report=rep
+        table, mu, nu, grid=shadow_grid, seed=seed, coupling_obj=pi, report=rep, tol=tol
     )
     return rep

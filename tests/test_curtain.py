@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leftcurtain import (
+    DiscreteMeasure,
     build_curtain,
     check_convex_order,
     coupling,
@@ -9,9 +10,12 @@ from leftcurtain import (
     point_construction,
     put_potential,
     quantize_density,
+    random_cx_pair,
     sample_y,
     sample_y_many,
     td_tu,
+    verify_coupling,
+    verify_left_monotone,
 )
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
 from leftcurtain.decompose import decompose
@@ -172,12 +176,41 @@ class TestBuildCurtain:
             x, z = contact_points(ep.excess, ep.hull, pc.g)
             assert (x, z) == (pc.q, pc.s)
 
-    def test_interval_cap_raises(self, three_atom):
-        from leftcurtain import BreakpointOverflow
 
-        mu, nu = three_atom
-        with pytest.raises(BreakpointOverflow):
-            build_curtain(mu, nu, max_intervals=1)
+class TestSweepRegressions:
+    """Larger, non-dyadic and translated pairs, checked at the default tolerance."""
+
+    def test_uniform_1000_passes_coupling_check_at_default_tol(self):
+        mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 1000)
+        nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 1000)
+        table = build_curtain(mu, nu)
+        rep = verify_coupling(coupling(table, mu), mu, nu)
+        assert rep.passed(), rep.checks
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_translated_pair_builds_and_verifies(self, seed):
+        # the breakpoints need not match the unshifted table's: only the
+        # coupling and its left-monotone shape are checked here
+        mu, nu = random_cx_pair(seed, 1 + seed % 8, 1 + seed % 6)
+        mu = DiscreteMeasure(mu.xs + 1e4, mu.ws)
+        nu = DiscreteMeasure(nu.xs + 1e4, nu.ws)
+        table = build_curtain(mu, nu)
+        rep = verify_coupling(coupling(table, mu), mu, nu)
+        assert rep.passed(), rep.checks
+        assert verify_left_monotone(table) == 0
+
+    def test_uniform_200_reproduces_point_construction_on_every_row(self):
+        mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 200)
+        nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 200)
+        t = build_curtain(mu, nu).intervals
+        assert np.all(t["component"] == 0)
+        for iv in t:
+            u = 0.5 * (iv["u_lo"] + iv["u_hi"])
+            pc = point_construction(mu, nu, u)
+            assert (pc.g, pc.q, pc.s) == (iv["g"], iv["q"], iv["s"])
+            assert pc.phi == pytest.approx(phi_at(iv, u), abs=1e-10)
+            if iv["s"] - iv["r"] > DEGENERATE_KERNEL_EPS:
+                assert pc.r == iv["r"]
 
 
 class TestCoupling:

@@ -160,3 +160,11 @@ class TestVerifyAll:
         bad = LiftedCoupling(pi.intervals, pi.joint_x, pi.joint_y, w)
         rep = verify_all(table, bad, mu, nu, samples=20, seed=0)
         assert not rep.passed()
+
+    def test_tol_reaches_every_residual_check(self, three_atom):
+        mu, nu = three_atom
+        table = build_curtain(mu, nu)
+        rep = verify_all(table, coupling(table, mu), mu, nu, tol=1e-3, samples=20)
+        for name in ("marginal_nu_tv", "proby_residual_max", "shadow_consistency_tv_max"):
+            assert rep.checks[name]["tol"] == 1e-3
+        assert rep.checks["phi_sandwich_violation_max"]["tol"] == 1e-8
