@@ -96,10 +96,11 @@ def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
     # static share and leftover target mass at every zero grid point
     static_atoms: list[tuple[float, float]] = []
     residual: dict[int, float] = {}
-    for i in np.flatnonzero(is_zero):
-        x = float(grid[i])
-        m_w = mu.atom_weight(x)
-        n_w = nu.atom_weight(x)
+    zero_idx = np.flatnonzero(is_zero)
+    zero_x = grid[zero_idx]
+    m_ws = mu.atom_weight(zero_x).tolist()
+    n_ws = nu.atom_weight(zero_x).tolist()
+    for i, x, m_w, n_w in zip(zero_idx.tolist(), zero_x.tolist(), m_ws, n_ws):
         if m_w > n_w + BALANCE_TOL:
             raise DecomposeError(
                 f"source atom of weight {m_w} at zero {x} exceeds target weight {n_w}"
@@ -107,10 +108,9 @@ def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
         take = min(m_w, n_w)
         if take > 0:
             static_atoms.append((x, take))
-        residual[int(i)] = n_w - take
+        residual[i] = n_w - take
 
     components: list[IrreducibleComponent] = []
-    zero_idx = np.flatnonzero(is_zero)
     for left, right in zip(zero_idx[:-1], zero_idx[1:]):
         if right == left + 1:
             continue  # adjacent zeros: identity region, no active mass between

@@ -90,12 +90,19 @@ class DiscreteMeasure:
         out = cw[idx]
         return float(out) if out.ndim == 0 else out
 
-    def atom_weight(self, x: float, pos_tol: float = 1e-11) -> float:
-        i = int(np.searchsorted(self.xs, x))
-        for j in (i - 1, i):
-            if 0 <= j < self.xs.size and abs(self.xs[j] - x) <= pos_tol:
-                return float(self.ws[j])
-        return 0.0
+    def atom_weight(self, x, pos_tol: float = 1e-11) -> np.ndarray | float:
+        """Weight of the atom within ``pos_tol`` of ``x``, the left neighbour
+        first, or 0 if there is none; elementwise for an array ``x``."""
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape)
+        if self.n_atoms:
+            i = np.searchsorted(self.xs, x)
+            # i - 1 and i are the neighbours of x; an index out of range clips
+            # onto the other one, and the left one, written last, wins
+            for j in (i, i - 1):
+                hit = np.abs(self.xs.take(j, mode="clip") - x) <= pos_tol
+                out[hit] = self.ws.take(j, mode="clip")[hit]
+        return float(out) if out.ndim == 0 else out
 
     def scaled(self, factor: float) -> "DiscreteMeasure":
         return DiscreteMeasure(self.xs, self.ws * factor)
@@ -108,9 +115,9 @@ class DiscreteMeasure:
     def tv_distance(self, other: "DiscreteMeasure", pos_tol: float = 1e-11) -> float:
         """Total-variation distance (half the L1 weight difference).
 
-        Atoms of the two measures within ``pos_tol`` of each other are
-        identified, absorbing float noise in positions produced by hull
-        arithmetic.
+        Atoms of the two measures within ``pos_tol`` of the first atom of
+        their run are identified (the rule of the constructor's merge),
+        absorbing float noise in positions produced by hull arithmetic.
         """
         xs = np.concatenate([self.xs, other.xs])
         ws = np.concatenate([self.ws, -other.ws])
@@ -134,16 +141,30 @@ class DiscreteMeasure:
 
 
 def _merge_atoms(xs, ws, pos_tol):
-    """Merge consecutive atoms whose positions differ by at most ``pos_tol``."""
-    out_x = [xs[0]]
-    out_w = [ws[0]]
-    for x, w in zip(xs[1:], ws[1:]):
-        if x - out_x[-1] <= pos_tol:
-            out_w[-1] += w
-        else:
-            out_x.append(x)
-            out_w.append(w)
-    return np.array(out_x), np.array(out_w)
+    """Merge sorted atoms into runs: an atom joins the current run when it
+    lies within ``pos_tol`` of the run's first atom and starts one otherwise.
+
+    A run keeps its first position and the sum of its weights.  When
+    nothing merges the input arrays are returned themselves, not copied.
+    """
+    starts = np.empty(xs.size, dtype=bool)
+    starts[0] = True
+    np.greater(xs[1:] - xs[:-1], pos_tol, out=starts[1:])
+    if starts.all():
+        return xs, ws
+    first = np.flatnonzero(starts)
+    last = np.append(first[1:], xs.size) - 1
+    # a chain of small gaps can reach further than pos_tol from its first
+    # atom: such rare runs start again at every atom beyond the anchor's reach
+    wide = xs[last] - xs[first] > pos_tol
+    for a, b in zip(first[wide], last[wide]):
+        anchor = xs[a]
+        for k in range(a + 1, b + 1):
+            if xs[k] - anchor > pos_tol:
+                starts[k] = True
+                anchor = xs[k]
+    first = np.flatnonzero(starts)
+    return xs[first], np.add.reduceat(ws, first)
 
 
 def put_potential(eta: DiscreteMeasure) -> PiecewiseLinear:

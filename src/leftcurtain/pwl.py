@@ -158,19 +158,22 @@ def convex_hull(f: PiecewiseLinear, eps: float = EPS_GEOM) -> PiecewiseLinear:
         raise ValueError("no finite convex minorant: slope_left > slope_right")
     xs = f.xs.tolist()
     ys = f.ys.tolist()
-    hx: list[float] = []
-    hy: list[float] = []
-    for x, y in zip(xs, ys):
-        while len(hx) >= 2:
-            s_in = (hy[-1] - hy[-2]) / (hx[-1] - hx[-2])
+    # hs[j] is the slope into vertex j from the vertex below it, computed
+    # once at the push; the bottom vertex gets -inf and is never popped
+    hx = xs[:1]
+    hy = ys[:1]
+    hs = [-math.inf]
+    for x, y in zip(xs[1:], ys[1:]):
+        while True:
             s_out = (y - hy[-1]) / (x - hx[-1])
-            if s_in >= s_out - eps:
-                hx.pop()
-                hy.pop()
-            else:
+            if hs[-1] < s_out - eps:
                 break
+            hx.pop()
+            hy.pop()
+            hs.pop()
         hx.append(x)
         hy.append(y)
+        hs.append(s_out)
     hx_arr = np.array(hx)
     hy_arr = np.array(hy)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .measures import DiscreteMeasure, put_potential
-from .pwl import NonConvexPotential, convex_hull, measure_from_potential
+from .pwl import NonConvexPotential, PiecewiseLinear, convex_hull, measure_from_potential
 
 #: slack allowed when checking atomwise domination by ``nu`` (absorbs
 #: float error of slope-jump extraction)
@@ -45,24 +45,25 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure, *, validate: bool = True) -
     except (NonConvexPotential, ValueError) as exc:
         raise ShadowInvalid(f"potential extraction failed: {exc}") from exc
     if validate:
-        _validate(mu, nu, result)
+        _validate(mu, nu, result, p_mu)
     return result
 
 
-def _validate(mu: DiscreteMeasure, nu: DiscreteMeasure, s: DiscreteMeasure) -> None:
+def _validate(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, s: DiscreteMeasure, p_mu: PiecewiseLinear
+) -> None:
     if abs(s.mass - mu.mass) > 1e-10:
         raise ShadowInvalid(f"shadow mass {s.mass} != source mass {mu.mass}")
     if abs(s.mean - mu.mean) > 1e-9 * max(1.0, abs(mu.mean)):
         raise ShadowInvalid(f"shadow mean {s.mean} != source mean {mu.mean}")
     # atomwise domination by nu
-    for x, w in zip(s.xs, s.ws):
-        if w > nu.atom_weight(x) + DOMINATION_SLACK:
-            raise ShadowInvalid(
-                f"shadow atom ({x}, {w}) exceeds target weight {nu.atom_weight(x)}"
-            )
+    cap = nu.atom_weight(s.xs)
+    over = np.flatnonzero(s.ws > cap + DOMINATION_SLACK)
+    if over.size:
+        x, w, target = (float(a[over[0]]) for a in (s.xs, s.ws, cap))
+        raise ShadowInvalid(f"shadow atom ({x}, {w}) exceeds target weight {target}")
     # mu below the shadow in convex order
     p_s = put_potential(s)
-    p_mu = put_potential(mu)
     grid = np.union1d(p_s.xs, p_mu.xs)
     gap = p_s(grid) - p_mu(grid)
     if gap.min() < -1e-9:

@@ -14,6 +14,7 @@ from leftcurtain import (
     sample_y,
     sample_y_many,
     td_tu,
+    verify_all,
     verify_coupling,
     verify_left_monotone,
 )
@@ -184,20 +185,22 @@ class TestSweepRegressions:
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 1000)
         nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 1000)
         table = build_curtain(mu, nu)
-        rep = verify_coupling(coupling(table, mu), mu, nu)
+        rep = verify_all(table, coupling(table, mu), mu, nu)
         assert rep.passed(), rep.checks
 
     @pytest.mark.parametrize("seed", range(60))
     def test_translated_pair_builds_and_verifies(self, seed):
-        # the breakpoints need not match the unshifted table's: only the
-        # coupling and its left-monotone shape are checked here
+        # the breakpoints need not match the unshifted table's (sweep events
+        # may split into sliver rows far from the origin): only the coupling
+        # and its left-monotone shape are checked here
         mu, nu = random_cx_pair(seed, 1 + seed % 8, 1 + seed % 6)
-        mu = DiscreteMeasure(mu.xs + 1e4, mu.ws)
-        nu = DiscreteMeasure(nu.xs + 1e4, nu.ws)
-        table = build_curtain(mu, nu)
-        rep = verify_coupling(coupling(table, mu), mu, nu)
-        assert rep.passed(), rep.checks
-        assert verify_left_monotone(table) == 0
+        for shift in (1e4, 1e6, -3.7e5):
+            moved_mu = DiscreteMeasure(mu.xs + shift, mu.ws)
+            moved_nu = DiscreteMeasure(nu.xs + shift, nu.ws)
+            table = build_curtain(moved_mu, moved_nu)
+            rep = verify_coupling(coupling(table, moved_mu), moved_mu, moved_nu)
+            assert rep.passed(), (shift, rep.checks)
+            assert verify_left_monotone(table) == 0, shift
 
     def test_uniform_200_reproduces_point_construction_on_every_row(self):
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 200)

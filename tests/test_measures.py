@@ -13,6 +13,7 @@ from leftcurtain import (
     random_cx_pair,
     restricted_measure,
 )
+from leftcurtain.measures import POS_TOL, _merge_atoms
 from conftest import dm
 
 
@@ -23,6 +24,57 @@ class TestDiscreteMeasure:
             DiscreteMeasure([bad, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
             DiscreteMeasure([0.0, 1.0], [bad, 0.5])
+
+    def test_atom_merges_only_within_pos_tol_of_its_run_start(self):
+        # consecutive gaps of 0.6 pos_tol: the second atom joins the first,
+        # the third lies 1.2 pos_tol from the first and starts a new run
+        eta = DiscreteMeasure([1.2 * POS_TOL, 0.0, 0.6 * POS_TOL], [0.5, 0.25, 0.25])
+        assert eta.xs.tolist() == [0.0, 1.2 * POS_TOL]
+        assert eta.ws.tolist() == [0.5, 0.5]
+
+    def test_tv_distance_does_not_cancel_along_a_chain_of_close_atoms(self):
+        a = dm((0.0, 0.5), (1.6e-11, 0.5))
+        b = dm((0.8e-11, 1.0))
+        assert a.tv_distance(b) == 0.5
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 8), st.floats(-1.0, 1.0, allow_nan=False)),
+            min_size=1,
+            max_size=40,
+        ),
+        st.floats(-1e3, 1e3, allow_nan=False),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_merge_matches_the_anchored_loop(self, steps, offset):
+        # gaps of 0 to 2.4 pos_tol chain atoms into runs of every width
+        xs = offset + np.cumsum([0.3 * POS_TOL * k for k, _ in steps])
+        ws = np.array([w for _, w in steps])
+        out_x, out_w = [xs[0]], [ws[0]]
+        for x, w in zip(xs[1:], ws[1:]):
+            if x - out_x[-1] <= POS_TOL:
+                out_w[-1] += w
+            else:
+                out_x.append(x)
+                out_w.append(w)
+        mx, mw = _merge_atoms(xs, ws, POS_TOL)
+        assert mx.tolist() == out_x
+        np.testing.assert_allclose(mw, out_w, rtol=0.0, atol=1e-14)
+
+    def test_atom_weight_of_array_matches_scalar_calls(self):
+        # the left neighbour wins when both are within pos_tol
+        eta = dm((0.0, 0.1), (5e-12, 0.4), (1.0, 0.5))
+        x = np.array([2.5e-12, 5e-12 + 8e-12, -5e-12, 0.5, 1.0 + 5e-12, -1.0, 2.0])
+        assert eta.atom_weight(x).tolist() == [0.1, 0.4, 0.1, 0.0, 0.5, 0.0, 0.0]
+        assert [eta.atom_weight(v) for v in x] == eta.atom_weight(x).tolist()
+        assert isinstance(eta.atom_weight(0.0), float)
+
+    def test_tv_distance_cancels_weights_at_shared_positions(self):
+        a = dm((0.0, 0.5), (1.0, 0.5))
+        b = dm((0.0, 0.25), (1.0 + 5e-12, 0.75))
+        assert a.tv_distance(b) == 0.25
+        assert b.tv_distance(a) == 0.25
+        assert a.tv_distance(a) == 0.0
 
 
 class TestPutPotential:

@@ -141,6 +141,46 @@ def test_hull_below_function_and_convex(f):
     assert h.is_convex(1e-10)
 
 
+def brute_force_envelope(f):
+    """Lower convex envelope of ``f`` at its breakpoints: the least value at
+    ``x_k`` of a chord between two breakpoints around it, or of a tail
+    line through a breakpoint on the far side of it."""
+    x, y, n = f.xs, f.ys, f.xs.size
+    env = y.copy()
+    for k in range(n):
+        env[k] = min(
+            env[k],
+            (y[k:] + f.slope_left * (x[k] - x[k:])).min(),
+            (y[: k + 1] + f.slope_right * (x[k] - x[: k + 1])).min(),
+        )
+        for i in range(k):
+            for j in range(k + 1, n):
+                t = (x[k] - x[i]) / (x[j] - x[i])
+                env[k] = min(env[k], (1.0 - t) * y[i] + t * y[j])
+    return env
+
+
+@st.composite
+def wide_plfs(draw):
+    xs = sorted(draw(st.lists(st.integers(-400, 400), min_size=1, max_size=40, unique=True)))
+    ys = draw(
+        st.lists(
+            st.floats(-10.0, 10.0, allow_nan=False), min_size=len(xs), max_size=len(xs)
+        )
+    )
+    sl = draw(st.floats(-3.0, 3.0, allow_nan=False))
+    sr = draw(st.floats(sl, 4.0, allow_nan=False))
+    return PiecewiseLinear([x / 8.0 for x in xs], ys, sl, sr)
+
+
+@given(wide_plfs())
+@settings(max_examples=200, deadline=None)
+def test_hull_matches_brute_force_envelope(f):
+    h = convex_hull(f)
+    assert (h.slope_left, h.slope_right) == (f.slope_left, f.slope_right)
+    np.testing.assert_allclose(h(f.xs), brute_force_envelope(f), rtol=0.0, atol=1e-9)
+
+
 @given(plfs(), st.integers(0, 10**6))
 @settings(max_examples=200, deadline=None)
 def test_contact_chord_reconstructs_hull(f, salt):

@@ -7,7 +7,7 @@ from leftcurtain import (
     shadow,
     shadow_lp,
 )
-from leftcurtain.shadow import ShadowInvalid
+from leftcurtain.shadow import ShadowInvalid, _validate
 from conftest import dm, random_instance
 
 
@@ -74,3 +74,22 @@ class TestShadowProperties:
             s = shadow(part, nu)
             assert s.mass == pytest.approx(part.mass, abs=1e-12)
             assert s.mean == pytest.approx(part.mean, abs=1e-10)
+
+
+class TestDominationCheck:
+    """A shadow atom is held to the weight of the target atom within 1e-11
+    of it; ``s`` is validated as the shadow of itself, so only the
+    domination check can fail."""
+
+    nu = dm((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))
+
+    @pytest.mark.parametrize("offset", [-5e-12, 5e-12])
+    def test_atom_matched_on_either_side_passes(self, offset):
+        s = dm((-1.0, 0.25), (offset, 0.5))
+        _validate(s, self.nu, s, put_potential(s))
+
+    @pytest.mark.parametrize("atom", [(0.0, 0.5 + 1e-9), (0.5, 0.1)])
+    def test_atom_above_target_weight_raises(self, atom):
+        s = dm((-1.0, 0.25), atom)
+        with pytest.raises(ShadowInvalid, match=f"shadow atom \\({atom[0]}, "):
+            _validate(s, self.nu, s, put_potential(s))

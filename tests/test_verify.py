@@ -138,6 +138,21 @@ class TestShadowConsistency:
         table = build_curtain(mu, nu)
         assert verify_shadow_consistency(table, mu, nu, grid=6, seed=seed) <= 1e-9
 
+    def test_moved_upper_destination_is_caught(self, three_atom):
+        # the lifted rows send the first source atom to 3 in place of 0; the
+        # joint arrays, which are all verify_coupling reads, stay as they were
+        mu, nu = three_atom
+        table = build_curtain(mu, nu)
+        pi = coupling(table, mu)
+        rows = pi.intervals.copy()
+        assert rows[0, 4] == 0.0
+        rows[0, 4] = 3.0
+        bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+        assert verify_coupling(bad, mu, nu).passed()
+        rep = VerificationReport()
+        assert verify_shadow_consistency(table, mu, nu, coupling_obj=bad, report=rep) > 1e-9
+        assert not rep.passed()
+
 
 class TestVerifyAll:
     def test_report_round_trip_is_stable(self, three_atom):
