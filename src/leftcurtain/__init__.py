@@ -45,7 +45,7 @@ from .pwl import (
     convex_hull,
     measure_from_potential,
 )
-from .shadow import ShadowInvalid, shadow, shadow_of_restriction
+from .shadow import ShadowInvalid, shadow
 from .verify import (
     VerificationReport,
     destination_cdf,
@@ -102,7 +102,6 @@ __all__ = [
     "sample_y_many",
     "shadow",
     "shadow_lp",
-    "shadow_of_restriction",
     "simplex_solve",
     "td_tu",
     "verify_all",

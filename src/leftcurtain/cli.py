@@ -31,7 +31,7 @@ import sys
 import numpy as np
 
 from .curtain import build_curtain, coupling, curve_rows, sample_y_many, LiftedCoupling
-from .decompose import DecomposeError, decompose
+from .decompose import DecomposeError, Decomposition, decompose
 from .measures import (
     DiscreteMeasure,
     check_convex_order,
@@ -89,8 +89,7 @@ class _OrderFailure(Exception):
     pass
 
 
-def _components_payload(mu, nu) -> list[dict]:
-    dec = decompose(mu, nu)
+def _components_payload(dec: Decomposition) -> list[dict]:
     payload = []
     for k, comp in enumerate(dec.components):
         payload.append(
@@ -118,7 +117,7 @@ def _cmd_curtain(args) -> int:
     _require_order(mu, nu)
     table = build_curtain(mu, nu)
     pi = coupling(table, mu)
-    components = _components_payload(mu, nu) if args.components else []
+    components = _components_payload(decompose(mu, nu)) if args.components else []
     _write_text(args.out, json.dumps(pi.to_json(components=components), indent=2))
     if args.curves:
         lines = ["u,G,R,Q,S,phi"]
@@ -160,7 +159,7 @@ def _cmd_decompose(args) -> int:
     _require_order(mu, nu)
     dec = decompose(mu, nu)
     payload = {
-        "components": _components_payload(mu, nu),
+        "components": _components_payload(dec),
         "static": measure_to_json(dec.static),
     }
     _write_text(args.out, json.dumps(payload, indent=2))

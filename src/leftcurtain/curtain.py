@@ -207,39 +207,43 @@ class CurtainTable:
 
     intervals: np.ndarray
 
-    def locate(self, u: float) -> int:
-        """Index of the row whose interval ``(u_lo, u_hi]`` holds ``u``."""
-        if not (0.0 < u <= 1.0):
+    def locate(self, u):
+        """Index of the row whose interval ``(u_lo, u_hi]`` holds ``u``;
+        elementwise for an array ``u``."""
+        u = np.asarray(u, dtype=float)
+        if not np.all((u > 0.0) & (u <= 1.0)):
             raise ValueError("quantile level must lie in (0, 1]")
-        i = int(self.intervals["u_hi"].searchsorted(u, side="left"))
-        return min(i, len(self.intervals) - 1)
+        i = np.minimum(self.intervals["u_hi"].searchsorted(u, side="left"), len(self.intervals) - 1)
+        return int(i) if i.ndim == 0 else i
 
-    def phi(self, u: float) -> float:
-        """phi(u); accepts ``u = 0`` (right limit) and returns 0 at ``u = 1``."""
-        if u <= 0.0:
-            return float(self.intervals["phi_lo"][0])
-        return float(_phi_on(self.intervals, u, self.locate(u)))
-
-    def phi_right_limit(self, u: float) -> float:
-        """Right limit of phi at ``u`` (phi itself is left-continuous)."""
+    def phi(self, u):
+        """phi(u); accepts ``u = 0`` (right limit) and returns 0 at ``u = 1``.
+        Elementwise for an array ``u``."""
+        u = np.asarray(u, dtype=float)
         t = self.intervals
-        if u <= 0.0:
-            return float(t["phi_lo"][0])
-        if u >= 1.0:
-            return 0.0
-        i = self.locate(u)
-        if t["u_hi"][i] - u > 1e-15:
-            return float(_phi_on(t, u, i))
-        if i + 1 < len(t):
-            return float(t["phi_lo"][i + 1])
-        return 0.0
+        inner = ~(u <= 0.0)  # NaN reaches locate, which rejects it
+        out = np.where(inner, _phi_on(t, u, self.locate(np.where(inner, u, 1.0))), t["phi_lo"][0])
+        return float(out) if out.ndim == 0 else out
 
-    def s_inverse(self, y: float) -> float:
-        """Right-continuous inverse of the non-decreasing step function S."""
-        j = int(self.intervals["s"].searchsorted(y, side="right")) - 1
-        if j < 0:
-            return 0.0
-        return float(self.intervals["u_hi"][j])
+    def phi_right_limit(self, u):
+        """Right limit of phi at ``u`` (phi itself is left-continuous);
+        elementwise for an array ``u``."""
+        u = np.asarray(u, dtype=float)
+        t = self.intervals
+        inner = ~((u <= 0.0) | (u >= 1.0))
+        i = self.locate(np.where(inner, u, 1.0))
+        on_row = t["u_hi"][i] - u > 1e-15
+        after = np.append(t["phi_lo"][1:], 0.0)[i]  # phi_lo of the next row, 0 past the last
+        out = np.where(on_row, _phi_on(t, u, i), after)
+        out = np.where(inner, out, np.where(u <= 0.0, t["phi_lo"][0], 0.0))
+        return float(out) if out.ndim == 0 else out
+
+    def s_inverse(self, y):
+        """Right-continuous inverse of the non-decreasing step function S;
+        elementwise for an array ``y``."""
+        j = self.intervals["s"].searchsorted(np.asarray(y, dtype=float), side="right")
+        out = np.append(0.0, self.intervals["u_hi"])[j]
+        return float(out) if out.ndim == 0 else out
 
     @cached_property
     def breakpoints(self) -> np.ndarray:
@@ -424,14 +428,6 @@ class LiftedCoupling:
         ys = np.column_stack((np.where(split, r, x), s))
         shares = np.column_stack((w_r, 1.0 - w_r))
         return ys, shares, np.column_stack((np.ones_like(split), split))
-
-    def restricted_second_marginal(self, u: float) -> DiscreteMeasure:
-        """Destination mass of the quantile levels up to ``u``."""
-        ys, shares, exists = self._kernels
-        k = int(self.intervals[:, 0].searchsorted(u, side="left"))
-        frac = np.minimum(u, self.intervals[:k, 1]) - self.intervals[:k, 0]
-        live = exists[:k] & (frac > 0)[:, None]
-        return DiscreteMeasure(ys[:k][live], (frac[:, None] * shares[:k])[live])
 
     def straddle_mass(self, z: float) -> float:
         """Joint mass on pairs whose source and destination bracket ``z``."""

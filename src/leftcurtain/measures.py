@@ -90,18 +90,24 @@ class DiscreteMeasure:
         out = cw[idx]
         return float(out) if out.ndim == 0 else out
 
-    def atom_weight(self, x, pos_tol: float = 1e-11) -> np.ndarray | float:
-        """Weight of the atom within ``pos_tol`` of ``x``, the left neighbour
-        first, or 0 if there is none; elementwise for an array ``x``."""
+    def atom_index(self, x, pos_tol: float = 1e-11) -> np.ndarray | int:
+        """Index of the atom within ``pos_tol`` of ``x``, the left neighbour
+        first, or -1 if there is none; elementwise for an array ``x``."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape)
+        out = np.full(x.shape, -1, dtype=np.intp)
         if self.n_atoms:
             i = np.searchsorted(self.xs, x)
             # i - 1 and i are the neighbours of x; an index out of range clips
             # onto the other one, and the left one, written last, wins
-            for j in (i, i - 1):
-                hit = np.abs(self.xs.take(j, mode="clip") - x) <= pos_tol
-                out[hit] = self.ws.take(j, mode="clip")[hit]
+            for j in (np.minimum(i, self.n_atoms - 1), np.maximum(i - 1, 0)):
+                hit = np.abs(self.xs[j] - x) <= pos_tol
+                out[hit] = j[hit]
+        return int(out) if out.ndim == 0 else out
+
+    def atom_weight(self, x, pos_tol: float = 1e-11) -> np.ndarray | float:
+        """Weight of the atom that :meth:`atom_index` matches to ``x``, or 0
+        if there is none; elementwise for an array ``x``."""
+        out = np.append(self.ws, 0.0)[self.atom_index(x, pos_tol)]
         return float(out) if out.ndim == 0 else out
 
     def scaled(self, factor: float) -> "DiscreteMeasure":

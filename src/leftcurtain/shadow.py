@@ -69,15 +69,3 @@ def _validate(
     if gap.min() < -1e-9:
         raise ShadowInvalid(f"source not dominated by shadow (gap {gap.min():.3e})")
 
-
-def shadow_of_restriction(mu: DiscreteMeasure, nu: DiscreteMeasure, u: float) -> DiscreteMeasure:
-    """Shadow of the leftmost mass-``u`` part of ``mu`` in ``nu``."""
-    from .measures import restricted_measure
-
-    if not (0.0 < u <= 1.0):
-        raise ValueError("level must lie in (0, 1]")
-    if u >= 1.0:
-        part = mu
-    else:
-        part = restricted_measure(mu, u)
-    return shadow(part, nu)

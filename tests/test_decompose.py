@@ -3,6 +3,7 @@ import pytest
 from leftcurtain import build_curtain, coupling, decompose
 from leftcurtain.decompose import DecomposeError
 from conftest import barrier_instance, dm
+from shadow_oracle import restricted_second_marginal
 
 
 class TestDecomposeExamples:
@@ -78,8 +79,8 @@ class TestDecomposeProperties:
                 comp.mu_part.scaled(1 / comp.mass), comp.nu_part.scaled(1 / comp.mass)
             )
             local_pi = coupling(local, comp.mu_part.scaled(1 / comp.mass))
-            sub = pi.restricted_second_marginal(offset + comp.mass)
-            prev = pi.restricted_second_marginal(offset) if offset else None
+            sub = restricted_second_marginal(pi, offset + comp.mass)
+            prev = restricted_second_marginal(pi, offset) if offset else None
             local_scaled = local_pi.second_marginal().scaled(comp.mass)
             if prev is not None:
                 merged = prev + local_scaled

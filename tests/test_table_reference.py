@@ -64,6 +64,28 @@ def loop_destination_cdf(table, y):
     return total
 
 
+def loop_s_inverse(table, y):
+    value = 0.0
+    for row in table.intervals:
+        if row["s"] <= y:
+            value = float(row["u_hi"])
+    return value
+
+
+def loop_phi(table, u, right_limit=False):
+    """phi at ``u``, or its right limit; the row holding ``u`` is the first
+    with ``u <= u_hi`` (the last row past the end)."""
+    rows = table.intervals
+    if u <= 0.0:
+        return float(rows["phi_lo"][0])
+    if right_limit and u >= 1.0:
+        return 0.0
+    i = next((i for i, row in enumerate(rows) if u <= row["u_hi"]), len(rows) - 1)
+    if right_limit and not rows["u_hi"][i] - u > 1e-15:
+        return float(rows["phi_lo"][i + 1]) if i + 1 < len(rows) else 0.0
+    return float(rows["phi_lo"][i] + rows["dphi"][i] * (u - rows["u_lo"][i]))
+
+
 def loop_runs(table):
     runs, current = [], []
     for i, row in enumerate(table.intervals):
@@ -90,10 +112,19 @@ def test_columns_match_row_loops(seed):
         assert np.array_equal(got, want)
     assert verify_left_monotone(table) == loop_left_monotone(table)
     assert table.nontrivial_runs() == loop_runs(table)
-    for y in np.linspace(nu.xs[0] - 1.0, nu.xs[-1] + 1.0, 41):
+    ys = np.linspace(nu.xs[0] - 1.0, nu.xs[-1] + 1.0, 41)
+    for y, got in zip(ys, destination_cdf(table, ys)):
         assert destination_cdf(table, y) == pytest.approx(
             loop_destination_cdf(table, y), abs=4 * np.finfo(float).eps
         )
+        assert got == destination_cdf(table, y)
+    ys = np.concatenate((ys, nu.xs, table.intervals["s"]))
+    assert table.s_inverse(ys).tolist() == [loop_s_inverse(table, y) for y in ys]
+    mid = 0.5 * (table.intervals["u_lo"] + table.intervals["u_hi"])
+    us = np.concatenate(([0.0], table.breakpoints, mid, [1.0]))
+    assert table.phi(us).tolist() == [loop_phi(table, u) for u in us]
+    want = [loop_phi(table, u, right_limit=True) for u in us]
+    assert table.phi_right_limit(us).tolist() == want
 
 
 @pytest.mark.parametrize("seed", range(10))
