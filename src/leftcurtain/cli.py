@@ -30,7 +30,14 @@ import sys
 
 import numpy as np
 
-from .curtain import build_curtain, coupling, curve_rows, sample_y_many, LiftedCoupling
+from .curtain import (
+    LiftedCoupling,
+    _assemble_table,
+    build_curtain,
+    coupling,
+    curve_rows,
+    sample_y_many,
+)
 from .decompose import DecomposeError, Decomposition, decompose
 from .measures import (
     DiscreteMeasure,
@@ -115,9 +122,12 @@ def _cmd_shadow(args) -> int:
 def _cmd_curtain(args) -> int:
     mu, nu = _load_pair(args)
     _require_order(mu, nu)
-    table = build_curtain(mu, nu)
+    if args.components:
+        dec = decompose(mu, nu)
+        table, components = _assemble_table(dec), _components_payload(dec)
+    else:
+        table, components = build_curtain(mu, nu), []
     pi = coupling(table, mu)
-    components = _components_payload(decompose(mu, nu)) if args.components else []
     _write_text(args.out, json.dumps(pi.to_json(components=components), indent=2))
     if args.curves:
         lines = ["u,G,R,Q,S,phi"]
@@ -149,9 +159,16 @@ def _cmd_sample(args) -> int:
     vs = np.clip(vs, eps, 1.0 - 1e-16)
     ys = sample_y_many(table, us, vs)
     xs = quantile_left(mu, us)
-    columns = (map(repr, c.tolist()) for c in (us, vs, xs, ys))
+    columns = (map(repr, us.tolist()), map(repr, vs.tolist()), _reprs(xs), _reprs(ys))
     _write_text(args.out, "\n".join(["u,v,x,y", *map(",".join, zip(*columns))]))
     return EXIT_OK
+
+
+def _reprs(column: np.ndarray) -> list[str]:
+    """``repr`` of every value of a column with few distinct values, each
+    distinct bit pattern formatted once (so ``-0.0`` keeps its sign)."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse].tolist()
 
 
 def _cmd_decompose(args) -> int:

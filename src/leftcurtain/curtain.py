@@ -16,9 +16,12 @@ solve linear equations.  The table builder sweeps the levels of each
 source atom once from left to right: a point kernel up to the closed-form
 detachment level, then a chord whose contacts move outwards each time a
 kink pierces it.  No hull is rebuilt, and no root finding or
-discretisation in ``u`` is involved.  :func:`point_construction` computes
-the same data at one level from the envelope itself and serves as the
-pointwise reference.
+discretisation in ``u`` is involved.  The builder reads the potentials as
+plain arrays, evaluated once per component from cumulative weights and
+centred moments; it builds no :class:`~leftcurtain.pwl.PiecewiseLinear`.
+:func:`point_construction` computes the same data at one level from the
+envelope itself and serves as the pointwise reference; ``_Pair`` and its
+potential objects serve only that reference and :func:`excess_potential`.
 """
 
 from __future__ import annotations
@@ -29,9 +32,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .decompose import decompose
+from .decompose import Decomposition, decompose
 from .measures import (
     DiscreteMeasure,
+    _put_values,
     check_convex_order,
     put_potential,
     quantile_left,
@@ -272,8 +276,11 @@ class CurtainTable:
         return [run.tolist() for run in np.split(idx, cuts)]
 
 
-def _component_table(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
-    """Curtain rows of one irreducible component with probability marginals.
+def _component_table(
+    xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray
+) -> list[tuple]:
+    """Curtain rows of one irreducible component with probability marginals:
+    source atoms ``(xs, ws)`` and target atoms ``(ys, vs)``.
 
     One left-to-right sweep over the levels of each source atom ``x_i``.
     On the atom's quantile interval the excess potential is the gap ``D``
@@ -289,22 +296,25 @@ def _component_table(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
     The chord an atom ends with carries over to the next atom if it spans
     that atom; otherwise the next atom starts as a point kernel.
 
-    Rows are tuples ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the
-    component's own quantile levels.
+    The potentials enter only through ``D`` at the kinks, ``P_nu`` at the
+    target atoms and ``P_mu`` at the source atoms, each read once from the
+    centred evaluator :func:`~leftcurtain.measures._put_values`.  Rows are
+    tuples ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the component's
+    own quantile levels.
     """
-    pair = _Pair(mu, nu)
-    kinks = np.union1d(mu.xs, nu.xs)
-    d = pair.gap(kinks)
-    ys = nu.xs
-    p_nu_ys = pair.p_nu(ys)
-    cum = np.concatenate(([0.0], mu.cum_weights))
+    c = float((xs * ws).sum() / ws.sum())
+    kinks = np.union1d(xs, ys)
+    d = _put_values(ys, vs, c, kinks) - _put_values(xs, ws, c, kinks)
+    p_nu_ys = _put_values(ys, vs, c, ys)
+    p_mu_xs = _put_values(xs, ws, c, xs).tolist()
+    cum = np.concatenate(([0.0], np.cumsum(ws)))
     cum[-1] = 1.0
 
     rows: list[tuple] = []
     q = s = -1  # chord contacts as indices into ``kinks`` and ``ys``; -1: none
-    for i, xi in enumerate(mu.xs.tolist()):
+    for i, xi in enumerate(xs.tolist()):
         lo, hi = float(cum[i]), float(cum[i + 1])
-        a = p_nu_ys - pair.p_mu(xi)
+        a = p_nu_ys - p_mu_xs[i]
         first_right = int(ys.searchsorted(xi + POS_EPS, side="right"))
         u = lo
         if s < first_right:  # no chord spans x_i: point kernel until detachment
@@ -358,7 +368,11 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     quantile levels (which rescales ``phi`` by the component mass), while
     static atoms contribute point-kernel rows in between.
     """
-    dec = decompose(mu, nu)
+    return _assemble_table(decompose(mu, nu))
+
+
+def _assemble_table(dec: Decomposition) -> CurtainTable:
+    """The curtain table of a decomposed pair (see :func:`build_curtain`)."""
     pieces: list[tuple[float, int, object]] = []
     for x, w in zip(dec.static.xs, dec.static.ws):
         pieces.append((float(x), 0, (float(x), float(w))))
@@ -377,7 +391,8 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
         else:
             comp = payload
             w = comp.mass
-            local = _component_table(comp.mu_part.scaled(1.0 / w), comp.nu_part.scaled(1.0 / w))
+            mu_part, nu_part = comp.mu_part, comp.nu_part
+            local = _component_table(mu_part.xs, mu_part.ws / w, nu_part.xs, nu_part.ws / w)
             for u_lo, u_hi, g, r, q, s, phi_lo, dphi in local:
                 rows.append(
                     (offset + w * u_lo, offset + w * u_hi, g, r, q, s, w * phi_lo, dphi, comp_index)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, Order, check_convex_order, put_potential
+from .measures import DiscreteMeasure, Order, _order_with_gap
 
 #: potential values below this count as zeros of D
 ZERO_TOL = 1e-11
@@ -78,7 +78,7 @@ class Decomposition:
 
 def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
     """Split ``(mu, nu)`` into irreducible components and a static part."""
-    order = check_convex_order(mu, nu)
+    order, grid, dvals = _order_with_gap(mu, nu)
     if not order:
         raise DecomposeError(
             f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
@@ -86,9 +86,6 @@ def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
     if order.status is Order.EQUAL_LAW:
         return Decomposition((), mu)
 
-    d = put_potential(nu) - put_potential(mu)
-    grid = np.union1d(mu.xs, nu.xs)
-    dvals = d(grid)
     is_zero = np.abs(dvals) <= ZERO_TOL
     if not is_zero[0] or not is_zero[-1]:
         raise DecomposeError("potential gap does not vanish at the support ends")
@@ -120,11 +117,11 @@ def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
         mu_mask = (mu.xs > a) & (mu.xs < b)
         nu_mask = (nu.xs > a) & (nu.xs < b)
         mu_part = DiscreteMeasure(mu.xs[mu_mask], mu.ws[mu_mask])
-        nu_inner = DiscreteMeasure(nu.xs[nu_mask], nu.ws[nu_mask])
+        inner_x, inner_w = nu.xs[nu_mask], nu.ws[nu_mask]
         # the component opening at `a` absorbs the target mass the previous
         # component (processed first, left to right) did not take
         lam_a = residual.pop(int(left), 0.0)
-        lam_b = mu_part.mass - nu_inner.mass - lam_a
+        lam_b = mu_part.mass - float(inner_w.sum()) - lam_a
         avail_b = residual.get(int(right), 0.0)
         if lam_b < -BALANCE_TOL or lam_b > avail_b + BALANCE_TOL:
             raise DecomposeError(
@@ -141,7 +138,7 @@ def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
             extra_x.append(b)
             extra_w.append(lam_b)
         nu_part = DiscreteMeasure(
-            np.concatenate([nu_inner.xs, extra_x]), np.concatenate([nu_inner.ws, extra_w])
+            np.concatenate([inner_x, extra_x]), np.concatenate([inner_w, extra_w])
         )
         if abs(nu_part.mass - mu_part.mass) > BALANCE_TOL:
             raise DecomposeError(

@@ -146,18 +146,15 @@ class DiscreteMeasure:
         )
 
 
-def _merge_atoms(xs, ws, pos_tol):
-    """Merge sorted atoms into runs: an atom joins the current run when it
-    lies within ``pos_tol`` of the run's first atom and starts one otherwise.
-
-    A run keeps its first position and the sum of its weights.  When
-    nothing merges the input arrays are returned themselves, not copied.
-    """
+def _run_starts(xs: np.ndarray, pos_tol: float) -> np.ndarray:
+    """Mask of the atoms of sorted ``xs`` that start a run: an atom joins
+    the current run when it lies within ``pos_tol`` of the run's first atom
+    and starts one otherwise."""
     starts = np.empty(xs.size, dtype=bool)
-    starts[0] = True
+    starts[:1] = True
     np.greater(xs[1:] - xs[:-1], pos_tol, out=starts[1:])
     if starts.all():
-        return xs, ws
+        return starts
     first = np.flatnonzero(starts)
     last = np.append(first[1:], xs.size) - 1
     # a chain of small gaps can reach further than pos_tol from its first
@@ -169,8 +166,36 @@ def _merge_atoms(xs, ws, pos_tol):
             if xs[k] - anchor > pos_tol:
                 starts[k] = True
                 anchor = xs[k]
+    return starts
+
+
+def _merge_atoms(xs, ws, pos_tol):
+    """Merge sorted atoms into the runs of :func:`_run_starts`.
+
+    A run keeps its first position and the sum of its weights.  When
+    nothing merges the input arrays are returned themselves, not copied.
+    """
+    starts = _run_starts(xs, pos_tol)
+    if starts.all():
+        return xs, ws
     first = np.flatnonzero(starts)
     return xs[first], np.add.reduceat(ws, first)
+
+
+def _put_values(xs: np.ndarray, ws: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+    """Put potential ``sum_{x_i < k} w_i (k - x_i)`` of the atoms ``(xs,
+    ws)`` at the points ``k``.
+
+    Evaluated in coordinates centred at ``c`` (the barycentre, so every
+    term is of the size of the spread, not of the positions), from the
+    cumulative weight and the cumulative centred moment of the atoms
+    strictly below each point: ``F(k-) (k - c) - sum_{x_i < k} w_i (x_i -
+    c)``.  Any ``c`` gives the same function in exact arithmetic.
+    """
+    j = np.searchsorted(xs, k, side="left")
+    cw = np.concatenate(([0.0], np.cumsum(ws)))
+    cm = np.concatenate(([0.0], np.cumsum(ws * (xs - c))))
+    return cw[j] * (k - c) - cm[j]
 
 
 def put_potential(eta: DiscreteMeasure) -> PiecewiseLinear:
@@ -182,9 +207,7 @@ def put_potential(eta: DiscreteMeasure) -> PiecewiseLinear:
     """
     if eta.n_atoms == 0:
         raise ValueError("put_potential requires a non-empty measure")
-    cw = np.concatenate(([0.0], eta.cum_weights[:-1]))
-    cm = np.concatenate(([0.0], np.cumsum(eta.xs * eta.ws)[:-1]))
-    ys = cw * eta.xs - cm
+    ys = _put_values(eta.xs, eta.ws, eta.mean / eta.mass, eta.xs)
     return PiecewiseLinear(eta.xs, ys, 0.0, eta.mass)
 
 
@@ -244,20 +267,34 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MA
     difference is then non-negative at all of its kinks and vanishes at
     both tails.  The witness is the breakpoint with the most negative gap.
     """
+    return _order_with_gap(mu, nu, tol)[0]
+
+
+def _order_with_gap(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL):
+    """:func:`check_convex_order` together with the grid it evaluated the
+    potential gap on and the gap ``P_nu - P_mu`` there (both ``None`` when
+    the mass or mean test fails first).
+
+    The grid is the union of both supports; both potentials are centred
+    at ``mu``'s barycentre, which equal means make common to the pair.
+    """
     if abs(mu.mass - nu.mass) > tol:
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass))
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass)), None, None
     if abs(mu.mean - nu.mean) > max(tol, tol * max(1.0, abs(mu.mean))):
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean))
-    p_mu = put_potential(mu)
-    p_nu = put_potential(nu)
-    grid = np.union1d(p_mu.xs, p_nu.xs)
-    gap = p_nu(grid) - p_mu(grid)
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean)), None, None
+    if mu.n_atoms == 0:
+        raise ValueError("convex order requires non-empty measures")
+    c = mu.mean / mu.mass
+    grid = np.union1d(mu.xs, nu.xs)
+    gap = _put_values(nu.xs, nu.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
     worst = int(np.argmin(gap))
     if gap[worst] < -tol:
-        return OrderResult(Order.FAILS, witness=float(grid[worst]), gap=float(-gap[worst]))
-    if mu.tv_distance(nu) <= tol:
-        return OrderResult(Order.EQUAL_LAW)
-    return OrderResult(Order.ORDERED)
+        order = OrderResult(Order.FAILS, witness=float(grid[worst]), gap=float(-gap[worst]))
+    elif mu.tv_distance(nu) <= tol:
+        order = OrderResult(Order.EQUAL_LAW)
+    else:
+        order = OrderResult(Order.ORDERED)
+    return order, grid, gap
 
 
 def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:

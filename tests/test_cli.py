@@ -1,9 +1,17 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from leftcurtain import measure_to_json
+from leftcurtain import (
+    DiscreteMeasure,
+    build_curtain,
+    decompose,
+    measure_to_json,
+    quantile_left,
+    sample_y_many,
+)
 from leftcurtain.cli import EXIT_IO, EXIT_OK, EXIT_ORDER, EXIT_VERIFICATION, main
 from conftest import dm
 
@@ -150,6 +158,85 @@ def test_sample_x_is_left_quantile_of_multi_atom_source(tmp_path):
         expected = -1.0 if u <= 0.25 else (0.5 if u <= 0.75 else 2.0)
         assert float(r["x"]) == expected
     assert {float(r["x"]) for r in rows} == {-1.0, 0.5, 2.0}
+
+
+def test_sample_csv_matches_per_row_repr(tmp_path):
+    # mu's atom at -0.0 keeps its sign in x and in the point-kernel draws of
+    # y, while the upper destination 0.0 is nu's atom: both zeros appear in y
+    mu = DiscreteMeasure([-1.0, -0.0, 1.0], [0.25, 0.5, 0.25])
+    nu = dm((-2.0, 0.2), (0.0, 0.6), (2.0, 0.2))
+    mu_path = tmp_path / "mu.json"
+    nu_path = tmp_path / "nu.json"
+    mu_path.write_text(json.dumps(measure_to_json(mu)))
+    nu_path.write_text(json.dumps(measure_to_json(nu)))
+    out = tmp_path / "s.csv"
+    args = ["sample", "--mu", str(mu_path), "--nu", str(nu_path), "--n", "500", "--seed", "11"]
+    assert main(args + ["--out", str(out)]) == EXIT_OK
+
+    rng = np.random.default_rng(11)
+    us = np.clip(rng.uniform(0.0, 1.0, size=500), np.finfo(float).tiny, 1.0 - 1e-16)
+    vs = np.clip(rng.uniform(0.0, 1.0, size=500), np.finfo(float).tiny, 1.0 - 1e-16)
+    table = build_curtain(mu, nu)
+    rows = zip(us, vs, quantile_left(mu, us), sample_y_many(table, us, vs))
+    lines = ["u,v,x,y"] + [",".join(repr(float(v)) for v in row) for row in rows]
+    assert out.read_text() == "\n".join(lines) + "\n"
+    assert {line.rsplit(",", 1)[1] for line in lines[1:]} >= {"-0.0", "0.0"}
+
+
+def test_verify_counts_monotonicity_on_the_coupling_file(tmp_path):
+    mu = dm((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))
+    nu = dm((-2.0, 0.125), (0.0, 0.125), (0.5, 0.5), (1.0, 0.125), (3.0, 0.125))
+    mu_path = tmp_path / "mu.json"
+    nu_path = tmp_path / "nu.json"
+    mu_path.write_text(json.dumps(measure_to_json(mu)))
+    nu_path.write_text(json.dumps(measure_to_json(nu)))
+    out = tmp_path / "coupling.json"
+    assert main(["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]) == EXIT_OK
+    obj = json.loads(out.read_text())
+    first, last = obj["intervals"][0], obj["intervals"][-1]
+    (first["r"], first["s"]), (last["r"], last["s"]) = (last["r"], last["s"]), (first["r"], first["s"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(obj))
+    report = tmp_path / "report.json"
+    rc = main(
+        [
+            "verify",
+            "--mu", str(mu_path),
+            "--nu", str(nu_path),
+            "--coupling", str(bad),
+            "--out", str(report),
+        ]
+    )
+    assert rc == EXIT_VERIFICATION
+    assert json.loads(report.read_text())["monotonicity_violations"] > 0
+
+
+def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypatch):
+    import leftcurtain.cli as cli
+    import leftcurtain.curtain as curtain
+
+    calls = []
+
+    def counted(mu, nu):
+        calls.append(1)
+        return decompose(mu, nu)
+
+    monkeypatch.setattr(cli, "decompose", counted)
+    monkeypatch.setattr(curtain, "decompose", counted)
+    mu, nu = split_pair
+    mu_path = tmp_path / "mu.json"
+    nu_path = tmp_path / "nu.json"
+    mu_path.write_text(json.dumps(measure_to_json(mu)))
+    nu_path.write_text(json.dumps(measure_to_json(nu)))
+    out = tmp_path / "coupling.json"
+    args = ["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]
+    assert main(args + ["--components"]) == EXIT_OK
+    assert len(calls) == 1
+    obj = json.loads(out.read_text())
+    assert [c["interval"] for c in obj["components"]] == [[-2.0, 0.0], [0.0, 2.0]]
+    plain = tmp_path / "plain.json"
+    assert main(args[:-1] + [str(plain)]) == EXIT_OK
+    assert json.loads(plain.read_text())["intervals"] == obj["intervals"]
 
 
 def test_decompose_command(tmp_path):

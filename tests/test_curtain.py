@@ -3,6 +3,7 @@ import pytest
 
 from leftcurtain import (
     DiscreteMeasure,
+    PiecewiseLinear,
     build_curtain,
     check_convex_order,
     coupling,
@@ -190,10 +191,10 @@ class TestSweepRegressions:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_translated_pair_builds_and_verifies(self, seed):
-        # the breakpoints need not match the unshifted table's (sweep events
-        # may split into sliver rows far from the origin): only the coupling
-        # and its left-monotone shape are checked here
+        # the potentials are evaluated in centred coordinates, so far from
+        # the origin simultaneous sweep events still tie: no sliver rows
         mu, nu = random_cx_pair(seed, 1 + seed % 8, 1 + seed % 6)
+        rows = len(build_curtain(mu, nu).intervals)
         for shift in (1e4, 1e6, -3.7e5):
             moved_mu = DiscreteMeasure(mu.xs + shift, mu.ws)
             moved_nu = DiscreteMeasure(nu.xs + shift, nu.ws)
@@ -201,6 +202,30 @@ class TestSweepRegressions:
             rep = verify_coupling(coupling(table, moved_mu), moved_mu, moved_nu)
             assert rep.passed(), (shift, rep.checks)
             assert verify_left_monotone(table) == 0, shift
+            assert len(table.intervals) == rows, shift
+
+    def test_build_and_verify_construct_no_piecewise_linear(self, monkeypatch):
+        made = []
+        init = PiecewiseLinear.__init__
+
+        def counting_init(self, *args, **kwargs):
+            made.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PiecewiseLinear, "__init__", counting_init)
+        pairs = [random_instance(seed) for seed in range(20)]
+        pairs.append(
+            (
+                quantize_density([-1.0, 1.0], [0.5, 0.5], 200),
+                quantize_density([-2.0, 2.0], [0.25, 0.25], 200),
+            )
+        )
+        for mu, nu in pairs:
+            table = build_curtain(mu, nu)
+            assert verify_all(table, coupling(table, mu), mu, nu).passed()
+        assert not made
+        put_potential(mu)  # the counter itself works
+        assert made
 
     def test_uniform_200_reproduces_point_construction_on_every_row(self):
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 200)

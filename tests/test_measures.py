@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from leftcurtain import (
     random_cx_pair,
     restricted_measure,
 )
-from leftcurtain.measures import POS_TOL, _merge_atoms
+from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values
 from conftest import dm
 
 
@@ -96,6 +98,27 @@ class TestPutPotential:
         p = put_potential(eta)
         k = 100.0
         assert p(k) == pytest.approx(eta.mass * k - eta.mean)
+
+    @given(
+        st.lists(
+            st.tuples(st.floats(-10.0, 10.0), st.floats(0.01, 1.0)), min_size=1, max_size=12
+        ),
+        st.sampled_from([0.0, 1e6, -1e6]),
+        st.lists(st.floats(-25.0, 25.0), max_size=8),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_centred_evaluator_matches_the_potential(self, atoms, shift, extra):
+        eta = DiscreteMeasure([x + shift for x, _ in atoms], [w for _, w in atoms])
+        xs, ws = eta.xs, eta.ws
+        # the atoms, the midpoints between them, points on both tails and anywhere
+        k = np.concatenate(
+            (xs, 0.5 * (xs[1:] + xs[:-1]), [xs[0] - 1.5, xs[-1] + 2.5], np.add(extra, shift))
+        )
+        got = _put_values(xs, ws, eta.mean / eta.mass, k)
+        bound = 1e-12 * np.maximum(1.0, np.abs(k))
+        assert np.all(np.abs(got - put_potential(eta)(k)) <= bound)
+        direct = [math.fsum(w * max(p - x, 0.0) for x, w in zip(xs, ws)) for p in k]
+        assert np.all(np.abs(got - direct) <= bound)
 
 
 class TestQuantileLeft:

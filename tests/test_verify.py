@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
@@ -46,6 +48,39 @@ class TestVerifyCoupling:
         rep = verify_coupling(bad, mu, nu)
         assert not rep.passed()
         assert rep.martingale_residual_max > 1e-4
+
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0.0, 4e-12, 6e-12, 9e-12, 1.5e-11, 0.25]),
+                st.floats(-4.0, 4.0),
+                st.floats(0.001, 1.0),
+            ),
+            min_size=1,
+            max_size=30,
+        ),
+        st.sampled_from([0.0, 1.0, -37.5]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_martingale_residual_matches_the_run_loop(self, atoms, offset):
+        # chains of x gaps below 1e-11 make runs wider than the tolerance,
+        # which split again at the first atom beyond the run's first atom
+        xs = offset + np.cumsum([gap for gap, _, _ in atoms])
+        ys = xs + np.array([dy for _, dy, _ in atoms])
+        ws = np.array([w for _, _, w in atoms])
+        order = np.random.default_rng(len(atoms)).permutation(xs.size)
+        pi = LiftedCoupling(np.empty((0, 5)), xs[order], ys[order], ws[order])
+        expected, i = 0.0, 0
+        while i < xs.size:
+            j = i
+            while j < xs.size and xs[j] - xs[i] <= 1e-11:
+                j += 1
+            expected = max(expected, abs(float(((ys[i:j] - xs[i]) * ws[i:j]).sum())))
+            i = j
+        mu = DiscreteMeasure(xs, ws)
+        got = verify_coupling(pi, mu, mu).martingale_residual_max
+        assert abs(got - expected) <= 1e-14
 
 
 class TestVerifyLeftMonotone:
