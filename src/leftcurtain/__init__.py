@@ -3,22 +3,20 @@
 Builds the lifted left-curtain coupling of two atomic measures in convex
 order through exact piecewise-linear potential geometry: shadow measures,
 irreducible decomposition, destination functions with their quantile
-table, plus independent brute-force oracles and theorem-level verifiers.
+table, and theorem-level verifiers.  The independent references that
+tests check against live in :mod:`leftcurtain.oracle`; of them only
+``curtain_incremental`` and ``joint_tv`` are exported here.
 """
 
 from .curtain import (
     CurtainTable,
-    ExcessPotential,
     InternalGeometry,
     LiftedCoupling,
-    PointConstruction,
     StepMap,
     TABLE_DTYPE,
     build_curtain,
     coupling,
     curve_rows,
-    excess_potential,
-    point_construction,
     sample_y,
     sample_y_many,
     td_tu,
@@ -37,14 +35,7 @@ from .measures import (
     random_cx_pair,
     restricted_measure,
 )
-from .oracle import Infeasible, NegativeKernel, curtain_incremental, joint_tv, shadow_lp, simplex_solve
-from .pwl import (
-    NonConvexPotential,
-    PiecewiseLinear,
-    contact_points,
-    convex_hull,
-    measure_from_potential,
-)
+from .oracle import curtain_incremental, joint_tv
 from .shadow import ShadowInvalid, shadow
 from .verify import (
     VerificationReport,
@@ -63,36 +54,25 @@ __all__ = [
     "DecomposeError",
     "Decomposition",
     "DiscreteMeasure",
-    "ExcessPotential",
-    "Infeasible",
     "InternalGeometry",
     "IrreducibleComponent",
     "LiftedCoupling",
-    "NegativeKernel",
-    "NonConvexPotential",
     "Order",
     "OrderResult",
-    "PiecewiseLinear",
-    "PointConstruction",
     "ShadowInvalid",
     "StepMap",
     "TABLE_DTYPE",
     "VerificationReport",
     "build_curtain",
     "check_convex_order",
-    "contact_points",
-    "convex_hull",
     "coupling",
     "curtain_incremental",
     "curve_rows",
     "decompose",
     "destination_cdf",
-    "excess_potential",
     "joint_tv",
     "measure_from_json",
-    "measure_from_potential",
     "measure_to_json",
-    "point_construction",
     "put_potential",
     "quantile_left",
     "quantize_density",
@@ -101,8 +81,6 @@ __all__ = [
     "sample_y",
     "sample_y_many",
     "shadow",
-    "shadow_lp",
-    "simplex_solve",
     "td_tu",
     "verify_all",
     "verify_coupling",

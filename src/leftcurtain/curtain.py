@@ -18,10 +18,9 @@ detachment level, then a chord whose contacts move outwards each time a
 kink pierces it.  No hull is rebuilt, and no root finding or
 discretisation in ``u`` is involved.  The builder reads the potentials as
 plain arrays, evaluated once per component from cumulative weights and
-centred moments; it builds no :class:`~leftcurtain.pwl.PiecewiseLinear`.
-:func:`point_construction` computes the same data at one level from the
-envelope itself and serves as the pointwise reference; ``_Pair`` and its
-potential objects serve only that reference and :func:`excess_potential`.
+centred moments.  The pointwise reference, which computes the same data
+at one level from the envelope itself, is
+:class:`leftcurtain.oracle.PairReference`.
 """
 
 from __future__ import annotations
@@ -33,14 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .decompose import Decomposition, decompose
-from .measures import (
-    DiscreteMeasure,
-    _put_values,
-    check_convex_order,
-    put_potential,
-    quantile_left,
-)
-from .pwl import PiecewiseLinear, contact_points, convex_hull
+from .measures import DiscreteMeasure, _put_values
 
 #: positions closer than this are considered the same point of the line
 POS_EPS = 1e-11
@@ -62,124 +54,8 @@ _COUPLING_ROW_KEYS = ("u_lo", "u_hi", "x", "r", "s")
 
 
 class InternalGeometry(RuntimeError):
-    """The envelope has no finite contact pair, the anchored ray misses the
-    gap, or a source atom detaches with no kink to its left; indicates a
-    geometry bug, not bad input."""
-
-
-@dataclass(frozen=True)
-class ExcessPotential:
-    """Excess of the target potential over the restricted-source potential."""
-
-    u: float
-    excess: PiecewiseLinear
-    hull: PiecewiseLinear
-    gap: PiecewiseLinear  # P_nu - P_mu, independent of u
-
-
-@dataclass(frozen=True)
-class PointConstruction:
-    """Destination data at one quantile level: ``r <= q <= g <= s``."""
-
-    r: float
-    q: float
-    g: float
-    s: float
-    phi: float
-
-    @property
-    def trivial(self) -> bool:
-        return self.s - self.r <= DEGENERATE_KERNEL_EPS
-
-
-class _Pair:
-    """Cached potentials of one (probability) marginal pair."""
-
-    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        self.mu = mu
-        self.nu = nu
-        self.p_mu = put_potential(mu)
-        self.p_nu = put_potential(nu)
-        self.gap = self.p_nu - self.p_mu
-
-    def restricted_potential(self, u: float) -> PiecewiseLinear:
-        """Potential of the leftmost mass-``u`` part of the source."""
-        mu = self.mu
-        i = int(np.searchsorted(mu.cum_weights, u, side="left"))
-        xs = mu.xs[: i + 1]  # atoms up to and including G(u)
-        ws = mu.ws[: i + 1].copy()
-        ws[-1] = u - (mu.cum_weights[i - 1] if i > 0 else 0.0)
-        restricted = DiscreteMeasure(xs, ws)
-        return put_potential(restricted)
-
-    def excess(self, u: float) -> ExcessPotential:
-        e = self.p_nu - self.restricted_potential(u)
-        return ExcessPotential(u, e, convex_hull(e), self.gap)
-
-    def construct(self, u: float) -> PointConstruction:
-        g = quantile_left(self.mu, u)
-        ep = self.excess(u)
-        q, s = contact_points(ep.excess, ep.hull, g)
-        if not (math.isfinite(q) and math.isfinite(s)):
-            raise InternalGeometry(f"unbounded contact pair ({q}, {s}) at u={u}")
-        phi = ep.hull.one_sided_slopes(s)[0]
-        r = _ray_meets_gap(ep.gap, g, ep.hull(g), phi)
-        return PointConstruction(r, q, g, s, phi)
-
-
-def excess_potential(mu: DiscreteMeasure, nu: DiscreteMeasure, u: float) -> ExcessPotential:
-    """``E_u = P_nu - P_{mu_u}`` together with its lower convex envelope."""
-    order = check_convex_order(mu, nu)
-    if not order:
-        raise ValueError(f"inputs not in convex order (witness {order.witness})")
-    return _Pair(mu, nu).excess(u)
-
-
-def point_construction(mu: DiscreteMeasure, nu: DiscreteMeasure, u: float) -> PointConstruction:
-    """Compute ``(R, Q, G, S, phi)`` at a single quantile level.
-
-    ``Q`` and ``S`` are the contact points of the excess potential with its
-    envelope on either side of ``G(u)``; ``phi`` is the envelope's left
-    slope at ``S``; ``R`` is the leftmost point at or below ``G(u)`` where
-    the potential gap meets the supporting line through
-    ``(G(u), envelope(G(u)))`` with slope ``phi``.  The pair should already
-    be reduced to one irreducible component (the gap positive between the
-    support ends); use :func:`build_curtain` for general inputs.
-    """
-    order = check_convex_order(mu, nu)
-    if not order:
-        raise ValueError(f"inputs not in convex order (witness {order.witness})")
-    return _Pair(mu, nu).construct(u)
-
-
-def _ray_meets_gap(
-    d: PiecewiseLinear, g: float, anchor_y: float, phi: float, eps: float = 1e-10
-) -> float:
-    """Leftmost point ``k <= g`` where ``d`` meets the anchored ray.
-
-    The ray supports ``d`` from below on ``(-inf, g]``, so meeting points
-    sit at breakpoints of the non-negative difference (or fill whole
-    segments whose endpoints then vanish too).  When the difference is
-    identically zero on the whole left tail the literal infimum would be
-    unbounded; the convention here returns the right end of that initial
-    zero run (equal to ``g`` itself when the gap vanishes identically, as
-    for equal marginals).  The kernel is unaffected: this happens only in
-    degenerate configurations.
-    """
-    cand = d.xs[d.xs <= g + POS_EPS]
-    cand = np.append(cand, g)
-    diff = d(cand) - (anchor_y + phi * (cand - g))
-    zero = diff <= eps
-    if not zero.any():
-        raise InternalGeometry(f"ray through ({g}, {anchor_y}) with slope {phi} misses the gap")
-    first = int(np.argmax(zero))
-    tail_flat = abs(d.slope_left - phi) <= 1e-12
-    if first == 0 and tail_flat and abs(diff[0]) <= eps:
-        run = 0
-        while run + 1 < cand.size and zero[run + 1]:
-            run += 1
-        return float(cand[run])
-    return float(cand[first])
+    """A source atom detaches with no kink to its left; indicates a geometry
+    bug, not bad input."""
 
 
 # -- curtain table ---------------------------------------------------------
@@ -443,13 +319,6 @@ class LiftedCoupling:
         ys = np.column_stack((np.where(split, r, x), s))
         shares = np.column_stack((w_r, 1.0 - w_r))
         return ys, shares, np.column_stack((np.ones_like(split), split))
-
-    def straddle_mass(self, z: float) -> float:
-        """Joint mass on pairs whose source and destination bracket ``z``."""
-        lo = np.minimum(self.joint_x, self.joint_y)
-        hi = np.maximum(self.joint_x, self.joint_y)
-        mask = (lo < z - POS_EPS) & (hi > z + POS_EPS)
-        return float(self.joint_w[mask].sum())
 
     def to_json(self, components=None) -> dict:
         return {

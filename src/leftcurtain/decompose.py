@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, Order, _order_with_gap
+from .measures import DiscreteMeasure, Order, _gap_scale, _order_with_gap
 
-#: potential values below this count as zeros of D
+#: potential values below this, times the pair's spread (``_gap_scale``),
+#: count as zeros of D
 ZERO_TOL = 1e-11
 
 #: tolerance on component mass/mean balance
@@ -56,25 +57,6 @@ class Decomposition:
     components: tuple[IrreducibleComponent, ...]
     static: DiscreteMeasure
 
-    def reassemble(self) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-        mu = self.static
-        nu = self.static
-        for comp in self.components:
-            mu = mu + comp.mu_part
-            nu = nu + comp.nu_part
-        return mu, nu
-
-    def interior_zeros(self) -> list[float]:
-        """Component boundaries interior to the overall support."""
-        zeros = set()
-        for comp in self.components:
-            zeros.add(comp.a)
-            zeros.add(comp.b)
-        if not zeros:
-            return []
-        lo, hi = min(zeros), max(zeros)
-        return sorted(z for z in zeros if lo < z < hi)
-
 
 def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
     """Split ``(mu, nu)`` into irreducible components and a static part."""
@@ -86,7 +68,8 @@ def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
     if order.status is Order.EQUAL_LAW:
         return Decomposition((), mu)
 
-    is_zero = np.abs(dvals) <= ZERO_TOL
+    zero_tol = ZERO_TOL * _gap_scale(grid, mu.mean / mu.mass)
+    is_zero = np.abs(dvals) <= zero_tol
     if not is_zero[0] or not is_zero[-1]:
         raise DecomposeError("potential gap does not vanish at the support ends")
 
@@ -111,7 +94,7 @@ def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
     for left, right in zip(zero_idx[:-1], zero_idx[1:]):
         if right == left + 1:
             continue  # adjacent zeros: identity region, no active mass between
-        if np.any(np.abs(dvals[left + 1 : right]) <= ZERO_TOL):
+        if np.any(np.abs(dvals[left + 1 : right]) <= zero_tol):
             raise DecomposeError("interior zero inside an active run")
         a, b = float(grid[left]), float(grid[right])
         mu_mask = (mu.xs > a) & (mu.xs < b)

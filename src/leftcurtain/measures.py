@@ -15,8 +15,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .pwl import PiecewiseLinear
-
 #: absolute tolerance on probability mass / mean equality
 MASS_TOL = 1e-12
 
@@ -110,14 +108,6 @@ class DiscreteMeasure:
         out = np.append(self.ws, 0.0)[self.atom_index(x, pos_tol)]
         return float(out) if out.ndim == 0 else out
 
-    def scaled(self, factor: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.xs, self.ws * factor)
-
-    def __add__(self, other: "DiscreteMeasure") -> "DiscreteMeasure":
-        return DiscreteMeasure(
-            np.concatenate([self.xs, other.xs]), np.concatenate([self.ws, other.ws])
-        )
-
     def tv_distance(self, other: "DiscreteMeasure", pos_tol: float = 1e-11) -> float:
         """Total-variation distance (half the L1 weight difference).
 
@@ -198,17 +188,18 @@ def _put_values(xs: np.ndarray, ws: np.ndarray, c: float, k: np.ndarray) -> np.n
     return cw[j] * (k - c) - cm[j]
 
 
-def put_potential(eta: DiscreteMeasure) -> PiecewiseLinear:
-    """Put-option potential ``P(k) = integral of (k - x)^+ d eta``.
+def put_potential(eta: DiscreteMeasure, k):
+    """Put-option potential ``P(k) = integral of (k - x)^+ d eta`` at ``k``.
 
     Piecewise linear with a kink of size ``w_i`` at each atom, identically
     zero left of the support, and asymptote ``mass * k - mean`` on the
-    right.
+    right.  Evaluated by :func:`_put_values` centred at ``eta``'s own
+    barycentre; a scalar ``k`` gives a float, an array an array.
     """
     if eta.n_atoms == 0:
         raise ValueError("put_potential requires a non-empty measure")
-    ys = _put_values(eta.xs, eta.ws, eta.mean / eta.mass, eta.xs)
-    return PiecewiseLinear(eta.xs, ys, 0.0, eta.mass)
+    out = _put_values(eta.xs, eta.ws, eta.mean / eta.mass, np.asarray(k, dtype=float))
+    return float(out) if out.ndim == 0 else out
 
 
 def quantile_left(eta: DiscreteMeasure, u):
@@ -259,13 +250,22 @@ class OrderResult:
         return self.status is not Order.FAILS
 
 
+def _gap_scale(grid: np.ndarray, c: float) -> float:
+    """The largest distance of a point of ``grid`` from the centre ``c``, at
+    least 1: potential values centred at ``c`` on ``grid`` are at most of
+    this size (per unit mass), so absolute tolerances on them scale by it."""
+    return max(1.0, c - float(grid[0]), float(grid[-1]) - c)
+
+
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL) -> OrderResult:
     """Convex-order test via potential domination.
 
     Equal mass and mean plus ``P_mu <= P_nu`` at every breakpoint of both
     potentials is sufficient for piecewise-linear potentials, because the
     difference is then non-negative at all of its kinks and vanishes at
-    both tails.  The witness is the breakpoint with the most negative gap.
+    both tails.  The witness is the breakpoint with the most negative gap;
+    a gap fails below ``-tol`` times :func:`_gap_scale`, since potential
+    values, and their rounding, grow with the spread of the positions.
     """
     return _order_with_gap(mu, nu, tol)[0]
 
@@ -288,7 +288,7 @@ def _order_with_gap(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_
     grid = np.union1d(mu.xs, nu.xs)
     gap = _put_values(nu.xs, nu.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
     worst = int(np.argmin(gap))
-    if gap[worst] < -tol:
+    if gap[worst] < -tol * _gap_scale(grid, c):
         order = OrderResult(Order.FAILS, witness=float(grid[worst]), gap=float(-gap[worst]))
     elif mu.tv_distance(nu) <= tol:
         order = OrderResult(Order.EQUAL_LAW)

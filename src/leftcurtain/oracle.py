@@ -1,7 +1,7 @@
-"""Independent brute-force references for acceptance testing.
+"""Independent references for testing; the package's only reference module.
 
-Two oracles live here, both deliberately unrelated to the geometric code
-paths they check:
+No solver module imports this one.  Three references live here, each
+computing its quantity another way than the code it checks:
 
 * :func:`shadow_lp` recovers the shadow measure as the solution of a small
   linear program.  Feasible points are the measures dominated by the
@@ -14,6 +14,11 @@ paths they check:
   increments of shadows of growing left parts of the source, one source
   atom at a time.
 
+* :class:`PairReference` computes the destination data ``(R, Q, G, S,
+  phi)`` of one pair at any single level from the lower convex envelope of
+  the excess potential ``E_u = P_nu - P_{mu_u}`` itself, where the curtain
+  builder sweeps levels without taking an envelope.
+
 The LP is solved by an in-repo dense two-phase simplex with Bland's rule;
 instances are tiny (a few dozen variables), so no external solver is
 needed and the tests stay hermetic.
@@ -21,9 +26,23 @@ needed and the tests stay hermetic.
 
 from __future__ import annotations
 
+import math
+from typing import NamedTuple
+
 import numpy as np
 
-from .measures import DiscreteMeasure, put_potential, restricted_measure
+from .curtain import POS_EPS
+from .measures import (
+    DiscreteMeasure,
+    _put_values,
+    check_convex_order,
+    put_potential,
+    restricted_measure,
+)
+from .pwl import EPS_GEOM, convex_hull, evaluate
+
+#: tolerance for deciding that a function touches its convex envelope
+CONTACT_EPS = 1e-10
 
 
 class Infeasible(ValueError):
@@ -148,10 +167,9 @@ def shadow_lp(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
         raise ValueError("LP oracle is restricted to small instances")
     xs = nu.xs
     n = xs.size
-    p_mu = put_potential(mu)
     grid = np.union1d(mu.xs, nu.xs)
     payoff = np.maximum(grid[:, None] - xs[None, :], 0.0)  # (k, j) -> (k - x_j)^+
-    p_mu_grid = p_mu(grid)
+    p_mu_grid = put_potential(mu, grid)
 
     # columns: w (n), slack for potential rows (k), slack for bounds (n)
     k = grid.size
@@ -243,3 +261,175 @@ def joint_tv(a, b, pos_tol: float = 1e-11) -> float:
             key = (int(key_x), int(key_y))
             table[key] = table.get(key, 0.0) + sign * float(w)
     return 0.5 * sum(abs(v) for v in table.values())
+
+
+# -- pointwise reference -----------------------------------------------------
+
+
+class PointConstruction(NamedTuple):
+    """Destination data at one quantile level: ``r <= q <= g <= s``."""
+
+    r: float
+    q: float
+    g: float
+    s: float
+    phi: float
+
+
+def _drop_collinear(xs, ys, slope_left, slope_right, eps=EPS_GEOM):
+    """Breakpoints of a piecewise-linear function without those where its
+    slope changes by at most ``eps``; an affine function keeps its first."""
+    if xs.size < 2:
+        return xs, ys
+    slopes = np.concatenate(([slope_left], np.diff(ys) / np.diff(xs), [slope_right]))
+    keep = np.abs(np.diff(slopes)) > eps
+    if not keep.any():
+        keep[0] = True
+    return xs[keep], ys[keep]
+
+
+def _left_slope(xs, ys, slope_left, slope_right, k, eps=EPS_GEOM) -> float:
+    """Left derivative at ``k`` of a piecewise-linear function; a breakpoint
+    within ``eps`` of ``k`` counts as ``k``."""
+    slopes = np.concatenate(([slope_left], np.diff(ys) / np.diff(xs), [slope_right]))
+    i = int(xs.searchsorted(k))
+    if i < xs.size and abs(xs[i] - k) <= eps:
+        return float(slopes[i])
+    if i > 0 and abs(xs[i - 1] - k) <= eps:
+        return float(slopes[i - 1])
+    return float(slopes[i])
+
+
+def contact_points(xs, excess, envelope, y, eps=CONTACT_EPS) -> tuple[float, float]:
+    """Contact points of a function with its lower convex envelope around ``y``.
+
+    ``excess`` and ``envelope`` are the values of the two at the
+    breakpoints ``xs`` of the function (the envelope's vertices are among
+    them and the two share their tail slopes).  Returns ``(X, Z)``, where
+    ``X`` is the largest point ``<= y`` at which they agree and ``Z`` the
+    smallest such point ``>= y``; ``-inf`` / ``+inf`` when the respective
+    set is empty.  The difference is non-negative and piecewise linear
+    with flat tails, so its zeros lie at its kinks (or fill whole segments
+    whose end kinks then vanish too): a scan over the breakpoints where
+    the difference bends is exhaustive.
+    """
+    gx, gy = _drop_collinear(np.asarray(xs, dtype=float), np.subtract(excess, envelope), 0.0, 0.0)
+    if np.interp(y, gx, gy) <= eps:
+        return float(y), float(y)
+    zero = gy <= eps
+    below = gx[zero & (gx <= y)]
+    above = gx[zero & (gx >= y)]
+    return (
+        float(below[-1]) if below.size else -math.inf,
+        float(above[0]) if above.size else math.inf,
+    )
+
+
+class PairReference:
+    """Destination data ``(R, Q, G, S, phi)`` of one pair at any single level.
+
+    ``mu`` and ``nu`` are probability measures in convex order, checked
+    once on construction, and should form one irreducible component (the
+    gap ``D = P_nu - P_mu`` positive between the support ends); use
+    :func:`~leftcurtain.build_curtain` for general inputs.  Both potentials
+    are evaluated once, on the union of the supports and centred at the
+    barycentre.  At level ``u`` the excess potential ``E_u = P_nu -
+    P_{mu_u}`` equals ``D`` at the points up to the quantile ``G(u)`` and
+    ``P_nu(k) - P_mu(G(u)) - u (k - G(u))`` at the target atoms beyond it.
+    ``Q`` and ``S`` are the contacts of ``E_u`` with its lower convex
+    envelope on either side of ``G(u)``; ``phi`` is the envelope's left
+    slope at ``S``; ``R`` is the leftmost point at or below ``G(u)`` where
+    ``D`` meets the supporting line through ``(G(u), envelope(G(u)))``
+    with slope ``phi``.  Breakpoints where a function does not bend (by
+    more than 1e-12 in slope) are dropped before contacts are sought.
+    """
+
+    def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
+        order = check_convex_order(mu, nu)
+        if not order:
+            raise ValueError(f"inputs not in convex order (witness {order.witness})")
+        self.mu = mu
+        self.nu = nu
+        c = mu.mean / mu.mass
+        grid = np.union1d(mu.xs, nu.xs)
+        self._grid = grid
+        self._is_target = np.isin(grid, nu.xs)
+        self._p_nu = _put_values(nu.xs, nu.ws, c, grid)
+        self._p_mu = _put_values(mu.xs, mu.ws, c, grid)
+        self._d_grid = self._p_nu - self._p_mu
+        self._d_slope_right = nu.mass - mu.mass
+        self._d = _drop_collinear(grid, self._d_grid, 0.0, self._d_slope_right)
+
+    def _excess(self, u: float):
+        """``G(u)``, the breakpoints of ``E_u`` and its right tail slope."""
+        if not 0.0 < u < 1.0:
+            raise ValueError("quantile level must lie in (0, 1)")
+        mu = self.mu
+        i = min(int(mu.cum_weights.searchsorted(u)), mu.n_atoms - 1)
+        g = float(mu.xs[i])
+        grid = self._grid
+        left = grid <= g
+        beyond = self._p_nu - self._p_mu[grid.searchsorted(g)] - u * (grid - g)
+        keep = left | self._is_target
+        ys = np.where(left, self._d_grid, beyond)[keep]
+        # the right tail slope is the target's mass less the restriction's
+        ws = mu.ws[: i + 1].copy()
+        ws[-1] = u - (mu.cum_weights[i - 1] if i else 0.0)
+        slope_right = self.nu.mass - float(ws.sum())
+        return (g, *_drop_collinear(grid[keep], ys, 0.0, slope_right), slope_right)
+
+    @staticmethod
+    def _envelope(xs, ys, slope_right):
+        return _drop_collinear(*convex_hull(xs, ys, 0.0, slope_right), 0.0, slope_right)
+
+    def gap(self, k):
+        """``D = P_nu - P_mu`` at ``k``; elementwise for an array ``k``."""
+        return evaluate(*self._d, 0.0, self._d_slope_right, k)
+
+    def excess(self, u: float, k):
+        """``E_u`` at ``k``; elementwise for an array ``k``."""
+        _, xs, ys, slope_right = self._excess(u)
+        return evaluate(xs, ys, 0.0, slope_right, k)
+
+    def envelope(self, u: float, k):
+        """The lower convex envelope of ``E_u`` at ``k``; elementwise for an
+        array ``k``."""
+        _, xs, ys, slope_right = self._excess(u)
+        return evaluate(*self._envelope(xs, ys, slope_right), 0.0, slope_right, k)
+
+    def at(self, u: float) -> PointConstruction:
+        """``(R, Q, G, S, phi)`` at the level ``u``."""
+        g, xs, ys, slope_right = self._excess(u)
+        hx, hy = self._envelope(xs, ys, slope_right)
+        q, s = contact_points(xs, ys, evaluate(hx, hy, 0.0, slope_right, xs), g)
+        if not (math.isfinite(q) and math.isfinite(s)):
+            raise RuntimeError(f"unbounded contact pair ({q}, {s}) at u={u}")
+        phi = _left_slope(hx, hy, 0.0, slope_right, s)
+        r = self._ray_meets_gap(g, evaluate(hx, hy, 0.0, slope_right, g), phi)
+        return PointConstruction(r, q, g, s, phi)
+
+    def _ray_meets_gap(self, g: float, anchor_y: float, phi: float, eps: float = 1e-10) -> float:
+        """Leftmost point ``k <= g`` where ``D`` meets the anchored ray.
+
+        The ray supports ``D`` from below on ``(-inf, g]``, so meeting
+        points sit at breakpoints of the non-negative difference (or fill
+        whole segments whose endpoints then vanish too).  When the
+        difference is identically zero on the whole left tail the literal
+        infimum would be unbounded; the convention here returns the right
+        end of that initial zero run (equal to ``g`` itself when the gap
+        vanishes identically, as for equal marginals).  The kernel is
+        unaffected: this happens only in degenerate configurations.
+        """
+        d_xs = self._d[0]
+        cand = np.append(d_xs[d_xs <= g + POS_EPS], g)
+        diff = self.gap(cand) - (anchor_y + phi * (cand - g))
+        zero = diff <= eps
+        if not zero.any():
+            raise RuntimeError(f"ray through ({g}, {anchor_y}) with slope {phi} misses the gap")
+        first = int(np.argmax(zero))
+        if first == 0 and abs(phi) <= 1e-12 and abs(diff[0]) <= eps:
+            run = 0
+            while run + 1 < cand.size and zero[run + 1]:
+                run += 1
+            return float(cand[run])
+        return float(cand[first])

@@ -2,11 +2,50 @@ import numpy as np
 import pytest
 
 from leftcurtain import DiscreteMeasure, random_cx_pair
+from leftcurtain.curtain import POS_EPS
 
 
 def dm(*pairs):
     """Shorthand measure constructor from (position, weight) pairs."""
     return DiscreteMeasure.from_atoms(pairs)
+
+
+def scaled(eta, factor):
+    """``eta`` with every weight multiplied by ``factor``."""
+    return DiscreteMeasure(eta.xs, eta.ws * factor)
+
+
+def measure_sum(a, b):
+    """The sum of two measures; atoms at one position merge."""
+    return DiscreteMeasure(np.concatenate([a.xs, b.xs]), np.concatenate([a.ws, b.ws]))
+
+
+def reassemble(dec):
+    """``(mu, nu)`` put back together from a decomposition's static part and
+    the parts of its components."""
+    mu = nu = dec.static
+    for comp in dec.components:
+        mu = measure_sum(mu, comp.mu_part)
+        nu = measure_sum(nu, comp.nu_part)
+    return mu, nu
+
+
+def interior_zeros(dec):
+    """Component boundaries interior to the overall support."""
+    zeros = {z for comp in dec.components for z in (comp.a, comp.b)}
+    if not zeros:
+        return []
+    lo, hi = min(zeros), max(zeros)
+    return sorted(z for z in zeros if lo < z < hi)
+
+
+def straddle_mass(pi, z):
+    """Joint mass of a coupling on pairs whose source and destination
+    bracket ``z``."""
+    lo = np.minimum(pi.joint_x, pi.joint_y)
+    hi = np.maximum(pi.joint_x, pi.joint_y)
+    mask = (lo < z - POS_EPS) & (hi > z + POS_EPS)
+    return float(pi.joint_w[mask].sum())
 
 
 @pytest.fixture
@@ -29,6 +68,14 @@ def split_pair():
     mu = dm((-1.0, 0.5), (1.0, 0.5))
     nu = dm((-2.0, 0.25), (0.0, 0.5), (2.0, 0.25))
     return mu, nu
+
+
+def bank_instance(seed):
+    """Pair ``seed`` of the acceptance bank: up to 8 source and 14 target atoms."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 9))
+    steps = int(rng.integers(0, min(6, 14 - m) + 1))
+    return random_cx_pair(seed, m, steps)
 
 
 def random_instance(seed, max_atoms=8, max_steps=6):

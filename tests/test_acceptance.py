@@ -23,29 +23,20 @@ from leftcurtain import (
     curtain_incremental,
     decompose,
     joint_tv,
-    point_construction,
     put_potential,
     quantize_density,
     restricted_measure,
     sample_y_many,
     shadow,
-    shadow_lp,
     td_tu,
     verify_left_monotone,
     verify_marginal_identity,
 )
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
-from leftcurtain.measures import random_cx_pair
-from conftest import barrier_instance
+from leftcurtain.oracle import PairReference, shadow_lp
+from conftest import bank_instance, barrier_instance, interior_zeros, scaled, straddle_mass
 
 N_INSTANCES = 500
-
-
-def _bank_instance(seed):
-    rng = np.random.default_rng(seed)
-    m = int(rng.integers(1, 9))
-    steps = int(rng.integers(0, min(6, 14 - m) + 1))
-    return random_cx_pair(seed, m, steps)
 
 
 @pytest.fixture(scope="module")
@@ -54,7 +45,7 @@ def bank():
     instances = []
     t0 = time.time()
     for seed in range(N_INSTANCES):
-        mu, nu = _bank_instance(seed)
+        mu, nu = bank_instance(seed)
         assert mu.n_atoms <= 8 and nu.n_atoms <= 14
         table = build_curtain(mu, nu)
         pi = coupling(table, mu)
@@ -88,13 +79,13 @@ def test_criterion_1_oracle_equivalence(bank):
 def test_criterion_2_shadow_formula_vs_lp():
     worst = 0.0
     for seed in range(200):
-        mu, nu = _bank_instance(seed)
+        mu, nu = bank_instance(seed)
         rng = np.random.default_rng(seed + 777)
         for u in rng.uniform(0.02, 0.998, size=5):
             part = restricted_measure(mu, float(u))
-            p_geo = put_potential(shadow(part, nu))
-            p_lp = put_potential(shadow_lp(part, nu))
-            worst = max(worst, float(np.abs(p_geo(nu.xs) - p_lp(nu.xs)).max()))
+            p_geo = put_potential(shadow(part, nu), nu.xs)
+            p_lp = put_potential(shadow_lp(part, nu), nu.xs)
+            worst = max(worst, float(np.abs(p_geo - p_lp).max()))
     ok = worst <= 1e-9
     _line(2, ok, "shadow potential formula vs LP oracle", f"max gap {worst:.3e} <= 1e-9")
     assert ok
@@ -156,14 +147,15 @@ def test_criterion_4_left_monotonicity(bank):
 
 
 def _component_frames(mu, nu, table):
-    """Map component index -> (offset, mass, local mu, local nu)."""
+    """Map component index -> (offset, mass, pointwise reference of the
+    component's probability pair)."""
     dec = decompose(mu, nu)
     frames = {}
     for k, comp in enumerate(dec.components):
         t = table.intervals
         offset = float(t["u_lo"][t["component"] == k].min())
-        frames[k] = (offset, comp.mass, comp.mu_part.scaled(1 / comp.mass),
-                     comp.nu_part.scaled(1 / comp.mass))
+        local = (scaled(comp.mu_part, 1 / comp.mass), scaled(comp.nu_part, 1 / comp.mass))
+        frames[k] = (offset, comp.mass, PairReference(*local))
     return frames
 
 
@@ -208,13 +200,10 @@ def test_criterion_5_phi_laws(bank):
                 length = iv["u_hi"] - iv["u_lo"]
                 u = min(max(u, iv["u_lo"] + length / 4), iv["u_hi"] - length / 4)
                 h = length / 8
-                offset, w, mu_l, nu_l = frames[int(iv["component"])]
+                offset, w, ref = frames[int(iv["component"])]
                 u_l = (u - offset) / w
                 h_l = h / w
-                fd = (
-                    point_construction(mu_l, nu_l, u_l + h_l).phi
-                    - point_construction(mu_l, nu_l, u_l - h_l).phi
-                ) / (2 * h_l)
+                fd = (ref.at(u_l + h_l).phi - ref.at(u_l - h_l).phi) / (2 * h_l)
                 expect = -(iv["s"] - iv["g"]) / (iv["s"] - iv["r"])
                 fd_worst = max(fd_worst, abs(fd - expect))
     ok = lip_worst <= 1e-10 and mono_worst <= 1e-10 and fd_worst <= 1e-6
@@ -232,7 +221,7 @@ def test_criterion_5_phi_laws(bank):
 def test_criterion_6_destination_law_identity():
     worst = 0.0
     for seed in range(100):
-        mu, nu = _bank_instance(seed)
+        mu, nu = bank_instance(seed)
         table = build_curtain(mu, nu)
         worst = max(
             worst,
@@ -247,7 +236,7 @@ def test_criterion_7_monte_carlo_marginal():
     worst = 0.0
     n = 10**6
     for seed in (11, 12, 13, 14, 15):
-        mu, nu = _bank_instance(seed)
+        mu, nu = bank_instance(seed)
         table = build_curtain(mu, nu)
         rng = np.random.default_rng(seed * 1001)
         us = rng.uniform(1e-12, 1.0, size=n)
@@ -270,11 +259,11 @@ def test_criterion_8_barrier_at_interior_zeros():
     for seed in range(50):
         mu, nu = barrier_instance(seed, with_shared_atom=(seed % 2 == 0))
         dec = decompose(mu, nu)
-        zeros = dec.interior_zeros()
+        zeros = interior_zeros(dec)
         assert zeros, "engineered instance lost its interior zero"
         pi = coupling(build_curtain(mu, nu), mu)
         for z in zeros:
-            worst = max(worst, pi.straddle_mass(z))
+            worst = max(worst, straddle_mass(pi, z))
             checked += 1
     ok = worst <= 1e-12
     _line(

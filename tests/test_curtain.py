@@ -3,13 +3,9 @@ import pytest
 
 from leftcurtain import (
     DiscreteMeasure,
-    PiecewiseLinear,
     build_curtain,
     check_convex_order,
     coupling,
-    excess_potential,
-    point_construction,
-    put_potential,
     quantize_density,
     random_cx_pair,
     sample_y,
@@ -21,6 +17,7 @@ from leftcurtain import (
 )
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
 from leftcurtain.decompose import decompose
+from leftcurtain.oracle import PairReference, contact_points
 from conftest import dm, random_instance
 
 
@@ -43,69 +40,72 @@ def single_component_instances(count, start=0):
 class TestExcessPotential:
     def test_two_point_value(self, two_point):
         mu, nu = two_point
-        ep = excess_potential(mu, nu, 0.5)
         # excess at 1: target potential 1 minus restricted potential 0.5
-        assert ep.excess(1.0) == pytest.approx(0.5)
+        assert PairReference(mu, nu).excess(0.5, 1.0) == pytest.approx(0.5)
 
     def test_matches_gap_left_of_quantile(self, three_atom):
         mu, nu = three_atom
-        ep = excess_potential(mu, nu, 0.3)
+        ref = PairReference(mu, nu)
         for k in np.linspace(-4, -1, 9):
-            assert ep.excess(k) == pytest.approx(ep.gap(k), abs=1e-14)
+            assert ref.excess(0.3, k) == pytest.approx(ref.gap(k), abs=1e-14)
         # above the quantile the excess dominates the gap and is convex
         grid = np.linspace(-1, 4, 11)
-        assert np.all(ep.excess(grid) >= ep.gap(grid) - 1e-14)
+        assert np.all(ref.excess(0.3, grid) >= ref.gap(grid) - 1e-14)
 
     def test_near_full_level_approaches_gap(self, three_atom):
         mu, nu = three_atom
-        ep = excess_potential(mu, nu, 1 - 1e-9)
+        ref = PairReference(mu, nu)
         grid = np.linspace(-4, 4, 17)
-        assert np.abs(ep.excess(grid) - ep.gap(grid)).max() <= 1e-8
+        assert np.abs(ref.excess(1 - 1e-9, grid) - ref.gap(grid)).max() <= 1e-8
 
     def test_slope_difference_between_levels(self, three_atom):
         """Right of the larger quantile, the excess at a smaller level
         exceeds the one at a larger level by exactly the level difference
         per unit distance."""
         mu, nu = three_atom
+        ref = PairReference(mu, nu)
+        kinks = np.union1d(mu.xs, nu.xs)
         u, v = 0.3, 0.8
-        e_u = excess_potential(mu, nu, u).excess
-        e_v = excess_potential(mu, nu, v).excess
         for k in (2.0, 3.5, 7.0):
-            su = e_u.one_sided_slopes(k)[1]
-            sv = e_v.one_sided_slopes(k)[1]
+            # the excess is linear from k to the next kink (or k + 1 past the last)
+            k2 = kinks[kinks > k][0] if k < kinks[-1] else k + 1.0
+            su = (ref.excess(u, k2) - ref.excess(u, k)) / (k2 - k)
+            sv = (ref.excess(v, k2) - ref.excess(v, k)) / (k2 - k)
             assert su - sv == pytest.approx(v - u, abs=1e-12)
 
 
 class TestPointConstruction:
     def test_two_point_all_levels(self, two_point):
-        mu, nu = two_point
+        ref = PairReference(*two_point)
         for u in (0.1, 0.5, 0.9):
-            pc = point_construction(mu, nu, u)
+            pc = ref.at(u)
             assert (pc.r, pc.q, pc.g, pc.s) == (-1.0, -1.0, 0.0, 1.0)
             # envelope chord from (-1, 0) to (1, 1 - u)
             assert pc.phi == pytest.approx((1.0 - u) / 2.0)
 
     def test_three_atom_derived_values(self, three_atom):
         # frozen from the incremental-shadow oracle; also hand-checkable
-        mu, nu = three_atom
-        lo = point_construction(mu, nu, 0.25)
+        ref = PairReference(*three_atom)
+        lo = ref.at(0.25)
         assert (lo.r, lo.g, lo.s) == (-3.0, -1.0, 0.0)
-        hi = point_construction(mu, nu, 0.75)
+        hi = ref.at(0.75)
         assert (hi.r, hi.g, hi.s) == (-3.0, 1.0, 3.0)
 
     def test_equal_laws_are_degenerate(self):
         eta = dm((-1.0, 0.5), (1.0, 0.5))
+        ref = PairReference(eta, eta)
         for u in (0.2, 0.5, 0.8):
-            pc = point_construction(eta, eta, u)
+            pc = ref.at(u)
             g = -1.0 if u <= 0.5 else 1.0
             assert (pc.r, pc.q, pc.g, pc.s) == (g, g, g, g)
             assert pc.phi == 0.0
 
     def test_ordering_invariant(self):
         for seed, mu, nu in single_component_instances(10):
+            ref = PairReference(mu, nu)
             rng = np.random.default_rng(seed)
             for u in rng.uniform(0.01, 0.99, size=20):
-                pc = point_construction(mu, nu, float(u))
+                pc = ref.at(float(u))
                 assert pc.r <= pc.q + 1e-12 <= pc.g + 2e-12 <= pc.s + 3e-12
                 # degenerate on one side iff degenerate on the other
                 assert (abs(pc.q - pc.g) < 1e-12) == (abs(pc.s - pc.g) < 1e-12)
@@ -146,9 +146,10 @@ class TestBuildCurtain:
     def test_table_reproduces_point_construction(self):
         for seed, mu, nu in single_component_instances(8):
             table = build_curtain(mu, nu)
+            ref = PairReference(mu, nu)
             rng = np.random.default_rng(seed + 1)
             for u in rng.uniform(1e-4, 1 - 1e-4, size=50):
-                pc = point_construction(mu, nu, float(u))
+                pc = ref.at(float(u))
                 iv = table.intervals[table.locate(float(u))]
                 assert pc.g == pytest.approx(iv["g"], abs=1e-10)
                 assert pc.q == pytest.approx(iv["q"], abs=1e-10)
@@ -169,13 +170,12 @@ class TestBuildCurtain:
 
     def test_contact_points_match_construction(self, three_atom):
         """Envelope contacts around the quantile are exactly (Q, S)."""
-        from leftcurtain import contact_points
-
         mu, nu = three_atom
+        ref = PairReference(mu, nu)
+        kinks = np.union1d(mu.xs, nu.xs)
         for u in (0.25, 0.6, 0.9):
-            ep = excess_potential(mu, nu, u)
-            pc = point_construction(mu, nu, u)
-            x, z = contact_points(ep.excess, ep.hull, pc.g)
+            pc = ref.at(u)
+            x, z = contact_points(kinks, ref.excess(u, kinks), ref.envelope(u, kinks), pc.g)
             assert (x, z) == (pc.q, pc.s)
 
 
@@ -204,37 +204,15 @@ class TestSweepRegressions:
             assert verify_left_monotone(table) == 0, shift
             assert len(table.intervals) == rows, shift
 
-    def test_build_and_verify_construct_no_piecewise_linear(self, monkeypatch):
-        made = []
-        init = PiecewiseLinear.__init__
-
-        def counting_init(self, *args, **kwargs):
-            made.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(PiecewiseLinear, "__init__", counting_init)
-        pairs = [random_instance(seed) for seed in range(20)]
-        pairs.append(
-            (
-                quantize_density([-1.0, 1.0], [0.5, 0.5], 200),
-                quantize_density([-2.0, 2.0], [0.25, 0.25], 200),
-            )
-        )
-        for mu, nu in pairs:
-            table = build_curtain(mu, nu)
-            assert verify_all(table, coupling(table, mu), mu, nu).passed()
-        assert not made
-        put_potential(mu)  # the counter itself works
-        assert made
-
     def test_uniform_200_reproduces_point_construction_on_every_row(self):
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 200)
         nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 200)
         t = build_curtain(mu, nu).intervals
         assert np.all(t["component"] == 0)
+        ref = PairReference(mu, nu)
         for iv in t:
             u = 0.5 * (iv["u_lo"] + iv["u_hi"])
-            pc = point_construction(mu, nu, u)
+            pc = ref.at(u)
             assert (pc.g, pc.q, pc.s) == (iv["g"], iv["q"], iv["s"])
             assert pc.phi == pytest.approx(phi_at(iv, u), abs=1e-10)
             if iv["s"] - iv["r"] > DEGENERATE_KERNEL_EPS:
@@ -385,6 +363,7 @@ class TestPhiLaws:
         """d phi / du matches -(S - G)/(S - R) on splitting intervals."""
         ((_, mu, nu),) = single_component_instances(1, start=start)
         table = build_curtain(mu, nu)
+        ref = PairReference(mu, nu)
         for run in table.nontrivial_runs():
             for idx in run:
                 iv = table.intervals[idx]
@@ -392,10 +371,7 @@ class TestPhiLaws:
                 if h < 1e-9:
                     continue
                 u0 = 0.5 * (iv["u_lo"] + iv["u_hi"])
-                fd = (
-                    point_construction(mu, nu, u0 + h).phi
-                    - point_construction(mu, nu, u0 - h).phi
-                ) / (2 * h)
+                fd = (ref.at(u0 + h).phi - ref.at(u0 - h).phi) / (2 * h)
                 expect = -(iv["s"] - iv["g"]) / (iv["s"] - iv["r"])
                 assert fd == pytest.approx(expect, abs=1e-6)
 
@@ -404,18 +380,16 @@ class TestPhiLaws:
         """phi is the best chord slope from the left and bounds the chords
         to the right: the two closed-form envelope representations."""
         for seed2, mu, nu in single_component_instances(1, start=seed * 37):
-            table = build_curtain(mu, nu)
-            d = put_potential(nu) - put_potential(mu)
+            ref = PairReference(mu, nu)
+            kinks = np.union1d(mu.xs, nu.xs)
             rng = np.random.default_rng(seed2)
             for u in rng.uniform(0.05, 0.95, size=8):
-                pc = point_construction(mu, nu, float(u))
-                ep = excess_potential(mu, nu, float(u))
-                ks = d.xs[d.xs < pc.g - 1e-9]
+                pc = ref.at(float(u))
+                ks = kinks[kinks < pc.g - 1e-9]
                 if ks.size and pc.s > pc.g + 1e-9:
-                    sup = ((ep.excess(pc.s) - d(ks)) / (pc.s - ks)).max()
+                    sup = ((ref.excess(u, pc.s) - ref.gap(ks)) / (pc.s - ks)).max()
                     assert pc.phi == pytest.approx(sup, abs=1e-10)
-                ks_hi = np.union1d(nu.xs, mu.xs)
-                ks_hi = ks_hi[ks_hi > pc.g + 1e-9]
+                ks_hi = kinks[kinks > pc.g + 1e-9]
                 if ks_hi.size:
-                    inf = ((ep.excess(ks_hi) - d(pc.r)) / (ks_hi - pc.r)).min()
+                    inf = ((ref.excess(u, ks_hi) - ref.gap(pc.r)) / (ks_hi - pc.r)).min()
                     assert pc.phi <= inf + 1e-10

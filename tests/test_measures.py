@@ -16,6 +16,7 @@ from leftcurtain import (
     restricted_measure,
 )
 from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values
+from leftcurtain.pwl import evaluate
 from conftest import dm
 
 
@@ -81,23 +82,22 @@ class TestDiscreteMeasure:
 
 class TestPutPotential:
     def test_point_mass(self):
-        p = put_potential(dm((0.0, 1.0)))
-        assert p.slope_left == 0.0 and p.slope_right == 1.0
-        assert p(0.0) == 0.0
+        left, at, right = put_potential(dm((0.0, 1.0)), np.array([-2.0, 0.0, 2.0]))
+        # slope 0 on the left tail and 1 on the right one
+        assert (at - left) / 2.0 == 0.0 and (right - at) / 2.0 == 1.0
+        assert at == 0.0
 
     def test_symmetric_pair(self):
-        p = put_potential(dm((-1.0, 0.5), (1.0, 0.5)))
-        assert p(0.0) == pytest.approx(0.5)
+        assert put_potential(dm((-1.0, 0.5), (1.0, 0.5)), 0.0) == pytest.approx(0.5)
 
     def test_three_thirds(self):
-        p = put_potential(dm((-3.0, 1 / 3), (0.0, 1 / 3), (3.0, 1 / 3)))
-        assert p(0.0) == pytest.approx(1.0)
+        eta = dm((-3.0, 1 / 3), (0.0, 1 / 3), (3.0, 1 / 3))
+        assert put_potential(eta, 0.0) == pytest.approx(1.0)
 
     def test_right_asymptote_encodes_mean(self):
         eta = dm((-2.0, 0.25), (1.0, 0.75))
-        p = put_potential(eta)
         k = 100.0
-        assert p(k) == pytest.approx(eta.mass * k - eta.mean)
+        assert put_potential(eta, k) == pytest.approx(eta.mass * k - eta.mean)
 
     @given(
         st.lists(
@@ -116,7 +116,9 @@ class TestPutPotential:
         )
         got = _put_values(xs, ws, eta.mean / eta.mass, k)
         bound = 1e-12 * np.maximum(1.0, np.abs(k))
-        assert np.all(np.abs(got - put_potential(eta)(k)) <= bound)
+        # linear between the atoms, with the tails 0 and mass * k - mean
+        between = evaluate(xs, put_potential(eta, xs), 0.0, eta.mass, k)
+        assert np.all(np.abs(got - between) <= bound)
         direct = [math.fsum(w * max(p - x, 0.0) for x, w in zip(xs, ws)) for p in k]
         assert np.all(np.abs(got - direct) <= bound)
 
@@ -173,7 +175,6 @@ class TestRestrictedMeasure:
 
     def test_monotone_in_level_and_potential_shape(self):
         eta = dm((-2.0, 0.25), (0.0, 0.5), (1.0, 0.25))
-        p_full = put_potential(eta)
         for u, v in [(0.2, 0.4), (0.4, 0.9), (0.1, 0.95)]:
             pu = restricted_measure(eta, u)
             pv = restricted_measure(eta, v)
@@ -182,10 +183,10 @@ class TestRestrictedMeasure:
                 assert w <= pv.atom_weight(x) + 1e-12
             # potential agrees left of the quantile, linear with slope u right
             g = quantile_left(eta, u)
-            p_u = put_potential(pu)
-            for k in np.linspace(eta.support_left - 1, g, 7):
-                assert p_u(k) == pytest.approx(p_full(k), abs=1e-12)
-            s_minus, s_plus = p_u.one_sided_slopes(g + 1.0)
+            ks = np.linspace(eta.support_left - 1, g, 7)
+            np.testing.assert_allclose(put_potential(pu, ks), put_potential(eta, ks), atol=1e-12)
+            left, at, right = put_potential(pu, g + np.array([0.5, 1.0, 1.5]))
+            s_minus, s_plus = (at - left) / 0.5, (right - at) / 0.5
             assert s_minus == pytest.approx(u) and s_plus == pytest.approx(u)
 
 

@@ -1,0 +1,80 @@
+"""Metamorphic properties of the curtain table.
+
+Scaling every position by ``lam > 0`` maps the coupling covariantly: the
+levels ``u`` stay, the positions ``g, r, q, s`` scale by ``lam``, and
+``phi``, a slope of potentials against positions, stays too.  For a power
+of two every product is exact, so the tables agree bit for bit.  The
+order in which atoms are given, and splitting an atom into two halves at
+one position, do not change the measures, so they leave the table
+identical.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from leftcurtain import DiscreteMeasure, build_curtain, coupling, random_cx_pair, verify_all
+
+pairs = st.builds(
+    random_cx_pair,
+    st.integers(0, 10**6),
+    st.integers(1, 8),
+    st.integers(0, 6),
+)
+
+
+def scaled_table(mu, nu, lam):
+    mu, nu = DiscreteMeasure(mu.xs * lam, mu.ws), DiscreteMeasure(nu.xs * lam, nu.ws)
+    table = build_curtain(mu, nu)
+    assert verify_all(table, coupling(table, mu), mu, nu).passed(), lam
+    return table.intervals
+
+
+@given(pairs, st.floats(-6.0, 6.0))
+@settings(max_examples=80, deadline=None)
+def test_scaling_positions_scales_the_table(pair, log_lam):
+    mu, nu = pair
+    lam = 10.0**log_lam
+    base = build_curtain(mu, nu).intervals
+    t = scaled_table(mu, nu, lam)
+    assert len(t) == len(base)
+    for name in ("u_lo", "u_hi", "phi_lo", "dphi"):
+        assert np.abs(t[name] - base[name]).max() <= 1e-12, name
+    for name in ("g", "r", "q", "s"):
+        assert np.abs(t[name] - lam * base[name]).max() <= 1e-12 * lam, name
+    assert np.array_equal(t["component"], base["component"])
+
+
+@given(pairs, st.integers(-20, 20))
+@settings(max_examples=40, deadline=None)
+def test_scaling_by_a_power_of_two_is_exact(pair, exponent):
+    mu, nu = pair
+    lam = 2.0**exponent
+    base = build_curtain(mu, nu).intervals
+    t = scaled_table(mu, nu, lam)
+    for name in ("u_lo", "u_hi", "phi_lo", "dphi", "component"):
+        assert np.array_equal(t[name], base[name]), name
+    for name in ("g", "r", "q", "s"):
+        assert np.array_equal(t[name], lam * base[name]), name
+
+
+def reshuffled(eta, rng):
+    """The atoms of ``eta`` in a random order, one of them split in two
+    halves at its position."""
+    order = rng.permutation(eta.n_atoms)
+    xs, ws = eta.xs[order], eta.ws[order]
+    j = int(rng.integers(eta.n_atoms))
+    xs = np.append(xs, xs[j])
+    ws = np.append(ws, 0.5 * ws[j])
+    ws[j] *= 0.5
+    return DiscreteMeasure(xs, ws)
+
+
+@given(pairs, st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_atom_order_and_split_atoms_leave_the_table_unchanged(pair, salt):
+    mu, nu = pair
+    rng = np.random.default_rng(salt)
+    base = build_curtain(mu, nu).intervals
+    t = build_curtain(reshuffled(mu, rng), reshuffled(nu, rng)).intervals
+    assert t.tobytes() == base.tobytes()

@@ -1,16 +1,8 @@
 import numpy as np
 import pytest
 
-from leftcurtain import (
-    build_curtain,
-    coupling,
-    curtain_incremental,
-    joint_tv,
-    put_potential,
-    shadow_lp,
-    simplex_solve,
-)
-from leftcurtain.oracle import Infeasible
+from leftcurtain import build_curtain, coupling, curtain_incremental, joint_tv, put_potential
+from leftcurtain.oracle import Infeasible, shadow_lp, simplex_solve
 from conftest import dm, random_instance
 
 
@@ -91,13 +83,11 @@ class TestIncrementalCurtain:
         u0 = float(mu.cum_weights[0])
         u1 = float(mu.cum_weights[1]) if mu.n_atoms > 1 else 1.0
         mid = 0.5 * (u0 + u1)
-        s0 = put_potential(shadow(restricted_measure(mu, u0), nu))
-        s1 = put_potential(
-            shadow(restricted_measure(mu, min(u1, 1 - 1e-12)), nu)
-        )
-        sm = put_potential(shadow(restricted_measure(mu, mid), nu))
         grid = nu.xs
-        np.testing.assert_allclose(sm(grid), 0.5 * (s0(grid) + s1(grid)), atol=1e-10)
+        s0 = put_potential(shadow(restricted_measure(mu, u0), nu), grid)
+        s1 = put_potential(shadow(restricted_measure(mu, min(u1, 1 - 1e-12)), nu), grid)
+        sm = put_potential(shadow(restricted_measure(mu, mid), nu), grid)
+        np.testing.assert_allclose(sm, 0.5 * (s0 + s1), atol=1e-10)
 
 
 class TestCrossValidation:

@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
 
-from leftcurtain import (
-    put_potential,
-    restricted_measure,
-    shadow,
-    shadow_lp,
-)
+from leftcurtain import put_potential, restricted_measure, shadow
+from leftcurtain.oracle import shadow_lp
 from leftcurtain.shadow import ShadowInvalid, _validate
-from conftest import dm, random_instance
+from conftest import bank_instance, dm, random_instance
+from exact_reference import exact_shadow
 
 
 class TestShadowExamples:
@@ -49,9 +46,9 @@ class TestShadowProperties:
             part = restricted_measure(mu, float(u))
             s_geo = shadow(part, nu)
             s_lp = shadow_lp(part, nu)
-            p_geo = put_potential(s_geo)
-            p_lp = put_potential(s_lp)
-            assert np.abs(p_geo(nu.xs) - p_lp(nu.xs)).max() <= 1e-9
+            p_geo = put_potential(s_geo, nu.xs)
+            p_lp = put_potential(s_lp, nu.xs)
+            assert np.abs(p_geo - p_lp).max() <= 1e-9
 
     @pytest.mark.parametrize("seed", range(20))
     def test_shadow_monotone_in_level(self, seed):
@@ -86,10 +83,27 @@ class TestDominationCheck:
     @pytest.mark.parametrize("offset", [-5e-12, 5e-12])
     def test_atom_matched_on_either_side_passes(self, offset):
         s = dm((-1.0, 0.25), (offset, 0.5))
-        _validate(s, self.nu, s, put_potential(s))
+        _validate(s, self.nu, s)
 
     @pytest.mark.parametrize("atom", [(0.0, 0.5 + 1e-9), (0.5, 0.1)])
     def test_atom_above_target_weight_raises(self, atom):
         s = dm((-1.0, 0.25), atom)
         with pytest.raises(ShadowInvalid, match=f"shadow atom \\({atom[0]}, "):
-            _validate(s, self.nu, s, put_potential(s))
+            _validate(s, self.nu, s)
+
+
+def test_shadow_matches_the_exact_rational_reference():
+    """Each weight is within 1e-14 of the exact shadow's, on the same atoms
+    up to weights that small."""
+    worst = 0.0
+    for seed in range(150):
+        mu, nu = bank_instance(seed)
+        rng = np.random.default_rng(seed + 2024)
+        for u in rng.uniform(0.02, 0.998, size=3):
+            part = restricted_measure(mu, float(u))
+            s = shadow(part, nu)
+            got = dict(zip(s.xs.tolist(), s.ws.tolist()))
+            exact = {float(x): float(w) for x, w in exact_shadow(part, nu).items()}
+            for x in got.keys() | exact.keys():
+                worst = max(worst, abs(got.get(x, 0.0) - exact.get(x, 0.0)))
+    assert worst <= 1e-14

@@ -1,0 +1,100 @@
+"""The package's shape: which of its modules import which, and its public names.
+
+The solver modules never import the test references in ``oracle``, and
+only the shadow (and the references) take convex envelopes through
+``pwl``: the curtain builder and the verifiers work without one.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import leftcurtain
+
+SRC = Path(leftcurtain.__file__).parent
+
+SOLVER_MODULES = ("measures", "decompose", "curtain", "shadow", "verify", "cli")
+
+PUBLIC_NAMES = [
+    "CurtainTable",
+    "DecomposeError",
+    "Decomposition",
+    "DiscreteMeasure",
+    "InternalGeometry",
+    "IrreducibleComponent",
+    "LiftedCoupling",
+    "Order",
+    "OrderResult",
+    "ShadowInvalid",
+    "StepMap",
+    "TABLE_DTYPE",
+    "VerificationReport",
+    "build_curtain",
+    "check_convex_order",
+    "coupling",
+    "curtain_incremental",
+    "curve_rows",
+    "decompose",
+    "destination_cdf",
+    "joint_tv",
+    "measure_from_json",
+    "measure_to_json",
+    "put_potential",
+    "quantile_left",
+    "quantize_density",
+    "random_cx_pair",
+    "restricted_measure",
+    "sample_y",
+    "sample_y_many",
+    "shadow",
+    "td_tu",
+    "verify_all",
+    "verify_coupling",
+    "verify_left_monotone",
+    "verify_marginal_identity",
+    "verify_shadow_consistency",
+]
+
+
+def package_imports(module):
+    """The modules of the package that ``module``'s source imports."""
+    found = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "leftcurtain":
+                    continue
+                parts = parts[1:]
+            if parts and parts[0]:
+                found.add(parts[0])
+            else:  # ``from . import oracle`` names the module among the imported names
+                found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                if parts[0] == "leftcurtain" and len(parts) > 1:
+                    found.add(parts[1])
+    return found
+
+
+def test_every_module_is_classified():
+    modules = {path.stem for path in SRC.glob("*.py")}
+    assert modules == {*SOLVER_MODULES, "oracle", "pwl", "__init__"}
+
+
+@pytest.mark.parametrize("module", SOLVER_MODULES)
+def test_solver_modules_do_not_import_the_oracle(module):
+    assert "oracle" not in package_imports(module)
+
+
+def test_only_the_shadow_and_the_references_take_envelopes():
+    users = {m for m in (*SOLVER_MODULES, "oracle") if "pwl" in package_imports(m)}
+    assert users == {"shadow", "oracle"}
+
+
+def test_public_names_are_the_listed_ones_and_resolve():
+    assert leftcurtain.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert hasattr(leftcurtain, name), name
