@@ -32,10 +32,7 @@ from functools import cached_property
 import numpy as np
 
 from .decompose import Decomposition, decompose
-from .measures import DiscreteMeasure, _put_values
-
-#: positions closer than this are considered the same point of the line
-POS_EPS = 1e-11
+from .measures import POS_EPS, DiscreteMeasure, _put_values
 
 #: kernels with spread below this emit a point mass at the current quantile
 DEGENERATE_KERNEL_EPS = 1e-13
@@ -61,9 +58,14 @@ class InternalGeometry(RuntimeError):
 # -- curtain table ---------------------------------------------------------
 
 
-def _trivial(rows: np.ndarray) -> np.ndarray:
-    """Mask of the point-kernel rows of a table."""
-    return rows["s"] - rows["r"] <= DEGENERATE_KERNEL_EPS
+def _two_point(x, r, s):
+    """The kernels of rows ``(x, r, s)``: per row the lower destination, the
+    share of the row's mass sent there, ``(s - x) / (s - r)``, and whether
+    the kernel splits.  A point kernel (``s - r <= DEGENERATE_KERNEL_EPS``)
+    sends its whole mass to ``x``, so its upper share is exactly 0."""
+    split = s - r > DEGENERATE_KERNEL_EPS
+    share = np.where(split, (s - x) / np.where(split, s - r, 1.0), 1.0)
+    return np.where(split, r, x), share, split
 
 
 def _phi_on(t: np.ndarray, u, rows=slice(None)):
@@ -130,19 +132,16 @@ class CurtainTable:
         return np.concatenate(([self.intervals["u_lo"][0]], self.intervals["u_hi"]))
 
     @cached_property
-    def _lower_branch(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per row, the lower destination and the share of the row's mass
-        sent there: ``(r, (s - g) / (s - r))``, or ``(g, 1)`` on point kernels."""
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_two_point` of the rows ``(g, r, s)``."""
         t = self.intervals
-        split = ~_trivial(t)
-        share = np.where(split, (t["s"] - t["g"]) / np.where(split, t["s"] - t["r"], 1.0), 1.0)
-        return np.where(split, t["r"], t["g"]), share
+        return _two_point(t["g"], t["r"], t["s"])
 
     def nontrivial_runs(self) -> list[list[int]]:
         """Maximal index runs where the kernel genuinely splits mass and the
         upper function stays above the next quantile across junctions."""
         t = self.intervals
-        split = ~_trivial(t)
+        split = self._kernels[2]
         joined = np.zeros(len(t), dtype=bool)
         joined[1:] = split[:-1] & (t["g"][1:] < t["s"][:-1] - POS_EPS)
         idx = np.flatnonzero(split)
@@ -308,18 +307,6 @@ class LiftedCoupling:
     def second_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.joint_y.copy(), self.joint_w.copy())
 
-    @cached_property
-    def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per row, the (lower, upper) destinations, their shares of the
-        row's mass, and which of the two exist (a point kernel sends its
-        whole share to ``x`` and has no upper atom)."""
-        _, _, x, r, s = self.intervals.T
-        split = s - r > DEGENERATE_KERNEL_EPS
-        w_r = np.where(split, (s - x) / np.where(split, s - r, 1.0), 1.0)
-        ys = np.column_stack((np.where(split, r, x), s))
-        shares = np.column_stack((w_r, 1.0 - w_r))
-        return ys, shares, np.column_stack((np.ones_like(split), split))
-
     def to_json(self, components=None) -> dict:
         return {
             "components": components if components is not None else [],
@@ -348,7 +335,7 @@ def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
     equal ``(x, y)`` pairs are added in table order.
     """
     t = table.intervals
-    lower, w_r = table._lower_branch
+    lower, w_r, _ = table._kernels
     du = t["u_hi"] - t["u_lo"]
     xs = np.repeat(t["g"], 2)
     ys = np.column_stack((lower, t["s"])).ravel()
@@ -382,7 +369,7 @@ def sample_y(table: CurtainTable, u: float, v: float) -> float:
 def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
     """Vectorised :func:`sample_y` for Monte Carlo use."""
     t = table.intervals
-    lower, share = table._lower_branch
+    lower, share, _ = table._kernels
     idx = np.minimum(np.searchsorted(t["u_hi"], us, side="left"), len(t) - 1)
     return np.where(vs <= share[idx], lower[idx], t["s"][idx])
 

@@ -21,13 +21,18 @@ MASS_TOL = 1e-12
 #: positions closer than this are merged into one atom on construction
 POS_TOL = 1e-12
 
+#: positions closer than this are the same point of the line when atoms are
+#: matched: by :meth:`DiscreteMeasure.atom_index`, in total variation, in
+#: the martingale residual, and between the curtain sweep's kinks
+POS_EPS = 1e-11
+
 
 class DiscreteMeasure:
     """Finite atomic measure: sorted positions ``xs`` and weights ``ws > 0``."""
 
     __slots__ = ("xs", "ws", "__dict__")
 
-    def __init__(self, xs, ws, *, pos_tol: float = POS_TOL):
+    def __init__(self, xs, ws):
         xs = np.asarray(xs, dtype=float).ravel()
         ws = np.asarray(ws, dtype=float).ravel()
         if xs.shape != ws.shape:
@@ -39,7 +44,7 @@ class DiscreteMeasure:
         if xs.size:
             order = np.argsort(xs, kind="stable")
             xs, ws = xs[order], ws[order]
-            xs, ws = _merge_atoms(xs, ws, pos_tol)
+            xs, ws = _merge_atoms(xs, ws, POS_TOL)
             keep = ws > 0
             xs, ws = xs[keep], ws[keep]
         xs.flags.writeable = False
@@ -88,8 +93,8 @@ class DiscreteMeasure:
         out = cw[idx]
         return float(out) if out.ndim == 0 else out
 
-    def atom_index(self, x, pos_tol: float = 1e-11) -> np.ndarray | int:
-        """Index of the atom within ``pos_tol`` of ``x``, the left neighbour
+    def atom_index(self, x) -> np.ndarray | int:
+        """Index of the atom within ``POS_EPS`` of ``x``, the left neighbour
         first, or -1 if there is none; elementwise for an array ``x``."""
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, -1, dtype=np.intp)
@@ -98,20 +103,20 @@ class DiscreteMeasure:
             # i - 1 and i are the neighbours of x; an index out of range clips
             # onto the other one, and the left one, written last, wins
             for j in (np.minimum(i, self.n_atoms - 1), np.maximum(i - 1, 0)):
-                hit = np.abs(self.xs[j] - x) <= pos_tol
+                hit = np.abs(self.xs[j] - x) <= POS_EPS
                 out[hit] = j[hit]
         return int(out) if out.ndim == 0 else out
 
-    def atom_weight(self, x, pos_tol: float = 1e-11) -> np.ndarray | float:
+    def atom_weight(self, x) -> np.ndarray | float:
         """Weight of the atom that :meth:`atom_index` matches to ``x``, or 0
         if there is none; elementwise for an array ``x``."""
-        out = np.append(self.ws, 0.0)[self.atom_index(x, pos_tol)]
+        out = np.append(self.ws, 0.0)[self.atom_index(x)]
         return float(out) if out.ndim == 0 else out
 
-    def tv_distance(self, other: "DiscreteMeasure", pos_tol: float = 1e-11) -> float:
+    def tv_distance(self, other: "DiscreteMeasure") -> float:
         """Total-variation distance (half the L1 weight difference).
 
-        Atoms of the two measures within ``pos_tol`` of the first atom of
+        Atoms of the two measures within ``POS_EPS`` of the first atom of
         their run are identified (the rule of the constructor's merge),
         absorbing float noise in positions produced by hull arithmetic.
         """
@@ -121,7 +126,7 @@ class DiscreteMeasure:
         xs, ws = xs[order], ws[order]
         if xs.size == 0:
             return 0.0
-        _, mw = _merge_atoms(xs, ws, pos_tol)
+        _, mw = _merge_atoms(xs, ws, POS_EPS)
         return 0.5 * float(np.abs(mw).sum())
 
     def __setattr__(self, name, value):
@@ -257,20 +262,20 @@ def _gap_scale(grid: np.ndarray, c: float) -> float:
     return max(1.0, c - float(grid[0]), float(grid[-1]) - c)
 
 
-def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL) -> OrderResult:
+def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     """Convex-order test via potential domination.
 
     Equal mass and mean plus ``P_mu <= P_nu`` at every breakpoint of both
     potentials is sufficient for piecewise-linear potentials, because the
     difference is then non-negative at all of its kinks and vanishes at
     both tails.  The witness is the breakpoint with the most negative gap;
-    a gap fails below ``-tol`` times :func:`_gap_scale`, since potential
+    a gap fails below ``-MASS_TOL`` times :func:`_gap_scale`, since potential
     values, and their rounding, grow with the spread of the positions.
     """
-    return _order_with_gap(mu, nu, tol)[0]
+    return _order_with_gap(mu, nu)[0]
 
 
-def _order_with_gap(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_TOL):
+def _order_with_gap(mu: DiscreteMeasure, nu: DiscreteMeasure):
     """:func:`check_convex_order` together with the grid it evaluated the
     potential gap on and the gap ``P_nu - P_mu`` there (both ``None`` when
     the mass or mean test fails first).
@@ -278,9 +283,9 @@ def _order_with_gap(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_
     The grid is the union of both supports; both potentials are centred
     at ``mu``'s barycentre, which equal means make common to the pair.
     """
-    if abs(mu.mass - nu.mass) > tol:
+    if abs(mu.mass - nu.mass) > MASS_TOL:
         return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass)), None, None
-    if abs(mu.mean - nu.mean) > max(tol, tol * max(1.0, abs(mu.mean))):
+    if abs(mu.mean - nu.mean) > MASS_TOL * max(1.0, abs(mu.mean)):
         return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean)), None, None
     if mu.n_atoms == 0:
         raise ValueError("convex order requires non-empty measures")
@@ -288,9 +293,9 @@ def _order_with_gap(mu: DiscreteMeasure, nu: DiscreteMeasure, tol: float = MASS_
     grid = np.union1d(mu.xs, nu.xs)
     gap = _put_values(nu.xs, nu.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
     worst = int(np.argmin(gap))
-    if gap[worst] < -tol * _gap_scale(grid, c):
+    if gap[worst] < -MASS_TOL * _gap_scale(grid, c):
         order = OrderResult(Order.FAILS, witness=float(grid[worst]), gap=float(-gap[worst]))
-    elif mu.tv_distance(nu) <= tol:
+    elif mu.tv_distance(nu) <= MASS_TOL:
         order = OrderResult(Order.EQUAL_LAW)
     else:
         order = OrderResult(Order.ORDERED)
@@ -321,50 +326,47 @@ def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:
         raise ValueError("density integrates to zero")
     cum = np.concatenate(([0.0], np.cumsum(seg_mass)))
 
-    def _mass_upto(t: float) -> float:
-        """integral of the density on (-inf, t]"""
-        j = int(np.clip(np.searchsorted(xs, t, side="right") - 1, 0, xs.size - 2))
-        a, b = xs[j], xs[j + 1]
-        p, q = pdf[j], pdf[j + 1]
-        s = min(max(t - a, 0.0), b - a)
-        return float(cum[j] + p * s + 0.5 * (q - p) * s * s / (b - a))
+    # every inner cell bound solves mass(t) = total * j / n on the segment
+    # holding that mass: linearly where the density is flat, else by the
+    # quadratic formula
+    target = total * np.arange(1, n) / n
+    j = np.clip(cum.searchsorted(target, side="right") - 1, 0, xs.size - 2)
+    a, p, q = xs[j], pdf[j], pdf[j + 1]
+    h = xs[j + 1] - a
+    m = target - cum[j]
+    slope = (q - p) / h
+    flat = (np.abs(slope) < 1e-300) | (np.abs(slope) * h < 1e-12 * np.maximum(p, 1e-300))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.where(
+            flat,
+            np.where(p > 0, m / p, h),
+            (np.sqrt(np.maximum(p * p + 2.0 * slope * m, 0.0)) - p) / slope,
+        )
+    bounds = np.concatenate(([xs[0]], a + np.minimum(np.maximum(s, 0.0), h), [xs[-1]]))
 
-    def _xmom_upto(t: float) -> float:
-        """integral of x * density on (-inf, t]"""
-        out = 0.0
-        for j in range(xs.size - 1):
-            a, b = xs[j], xs[j + 1]
-            if t <= a:
-                break
-            p, q = pdf[j], pdf[j + 1]
-            h = b - a
-            s = min(t - a, h)
-            m = p * s + 0.5 * (q - p) * s * s / h
-            out += a * m + 0.5 * p * s * s + (q - p) * s**3 / (3.0 * h)
-        return out
+    # first moment up to each bound: the whole segments below it from one
+    # cumulative sum, plus the part of the segment that holds it
+    whole = _segment_moment(xs, pdf, np.arange(xs.size - 1), xs[1:])
+    cum_x = np.cumsum(np.concatenate(([0.0], whole)))
+    k = xs.searchsorted(bounds, side="left")
+    i = np.clip(k - 1, 0, xs.size - 2)
+    xmom = np.where(k > 0, cum_x[i] + _segment_moment(xs, pdf, i, bounds), 0.0)
+    return DiscreteMeasure(np.diff(xmom) / (total / n), np.full(n, 1.0 / n))
 
-    def _invert(target: float) -> float:
-        """solve mass_upto(t) = target"""
-        j = int(np.clip(np.searchsorted(cum, target, side="right") - 1, 0, xs.size - 2))
-        a, b = xs[j], xs[j + 1]
-        p, q = pdf[j], pdf[j + 1]
-        h = b - a
-        m = target - cum[j]
-        slope = (q - p) / h
-        if abs(slope) < 1e-300 or abs(slope) * h < 1e-12 * max(p, 1e-300):
-            s = m / p if p > 0 else h
-        else:
-            disc = p * p + 2.0 * slope * m
-            s = (math.sqrt(max(disc, 0.0)) - p) / slope
-        return float(a + min(max(s, 0.0), h))
 
-    bounds = [xs[0]] + [_invert(total * j / n) for j in range(1, n)] + [xs[-1]]
-    cell = total / n
-    atoms_x = np.empty(n)
-    for j in range(n):
-        xm = _xmom_upto(bounds[j + 1]) - _xmom_upto(bounds[j])
-        atoms_x[j] = xm / cell
-    return DiscreteMeasure(atoms_x, np.full(n, 1.0 / n))
+def _segment_moment(xs, pdf, j, t):
+    """Integral of ``x`` times the density over ``[xs[j], min(t, xs[j + 1])]``
+    on the grid segments ``j``, for ``t > xs[j]``.
+
+    ``s**3`` is taken by the C library's ``pow``, one element at a time:
+    numpy's vectorised power can differ from it in the last bit.
+    """
+    a, p, q = xs[j], pdf[j], pdf[j + 1]
+    h = xs[j + 1] - a
+    s = np.minimum(t - a, h)
+    m = p * s + 0.5 * (q - p) * s * s / h
+    cube = np.array([math.pow(v, 3.0) for v in s.tolist()])
+    return a * m + 0.5 * p * s * s + (q - p) * cube / (3.0 * h)
 
 
 #: mean-preserving split patterns ``(parts_left, parts_right)`` with

@@ -31,8 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .curtain import POS_EPS
 from .measures import (
+    POS_EPS,
     DiscreteMeasure,
     _put_values,
     check_convex_order,

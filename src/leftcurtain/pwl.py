@@ -30,7 +30,7 @@ def evaluate(xs, ys, slope_left, slope_right, k):
     return float(y) if y.ndim == 0 else y
 
 
-def convex_hull(xs, ys, slope_left, slope_right, eps: float = EPS_GEOM):
+def convex_hull(xs, ys, slope_left, slope_right):
     """Vertices ``(hx, hy)`` of the lower convex envelope of a function.
 
     Runs a monotone-chain lower-hull scan over the breakpoints, then clips
@@ -42,7 +42,7 @@ def convex_hull(xs, ys, slope_left, slope_right, eps: float = EPS_GEOM):
     breakpoint of the function.  O(n) on the sorted breakpoints and exact
     for piecewise-linear input.
     """
-    if slope_left > slope_right + eps:
+    if slope_left > slope_right + EPS_GEOM:
         raise ValueError("no finite convex minorant: slope_left > slope_right")
     xs = np.asarray(xs, dtype=float).tolist()
     ys = np.asarray(ys, dtype=float).tolist()
@@ -54,7 +54,7 @@ def convex_hull(xs, ys, slope_left, slope_right, eps: float = EPS_GEOM):
     for x, y in zip(xs[1:], ys[1:]):
         while True:
             s_out = (y - hy[-1]) / (x - hx[-1])
-            if hs[-1] < s_out - eps:
+            if hs[-1] < s_out - EPS_GEOM:
                 break
             hx.pop()
             hy.pop()
@@ -68,7 +68,7 @@ def convex_hull(xs, ys, slope_left, slope_right, eps: float = EPS_GEOM):
     def _anchor(slope, leftmost):
         vals = hy_arr - slope * hx_arr
         m = vals.min()
-        idx = np.flatnonzero(vals <= m + eps * max(1.0, abs(m)))
+        idx = np.flatnonzero(vals <= m + EPS_GEOM * max(1.0, abs(m)))
         return int(idx[0]) if leftmost else int(idx[-1])
 
     i_l = _anchor(slope_left, leftmost=True)

@@ -27,14 +27,14 @@ class ShadowInvalid(ValueError):
     order, or numerics broke down."""
 
 
-def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure, *, validate: bool = True) -> DiscreteMeasure:
+def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Shadow of ``mu`` in ``nu`` via the potential formula.
 
     Each weight is the ``nu`` weight minus the slope jump of the envelope
     of ``P_nu - P_mu`` at that point; weights up to 1e-13 are dropped, and
     a weight below -1e-9 (an envelope kink heavier than the target atom
-    under it, or a kink off ``nu``'s atoms) raises.  When ``validate`` is
-    set, checks the three defining properties: domination by ``nu`` atom
+    under it, or a kink off ``nu``'s atoms) raises.  The result is then
+    checked for the three defining properties: domination by ``nu`` atom
     by atom, convex-order domination of ``mu``, and exact mass/mean
     agreement with ``mu``.
     """
@@ -66,8 +66,7 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure, *, validate: bool = True) -
         )
     keep = ws > 1e-13
     result = DiscreteMeasure(grid[keep], ws[keep])
-    if validate:
-        _validate(mu, nu, result)
+    _validate(mu, nu, result)
     return result
 
 

@@ -43,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curtain import CurtainTable, LiftedCoupling
-from .measures import DiscreteMeasure, _run_starts
+from .curtain import CurtainTable, LiftedCoupling, _two_point
+from .measures import POS_EPS, DiscreteMeasure, _run_starts
 
 #: default residual tolerance for exact-arithmetic checks
 DEFAULT_TOL = 1e-9
@@ -101,11 +101,11 @@ def verify_coupling(
     rep.record("marginal_mu_tv", rep.marginal_mu_tv, tol)
     rep.record("marginal_nu_tv", rep.marginal_nu_tv, tol)
 
-    # sources within 1e-11 of the first of their run are one atom; bincount
+    # sources within POS_EPS of the first of their run are one atom; bincount
     # adds each run's moments in order
     order = np.argsort(pi.joint_x, kind="stable")
     xs = pi.joint_x[order]
-    starts = _run_starts(xs, 1e-11)
+    starts = _run_starts(xs, POS_EPS)
     run = np.cumsum(starts) - 1
     moments = (pi.joint_y[order] - xs[starts][run]) * pi.joint_w[order]
     residual = float(np.abs(np.bincount(run, weights=moments)).max(initial=0.0))
@@ -160,7 +160,7 @@ def destination_cdf(table: CurtainTable, y):
     flat = y.ravel()
     v = table.s_inverse(flat)
     t = table.intervals
-    lower, share = table._lower_branch
+    lower, share, _ = table._kernels
     above = t["u_hi"].searchsorted(v, side="right")  # per y, first row with u_hi > v
     rows = np.arange(len(t))
     total = np.empty(flat.size)
@@ -269,11 +269,12 @@ def verify_shadow_consistency(
     wrong_x = (mass - np.where(i >= 0, np.clip(on_atom, 0.0, mass), 0.0)).sum()
     bad_kernel = mass[~((r <= x) & (x <= s))].sum()
 
-    # (ii) the rows' second marginal; the last bin collects unmatched destinations
-    ys, shares, exists = pi._kernels
-    sent = mass[:, None] * shares
-    live = exists & (sent > 0)
-    k = nu.atom_index(ys)
+    # (ii) the rows' second marginal; the last bin collects unmatched
+    # destinations, and a point kernel sends nothing to its upper one
+    lower, share, _ = _two_point(x, r, s)
+    sent = mass[:, None] * np.column_stack((share, 1.0 - share))
+    live = sent > 0
+    k = nu.atom_index(np.column_stack((lower, s)))
     n = nu.n_atoms
     got = np.bincount(np.where(k >= 0, k, n)[live], weights=sent[live], minlength=n + 1)
     tv = 0.5 * np.abs(got - np.append(nu.ws, 0.0)).sum()

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from leftcurtain import DiscreteMeasure, random_cx_pair
-from leftcurtain.curtain import POS_EPS
+from leftcurtain.measures import POS_EPS
 
 
 def dm(*pairs):

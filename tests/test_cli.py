@@ -264,6 +264,27 @@ def test_order_failure_exit_code(tmp_path):
     assert rc == EXIT_ORDER
 
 
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # the pair is checked before the coupling file is read, which is not JSON
+        ["verify", "--coupling", "bad.json"],
+        ["sample", "--n", "10", "--seed", "0"],
+        ["decompose"],
+    ],
+    ids=["verify", "sample", "decompose"],
+)
+def test_order_failure_exit_code_of_every_pair_command(tmp_path, monkeypatch, capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(dm((-1.0, 0.5), (1.0, 0.5)))))
+    (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(dm((0.0, 1.0)))))
+    (tmp_path / "bad.json").write_text("{not json")
+    rc = main([extra[0], "--mu", "mu.json", "--nu", "nu.json", *extra[1:], "--out", "out"])
+    assert rc == EXIT_ORDER
+    assert "not in convex order" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_non_finite_atom_is_an_input_error(tmp_path):
     mu_path = tmp_path / "mu.json"
     nu_path = tmp_path / "nu.json"

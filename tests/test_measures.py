@@ -1,8 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from leftcurtain import (
@@ -18,6 +19,7 @@ from leftcurtain import (
 from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values
 from leftcurtain.pwl import evaluate
 from conftest import dm
+from quantize_reference import quantize_reference
 
 
 class TestDiscreteMeasure:
@@ -65,7 +67,7 @@ class TestDiscreteMeasure:
         np.testing.assert_allclose(mw, out_w, rtol=0.0, atol=1e-14)
 
     def test_atom_weight_of_array_matches_scalar_calls(self):
-        # the left neighbour wins when both are within pos_tol
+        # the left neighbour wins when both are within POS_EPS
         eta = dm((0.0, 0.1), (5e-12, 0.4), (1.0, 0.5))
         x = np.array([2.5e-12, 5e-12 + 8e-12, -5e-12, 0.5, 1.0 + 5e-12, -1.0, 2.0])
         assert eta.atom_weight(x).tolist() == [0.1, 0.4, 0.1, 0.0, 0.5, 0.0, 0.0]
@@ -240,6 +242,89 @@ class TestQuantizeDensity:
     def test_rejects_zero_mass(self):
         with pytest.raises(ValueError):
             quantize_density([0.0, 1.0], [0.0, 0.0], 4)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 50, 64, 200, 500, 1000, 2000, 16000])
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ([-1.0, 1.0], [0.5, 0.5]),
+            ([-2.0, 2.0], [0.25, 0.25]),
+            ([-2.0, 0.0, 2.0], [0.25, 0.25, 0.25]),
+            ([0.0, 1.0, 2.0], [0.0, 1.0, 0.0]),
+        ],
+    )
+    def test_uniform_and_three_point_grids_equal_the_scalar_reference_bitwise(self, grid, n):
+        q = quantize_density(*grid, n)
+        assert q.xs.tobytes() == quantize_reference(*grid, n).tobytes()
+        assert q.ws.tobytes() == np.full(n, 1.0 / n).tobytes()
+
+    def test_multi_segment_grids_match_the_scalar_reference(self):
+        xs = np.linspace(-5.0, 5.0, 201)
+        grids = [
+            (xs, np.exp(-0.5 * xs**2), 200),
+            ([0.0, 1.0, 2.0, 3.0], [1.0, 0.0, 0.0, 1.0], 50),  # a zero-density gap
+            ([-1.0, 0.0, 0.5, 2.0, 2.5], [0.0, 3.0, 0.5, 0.5, 2.0], 77),
+        ]
+        for xs_, pdf, n in grids:
+            _assert_within_ulps(quantize_density(xs_, pdf, n).xs, quantize_reference(xs_, pdf, n))
+
+    def test_large_grid_quantises_without_a_pass_per_cell(self):
+        # the scalar reference sums every grid segment again for each cell
+        # bound, which takes seconds here
+        xs = np.linspace(-5.0, 5.0, 2001)
+        pdf = np.exp(-0.5 * xs**2) / math.sqrt(2.0 * math.pi)
+        start = time.perf_counter()
+        q = quantize_density(xs, pdf, 2000)
+        assert time.perf_counter() - start < 0.5
+        assert q.n_atoms == 2000
+
+
+@st.composite
+def grid_densities(draw):
+    """Piecewise-linear densities on up to 8 grid points with integer
+    values, so zero-density segments and gaps are common, and a cell count."""
+    m = draw(st.integers(2, 8))
+    steps = draw(st.lists(st.integers(1, 12), min_size=m - 1, max_size=m - 1))
+    start = draw(st.integers(-20, 20))
+    xs = (start + np.concatenate(([0], np.cumsum(steps)))) / 4.0
+    pdf = np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
+    assume((0.5 * (pdf[1:] + pdf[:-1]) * np.diff(xs)).sum() > 0)
+    return xs, pdf, draw(st.integers(1, 60))
+
+
+def _density_cdf_and_mean(xs, pdf, t):
+    """Distribution function at ``t`` and mean of the normalised density,
+    from the closed-form integrals over each segment."""
+    a, b, p, q = xs[:-1], xs[1:], pdf[:-1], pdf[1:]
+    h = b - a
+    total = float((0.5 * (p + q) * h).sum())
+    s = np.clip(np.asarray(t, dtype=float)[..., None] - a, 0.0, h)
+    cdf = (p * s + 0.5 * (q - p) * s * s / h).sum(axis=-1) / total
+    mean = float((h * (a * (2.0 * p + q) + b * (p + 2.0 * q)) / 6.0).sum()) / total
+    return cdf, mean
+
+
+def _assert_within_ulps(got, want, ulps=4):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+
+
+@given(grid_densities())
+@settings(max_examples=200, deadline=None)
+def test_quantisation_cells(density):
+    xs, pdf, n = density
+    q = quantize_density(xs, pdf, n)
+    # n strictly increasing atoms of weight 1/n
+    assert q.n_atoms == n
+    assert np.all(q.ws == 1.0 / n)
+    assert np.all(np.diff(q.xs) > 0)
+    # atom j is the barycentre of the j-th cell of mass 1/n, so it lies in it
+    cdf, mean = _density_cdf_and_mean(xs, pdf, q.xs)
+    j = np.arange(n)
+    assert np.all(cdf >= j / n - 1e-12)
+    assert np.all(cdf <= (j + 1) / n + 1e-12)
+    assert q.mean == pytest.approx(mean, abs=1e-12 * max(1.0, abs(xs[0]), abs(xs[-1])))
+    _assert_within_ulps(q.xs, quantize_reference(xs, pdf, n))
 
 
 class TestRandomCxPair:

@@ -98,3 +98,17 @@ def test_public_names_are_the_listed_ones_and_resolve():
     assert leftcurtain.__all__ == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert hasattr(leftcurtain, name), name
+
+
+def test_cli_leaves_the_order_check_to_the_build():
+    # build_curtain and decompose check convex order and raise DecomposeError
+    # (exit 3), so the command line does not check it a second time
+    tree = ast.parse((SRC / "cli.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "check_convex_order" not in imported | used

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from leftcurtain import build_curtain, coupling, destination_cdf, verify_left_monotone
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, POS_EPS, CurtainTable
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
+from leftcurtain.measures import POS_EPS
 from leftcurtain.verify import MONO_EPS
 from conftest import random_instance
 
