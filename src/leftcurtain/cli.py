@@ -30,14 +30,7 @@ import sys
 
 import numpy as np
 
-from .curtain import (
-    LiftedCoupling,
-    _assemble_table,
-    build_curtain,
-    coupling,
-    curve_rows,
-    sample_y_many,
-)
+from .curtain import LiftedCoupling, build_curtain, coupling, curve_rows, sample_y_many
 from .decompose import DecomposeError, Decomposition, decompose
 from .measures import DiscreteMeasure, measure_from_json, measure_to_json, quantile_left
 from .shadow import ShadowInvalid, shadow
@@ -103,11 +96,8 @@ def _cmd_shadow(args) -> int:
 
 def _cmd_curtain(args) -> int:
     mu, nu = _load_pair(args)
-    if args.components:
-        dec = decompose(mu, nu)
-        table, components = _assemble_table(dec), _components_payload(dec)
-    else:
-        table, components = build_curtain(mu, nu), []
+    table = build_curtain(mu, nu)
+    components = _components_payload(decompose(mu, nu)) if args.components else []
     pi = coupling(table, mu)
     _write_text(args.out, json.dumps(pi.to_json(components=components), indent=2))
     if args.curves:

@@ -16,10 +16,10 @@ solve linear equations.  The table builder sweeps the levels of each
 source atom once from left to right: a point kernel up to the closed-form
 detachment level, then a chord whose contacts move outwards each time a
 kink pierces it.  No hull is rebuilt, and no root finding or
-discretisation in ``u`` is involved.  The builder reads the potentials as
-plain arrays, evaluated once per component from cumulative weights and
-centred moments.  The pointwise reference, which computes the same data
-at one level from the envelope itself, is
+discretisation in ``u`` is involved.  The sweep runs once over the whole
+pair, in its global quantile levels, and reads the potentials as prefix
+sums of segment rises.  The pointwise reference, which computes the same
+data at one level from the envelope itself, is
 :class:`leftcurtain.oracle.PairReference`.
 """
 
@@ -31,19 +31,19 @@ from functools import cached_property
 
 import numpy as np
 
-from .decompose import Decomposition, decompose
-from .measures import POS_EPS, DiscreteMeasure, _put_values
+from .decompose import DecomposeError
+from .measures import MASS_TOL, POS_EPS, DiscreteMeasure, check_convex_order
 
 #: kernels with spread below this emit a point mass at the current quantile
 DEGENERATE_KERNEL_EPS = 1e-13
 
-#: piercing levels (and tangent slopes) closer than this are one sweep event
+#: piercing levels (and tangent slopes) closer than this are one sweep
+#: event; levels are the pair's global quantile levels
 TIE_EPS = 1e-12
 
 #: row layout of :attr:`CurtainTable.intervals`
 TABLE_DTYPE = np.dtype(
     [(name, np.float64) for name in ("u_lo", "u_hi", "g", "r", "q", "s", "phi_lo", "dphi")]
-    + [("component", np.int64)]
 )
 
 #: column names of :attr:`LiftedCoupling.intervals` and of its JSON rows
@@ -83,8 +83,7 @@ class CurtainTable:
     (``s - r <= DEGENERATE_KERNEL_EPS``) store ``r = q = g = s``; on the
     other rows ``r`` equals ``q`` in the interior of the interval, and
     pointwise queries at exact breakpoints follow the left-limit
-    convention.  ``component`` is the irreducible component of the row,
-    ``-1`` for static atoms.
+    convention.
     """
 
     intervals: np.ndarray
@@ -151,11 +150,27 @@ class CurtainTable:
         return [run.tolist() for run in np.split(idx, cuts)]
 
 
-def _component_table(
-    xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray
-) -> list[tuple]:
-    """Curtain rows of one irreducible component with probability marginals:
-    source atoms ``(xs, ws)`` and target atoms ``(ys, vs)``.
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``x`` from 0, as rows ``(sums, compensations)``: the
+    plain prefix sums and the prefix sums of their rounding errors, each
+    error exact by TwoSum (Ogita, Rump and Oishi 2005, Sum2).  Read them
+    with :func:`_rise`."""
+    s = np.concatenate(([0.0], np.cumsum(x)))
+    b = s[1:] - s[:-1]
+    err = (s[:-1] - (s[1:] - b)) + (x - b)
+    return np.stack((s, np.concatenate(([0.0], np.cumsum(err)))))
+
+
+def _rise(end, start):
+    """``end - start`` for columns of :func:`_prefix_sums`.  Sums close to
+    each other subtract exactly, so the difference is accurate relative to
+    its own size, not to the size of the sums."""
+    return (end[0] - start[0]) + (end[1] - start[1])
+
+
+def _sweep(xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray) -> list[tuple]:
+    """Curtain rows of the probability pair with source atoms ``(xs, ws)``
+    and target atoms ``(ys, vs)``.
 
     One left-to-right sweep over the levels of each source atom ``x_i``.
     On the atom's quantile interval the excess potential is the gap ``D``
@@ -169,34 +184,46 @@ def _component_table(
     simultaneous piercings becomes the new contact.  ``q`` only moves left
     and ``s`` only right, so every atom ends after finitely many steps.
     The chord an atom ends with carries over to the next atom if it spans
-    that atom; otherwise the next atom starts as a point kernel.
+    that atom; otherwise the next atom starts as a point kernel.  Where
+    ``D`` vanishes the envelope touches, so the sweep passes from one
+    irreducible component to the next through point kernels.
 
-    The potentials enter only through ``D`` at the kinks, ``P_nu`` at the
-    target atoms and ``P_mu`` at the source atoms, each read once from the
-    centred evaluator :func:`~leftcurtain.measures._put_values`.  Rows are
-    tuples ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the component's
-    own quantile levels.
+    The potentials enter only through differences that the sweep divides
+    by kink gaps: of ``D`` between kinks, and of ``P_nu`` from ``x_i`` or
+    a target atom to a target atom (the chord's rise ``A(s) - D(q)`` is
+    ``P_nu(s) - P_nu(x_i) + D(x_i) - D(q)``).  Both potentials are prefix
+    sums of segment rises, cumulative weight times kink gap, from the left
+    end of the support, where they vanish.  ``P_nu`` grows with the
+    distance from there, far beyond the differences read from it, so its
+    sums carry compensations (:func:`_prefix_sums`).  Rows are tuples
+    ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the pair's quantile
+    levels.
     """
-    c = float((xs * ws).sum() / ws.sum())
     kinks = np.union1d(xs, ys)
-    d = _put_values(ys, vs, c, kinks) - _put_values(xs, ws, c, kinks)
-    p_nu_ys = _put_values(ys, vs, c, ys)
-    p_mu_xs = _put_values(xs, ws, c, xs).tolist()
+    h = np.diff(kinks)
+    at_x, at_y = kinks.searchsorted(xs), kinks.searchsorted(ys)
     cum = np.concatenate(([0.0], np.cumsum(ws)))
-    cum[-1] = 1.0
+    f_mu = cum[xs.searchsorted(kinks[:-1], side="right")]
+    f_nu = np.concatenate(([0.0], np.cumsum(vs)))[ys.searchsorted(kinks[:-1], side="right")]
+    d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * h)))
+    p_nu = _prefix_sums(f_nu * h)
+    p_nu_ys = p_nu[:, at_y]
+    # scalars are read as Python floats, which is faster than numpy's
+    levels, kink_at, y_at, d_at = cum.tolist(), kinks.tolist(), ys.tolist(), d.tolist()
+    levels[-1] = 1.0
+    p_nu_x, p_nu_y = p_nu[:, at_x].T.tolist(), p_nu_ys.T.tolist()
 
     rows: list[tuple] = []
     q = s = -1  # chord contacts as indices into ``kinks`` and ``ys``; -1: none
     for i, xi in enumerate(xs.tolist()):
-        lo, hi = float(cum[i]), float(cum[i + 1])
-        a = p_nu_ys - p_mu_xs[i]
+        lo, hi = levels[i], levels[i + 1]
         first_right = int(ys.searchsorted(xi + POS_EPS, side="right"))
         u = lo
+        d_xi, p_nu_xi = d_at[at_x[i]], p_nu_x[i]
         if s < first_right:  # no chord spans x_i: point kernel until detachment
-            d_xi = float(d[kinks.searchsorted(xi)])
             n_left = int(kinks.searchsorted(xi - POS_EPS, side="left"))
             left = (d_xi - d[:n_left]) / (xi - kinks[:n_left])
-            right = (a[first_right:] - d_xi) / (ys[first_right:] - xi)
+            right = _rise(p_nu_ys[:, first_right:], p_nu_xi) / (ys[first_right:] - xi)
             sigma = max(0.0, float(left.max())) if n_left else 0.0
             u_detach = float(right.min()) - sigma if right.size else math.inf
             if u_detach >= hi - TIE_EPS:
@@ -212,71 +239,50 @@ def _component_table(
             q = int(np.flatnonzero(left >= left.max() - TIE_EPS)[0])
             s = first_right + int(np.flatnonzero(right <= right.min() + TIE_EPS)[-1])
         while True:
-            x_q, x_s, d_q, a_s = kinks[q], ys[s], d[q], a[s]
+            x_q, x_s, d_q = kink_at[q], y_at[s], d_at[q]
             span = x_s - x_q
-            phi_a = (a_s - d_q) / span
+            phi_a = (_rise(p_nu_y[s], p_nu_xi) + (d_xi - d_q)) / span
             phi_b = (x_s - xi) / span
-            # piercing levels: phi(u) meets the chord slope of each outer kink
-            left = (phi_a - (d_q - d[:q]) / (x_q - kinks[:q])) / phi_b
-            right = ((a[s + 1 :] - a_s) / (ys[s + 1 :] - x_s) - phi_a) * (span / (xi - x_q))
-            nxt = min(left.min(initial=math.inf), right.min(initial=math.inf))
+            scale = span / (xi - x_q)
+            # chord slopes to the outer kinks; a kink pierces when phi(u)
+            # falls to its slope, at a level monotone in the slope, so only
+            # the extreme slope of each side is turned into a level at once
+            left_slope = (d_q - d[:q]) / (x_q - kinks[:q])
+            right_slope = _rise(p_nu_ys[:, s + 1 :], p_nu_ys[:, s]) / (ys[s + 1 :] - x_s)
+            left_min = (phi_a - left_slope.max(initial=-math.inf)) / phi_b
+            right_min = (right_slope.min(initial=math.inf) - phi_a) * scale
+            nxt = min(left_min, right_min)
             if nxt >= hi - TIE_EPS:  # the chord lasts to the end of the atom
                 rows.append((u, hi, xi, x_q, x_q, x_s, phi_a - phi_b * u, -phi_b))
                 break
             if nxt > u + TIE_EPS:
                 rows.append((u, nxt, xi, x_q, x_q, x_s, phi_a - phi_b * u, -phi_b))
                 u = nxt
-            hit = np.flatnonzero(left <= nxt + TIE_EPS)
-            if hit.size:
-                q = int(hit[0])
-            hit = np.flatnonzero(right <= nxt + TIE_EPS)
-            if hit.size:
-                s += 1 + int(hit[-1])
+            if left_min <= nxt + TIE_EPS:
+                q = int(np.flatnonzero((phi_a - left_slope) / phi_b <= nxt + TIE_EPS)[0])
+            if right_min <= nxt + TIE_EPS:
+                s += 1 + int(np.flatnonzero((right_slope - phi_a) * scale <= nxt + TIE_EPS)[-1])
     return rows
 
 
 def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
-    """Exact curtain table for a convex-ordered atomic pair.
+    """Exact curtain table for a pair of probability measures in convex order.
 
-    The pair is first split into irreducible components; each component is
-    solved in its own normalised coordinates and mapped back into global
-    quantile levels (which rescales ``phi`` by the component mass), while
-    static atoms contribute point-kernel rows in between.
+    One sweep over the whole pair in its global quantile levels: where
+    the potential gap vanishes the sweep passes through point kernels, so
+    irreducible components and static atoms need no separate treatment.
+    Raises ``ValueError`` unless ``mu`` has unit mass and
+    :class:`~leftcurtain.decompose.DecomposeError` unless the pair is in
+    convex order.
     """
-    return _assemble_table(decompose(mu, nu))
-
-
-def _assemble_table(dec: Decomposition) -> CurtainTable:
-    """The curtain table of a decomposed pair (see :func:`build_curtain`)."""
-    pieces: list[tuple[float, int, object]] = []
-    for x, w in zip(dec.static.xs, dec.static.ws):
-        pieces.append((float(x), 0, (float(x), float(w))))
-    for comp in dec.components:
-        pieces.append((comp.a, 1, comp))
-    pieces.sort(key=lambda t: (t[0], t[1]))
-
-    rows: list[tuple] = []
-    offset = 0.0
-    comp_index = 0
-    for _, kind, payload in pieces:
-        if kind == 0:
-            x, w = payload
-            rows.append((offset, offset + w, x, x, x, x, 0.0, 0.0, -1))
-            offset += w
-        else:
-            comp = payload
-            w = comp.mass
-            mu_part, nu_part = comp.mu_part, comp.nu_part
-            local = _component_table(mu_part.xs, mu_part.ws / w, nu_part.xs, nu_part.ws / w)
-            for u_lo, u_hi, g, r, q, s, phi_lo, dphi in local:
-                rows.append(
-                    (offset + w * u_lo, offset + w * u_hi, g, r, q, s, w * phi_lo, dphi, comp_index)
-                )
-            offset += w
-            comp_index += 1
-    if not rows:
-        raise ValueError("empty inputs")
-    table = np.array(rows, dtype=TABLE_DTYPE)
+    if abs(mu.mass - 1.0) > MASS_TOL:
+        raise ValueError(f"inputs must be probability measures, mass={mu.mass}")
+    order = check_convex_order(mu, nu)
+    if not order:
+        raise DecomposeError(
+            f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
+        )
+    table = np.array(_sweep(mu.xs, mu.ws, nu.xs, nu.ws), dtype=TABLE_DTYPE)
     # stretch the outer rows to the closed level range, phi kept on its line
     table["phi_lo"][0] += table["dphi"][0] * (0.0 - table["u_lo"][0])
     table["u_lo"][0] = 0.0

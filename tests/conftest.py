@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leftcurtain import DiscreteMeasure, random_cx_pair
+from leftcurtain import DiscreteMeasure, decompose, random_cx_pair
 from leftcurtain.measures import POS_EPS
 
 
@@ -37,6 +37,17 @@ def interior_zeros(dec):
         return []
     lo, hi = min(zeros), max(zeros)
     return sorted(z for z in zeros if lo < z < hi)
+
+
+def row_components(table, mu, nu):
+    """Irreducible component of every row of ``table``, from ``decompose(mu,
+    nu)``: the index of the component whose interval ``(a, b)`` strictly
+    holds the row's ``g``, or -1 for a static atom."""
+    g = table.intervals["g"]
+    out = np.full(g.shape, -1, dtype=np.int64)
+    for k, comp in enumerate(decompose(mu, nu).components):
+        out[(g > comp.a) & (g < comp.b)] = k
+    return out
 
 
 def straddle_mass(pi, z):

@@ -34,7 +34,14 @@ from leftcurtain import (
 )
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
 from leftcurtain.oracle import PairReference, shadow_lp
-from conftest import bank_instance, barrier_instance, interior_zeros, scaled, straddle_mass
+from conftest import (
+    bank_instance,
+    barrier_instance,
+    interior_zeros,
+    row_components,
+    scaled,
+    straddle_mass,
+)
 
 N_INSTANCES = 500
 
@@ -130,7 +137,7 @@ def test_criterion_4_left_monotonicity(bank):
         # plant a later lower value inside the earlier open band
         inside = 0.5 * (iv["r"] + iv["s"])
         rows[i + 1] = (
-            iv["u_hi"], iv["u_hi"] + 1e-3, iv["g"], inside, inside, iv["s"] + 1.0, 0.0, 0.0, 0
+            iv["u_hi"], iv["u_hi"] + 1e-3, iv["g"], inside, inside, iv["s"] + 1.0, 0.0, 0.0
         )
         if verify_left_monotone(CurtainTable(rows)) > 0:
             flagged += 1
@@ -146,14 +153,14 @@ def test_criterion_4_left_monotonicity(bank):
     assert ok
 
 
-def _component_frames(mu, nu, table):
+def _component_frames(mu, nu, table, components):
     """Map component index -> (offset, mass, pointwise reference of the
-    component's probability pair)."""
+    component's probability pair); ``components`` is the component of every
+    row of ``table``."""
     dec = decompose(mu, nu)
     frames = {}
     for k, comp in enumerate(dec.components):
-        t = table.intervals
-        offset = float(t["u_lo"][t["component"] == k].min())
+        offset = float(table.intervals["u_lo"][components == k].min())
         local = (scaled(comp.mu_part, 1 / comp.mass), scaled(comp.nu_part, 1 / comp.mass))
         frames[k] = (offset, comp.mass, PairReference(*local))
     return frames
@@ -188,9 +195,11 @@ def test_criterion_5_phi_laws(bank):
                     mono_worst = max(mono_worst, iv["phi_lo"] - last)
                 last = _phi_at(iv, iv["u_hi"])
         # finite-difference slope identity, 20 interior points per run
-        frames = _component_frames(mu, nu, table)
+        components = row_components(table, mu, nu)
+        frames = _component_frames(mu, nu, table, components)
         for run in table.nontrivial_runs():
             run_ivs = table.intervals[run]
+            run_components = components[run]
             lo = run_ivs["u_lo"][0]
             hi = run_ivs["u_hi"][-1]
             for j in range(20):
@@ -200,7 +209,7 @@ def test_criterion_5_phi_laws(bank):
                 length = iv["u_hi"] - iv["u_lo"]
                 u = min(max(u, iv["u_lo"] + length / 4), iv["u_hi"] - length / 4)
                 h = length / 8
-                offset, w, ref = frames[int(iv["component"])]
+                offset, w, ref = frames[int(run_components[k])]
                 u_l = (u - offset) / w
                 h_l = h / w
                 fd = (ref.at(u_l + h_l).phi - ref.at(u_l - h_l).phi) / (2 * h_l)

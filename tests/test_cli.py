@@ -213,7 +213,6 @@ def test_verify_counts_monotonicity_on_the_coupling_file(tmp_path):
 
 def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypatch):
     import leftcurtain.cli as cli
-    import leftcurtain.curtain as curtain
 
     calls = []
 
@@ -222,7 +221,6 @@ def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypat
         return decompose(mu, nu)
 
     monkeypatch.setattr(cli, "decompose", counted)
-    monkeypatch.setattr(curtain, "decompose", counted)
     mu, nu = split_pair
     mu_path = tmp_path / "mu.json"
     nu_path = tmp_path / "nu.json"
@@ -282,6 +280,28 @@ def test_order_failure_exit_code_of_every_pair_command(tmp_path, monkeypatch, ca
     rc = main([extra[0], "--mu", "mu.json", "--nu", "nu.json", *extra[1:], "--out", "out"])
     assert rc == EXIT_ORDER
     assert "not in convex order" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ["curtain"],
+        # the pair is checked before the coupling file is read, which is not JSON
+        ["verify", "--coupling", "bad.json"],
+        ["sample", "--n", "10", "--seed", "0"],
+    ],
+    ids=["curtain", "verify", "sample"],
+)
+def test_pair_of_mass_two_is_an_input_error(tmp_path, monkeypatch, capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(dm((0.0, 1.0), (1.0, 1.0)))))
+    nu = dm((-1.0, 0.5), (0.5, 1.0), (2.0, 0.5))
+    (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(nu)))
+    (tmp_path / "bad.json").write_text("{not json")
+    rc = main([extra[0], "--mu", "mu.json", "--nu", "nu.json", *extra[1:], "--out", "out"])
+    assert rc == EXIT_IO
+    assert "probability measures" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -18,7 +18,7 @@ from leftcurtain import (
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
 from leftcurtain.decompose import decompose
 from leftcurtain.oracle import PairReference, contact_points
-from conftest import dm, random_instance
+from conftest import dm, random_instance, row_components
 
 
 def phi_at(rows, u):
@@ -191,8 +191,8 @@ class TestSweepRegressions:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_translated_pair_builds_and_verifies(self, seed):
-        # the potentials are evaluated in centred coordinates, so far from
-        # the origin simultaneous sweep events still tie: no sliver rows
+        # the sweep reads potential differences from segment rises, so far
+        # from the origin simultaneous sweep events still tie: no sliver rows
         mu, nu = random_cx_pair(seed, 1 + seed % 8, 1 + seed % 6)
         rows = len(build_curtain(mu, nu).intervals)
         for shift in (1e4, 1e6, -3.7e5):
@@ -204,11 +204,31 @@ class TestSweepRegressions:
             assert verify_left_monotone(table) == 0, shift
             assert len(table.intervals) == rows, shift
 
+    def test_far_apart_components_sweep_as_if_built_alone(self):
+        # 400 components 40 apart, each of mass 1/400: the potentials grow
+        # to thousands along the support while the differences the sweep
+        # divides stay of the size of one component's
+        parts = [random_cx_pair(k, 1 + k % 8, k % 7) for k in range(400)]
+        mu, nu = (
+            DiscreteMeasure(
+                np.concatenate([eta.xs + 40.0 * k for k, eta in enumerate(side)]),
+                np.concatenate([eta.ws / 400 for eta in side]),
+            )
+            for side in zip(*parts)
+        )
+        table = build_curtain(mu, nu)
+        t = table.intervals
+        assert len(t) == sum(len(build_curtain(*part).intervals) for part in parts)
+        assert (t["u_hi"] - t["u_lo"]).min() >= 1e-10
+        rep = verify_all(table, coupling(table, mu), mu, nu)
+        assert rep.passed(), rep.checks
+
     def test_uniform_200_reproduces_point_construction_on_every_row(self):
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 200)
         nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 200)
-        t = build_curtain(mu, nu).intervals
-        assert np.all(t["component"] == 0)
+        table = build_curtain(mu, nu)
+        assert np.all(row_components(table, mu, nu) == 0)
+        t = table.intervals
         ref = PairReference(mu, nu)
         for iv in t:
             u = 0.5 * (iv["u_lo"] + iv["u_hi"])

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leftcurtain import DiscreteMeasure, build_curtain, coupling, random_cx_pair, verify_all
+from conftest import row_components
 
 pairs = st.builds(
     random_cx_pair,
@@ -24,10 +25,11 @@ pairs = st.builds(
 
 
 def scaled_table(mu, nu, lam):
+    """The rows of the pair scaled by ``lam`` and the component of each row."""
     mu, nu = DiscreteMeasure(mu.xs * lam, mu.ws), DiscreteMeasure(nu.xs * lam, nu.ws)
     table = build_curtain(mu, nu)
     assert verify_all(table, coupling(table, mu), mu, nu).passed(), lam
-    return table.intervals
+    return table.intervals, row_components(table, mu, nu)
 
 
 @given(pairs, st.floats(-6.0, 6.0))
@@ -35,14 +37,15 @@ def scaled_table(mu, nu, lam):
 def test_scaling_positions_scales_the_table(pair, log_lam):
     mu, nu = pair
     lam = 10.0**log_lam
-    base = build_curtain(mu, nu).intervals
-    t = scaled_table(mu, nu, lam)
+    base_table = build_curtain(mu, nu)
+    base, base_components = base_table.intervals, row_components(base_table, mu, nu)
+    t, components = scaled_table(mu, nu, lam)
     assert len(t) == len(base)
     for name in ("u_lo", "u_hi", "phi_lo", "dphi"):
         assert np.abs(t[name] - base[name]).max() <= 1e-12, name
     for name in ("g", "r", "q", "s"):
         assert np.abs(t[name] - lam * base[name]).max() <= 1e-12 * lam, name
-    assert np.array_equal(t["component"], base["component"])
+    assert np.array_equal(components, base_components)
 
 
 @given(pairs, st.integers(-20, 20))
@@ -50,9 +53,11 @@ def test_scaling_positions_scales_the_table(pair, log_lam):
 def test_scaling_by_a_power_of_two_is_exact(pair, exponent):
     mu, nu = pair
     lam = 2.0**exponent
-    base = build_curtain(mu, nu).intervals
-    t = scaled_table(mu, nu, lam)
-    for name in ("u_lo", "u_hi", "phi_lo", "dphi", "component"):
+    base_table = build_curtain(mu, nu)
+    base, base_components = base_table.intervals, row_components(base_table, mu, nu)
+    t, components = scaled_table(mu, nu, lam)
+    assert np.array_equal(components, base_components)
+    for name in ("u_lo", "u_hi", "phi_lo", "dphi"):
         assert np.array_equal(t[name], base[name]), name
     for name in ("g", "r", "q", "s"):
         assert np.array_equal(t[name], lam * base[name]), name

@@ -100,15 +100,25 @@ def test_public_names_are_the_listed_ones_and_resolve():
         assert hasattr(leftcurtain, name), name
 
 
-def test_cli_leaves_the_order_check_to_the_build():
-    # build_curtain and decompose check convex order and raise DecomposeError
-    # (exit 3), so the command line does not check it a second time
-    tree = ast.parse((SRC / "cli.py").read_text())
+def imported_or_used_names(module):
+    """The names ``module``'s source imports or reads as an attribute."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
     imported = {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for alias in node.names
     }
-    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert "check_convex_order" not in imported | used
+    return imported | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_cli_leaves_the_order_check_to_the_build():
+    # build_curtain and decompose check convex order and raise DecomposeError
+    # (exit 3), so the command line does not check it a second time
+    assert "check_convex_order" not in imported_or_used_names("cli")
+
+
+def test_the_build_sweeps_the_pair_without_decomposing_it():
+    # one sweep over the whole pair; only the typed order error comes from
+    # the decomposition module
+    assert "decompose" not in imported_or_used_names("curtain")

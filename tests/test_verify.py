@@ -295,25 +295,11 @@ class TestVerifyAll:
             assert rep.checks[name]["tol"] == 1e-3
         assert rep.checks["phi_sandwich_violation_max"]["tol"] == 1e-8
 
-    @pytest.mark.parametrize(
-        "n",
-        [
-            4000,
-            pytest.param(
-                16000,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    raises=AssertionError,
-                    reason="ROADMAP item 1: the table's target marginal is off by about "
-                    "1.7e-9 in TV at n = 16000, so marginal_nu_tv and the row TV of "
-                    "shadow_certificate_max exceed the default tol",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("n", [4000, 16000])
     def test_uniform_pair_passes_at_default_tol(self, n):
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], n)
         nu = quantize_density([-2.0, 2.0], [0.25, 0.25], n)
         table = build_curtain(mu, nu)
+        assert len(table.intervals) == 3 * n // 2
         rep = verify_all(table, coupling(table, mu), mu, nu)
         assert rep.passed(), rep.checks
