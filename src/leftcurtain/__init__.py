@@ -17,12 +17,12 @@ from .curtain import (
     build_curtain,
     coupling,
     curve_rows,
-    sample_y,
     sample_y_many,
     td_tu,
 )
-from .decompose import DecomposeError, Decomposition, IrreducibleComponent, decompose
+from .decompose import Decomposition, IrreducibleComponent, decompose
 from .measures import (
+    DecomposeError,
     DiscreteMeasure,
     Order,
     OrderResult,
@@ -78,7 +78,6 @@ __all__ = [
     "quantize_density",
     "random_cx_pair",
     "restricted_measure",
-    "sample_y",
     "sample_y_many",
     "shadow",
     "td_tu",

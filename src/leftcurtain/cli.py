@@ -31,8 +31,14 @@ import sys
 import numpy as np
 
 from .curtain import LiftedCoupling, build_curtain, coupling, curve_rows, sample_y_many
-from .decompose import DecomposeError, Decomposition, decompose
-from .measures import DiscreteMeasure, measure_from_json, measure_to_json, quantile_left
+from .decompose import Decomposition, decompose
+from .measures import (
+    DecomposeError,
+    DiscreteMeasure,
+    measure_from_json,
+    measure_to_json,
+    quantile_left,
+)
 from .shadow import ShadowInvalid, shadow
 from .verify import verify_all
 
@@ -97,8 +103,8 @@ def _cmd_shadow(args) -> int:
 def _cmd_curtain(args) -> int:
     mu, nu = _load_pair(args)
     table = build_curtain(mu, nu)
-    components = _components_payload(decompose(mu, nu)) if args.components else []
     pi = coupling(table, mu)
+    components = _components_payload(decompose(pi, mu, nu)) if args.components else []
     _write_text(args.out, json.dumps(pi.to_json(components=components), indent=2))
     if args.curves:
         lines = ["u,G,R,Q,S,phi"]
@@ -143,7 +149,7 @@ def _reprs(column: np.ndarray) -> list[str]:
 
 def _cmd_decompose(args) -> int:
     mu, nu = _load_pair(args)
-    dec = decompose(mu, nu)
+    dec = decompose(coupling(build_curtain(mu, nu), mu), mu, nu)
     payload = {
         "components": _components_payload(dec),
         "static": measure_to_json(dec.static),

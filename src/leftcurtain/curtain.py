@@ -31,8 +31,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .decompose import DecomposeError
-from .measures import MASS_TOL, POS_EPS, DiscreteMeasure, check_convex_order
+from .measures import MASS_TOL, POS_EPS, DecomposeError, DiscreteMeasure, check_convex_order
 
 #: kernels with spread below this emit a point mass at the current quantile
 DEGENERATE_KERNEL_EPS = 1e-13
@@ -127,27 +126,10 @@ class CurtainTable:
         return float(out) if out.ndim == 0 else out
 
     @cached_property
-    def breakpoints(self) -> np.ndarray:
-        return np.concatenate(([self.intervals["u_lo"][0]], self.intervals["u_hi"]))
-
-    @cached_property
     def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_two_point` of the rows ``(g, r, s)``."""
         t = self.intervals
         return _two_point(t["g"], t["r"], t["s"])
-
-    def nontrivial_runs(self) -> list[list[int]]:
-        """Maximal index runs where the kernel genuinely splits mass and the
-        upper function stays above the next quantile across junctions."""
-        t = self.intervals
-        split = self._kernels[2]
-        joined = np.zeros(len(t), dtype=bool)
-        joined[1:] = split[:-1] & (t["g"][1:] < t["s"][:-1] - POS_EPS)
-        idx = np.flatnonzero(split)
-        if idx.size == 0:
-            return []
-        cuts = np.flatnonzero(~joined[idx])[1:]
-        return [run.tolist() for run in np.split(idx, cuts)]
 
 
 def _prefix_sums(x: np.ndarray) -> np.ndarray:
@@ -272,7 +254,7 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     the potential gap vanishes the sweep passes through point kernels, so
     irreducible components and static atoms need no separate treatment.
     Raises ``ValueError`` unless ``mu`` has unit mass and
-    :class:`~leftcurtain.decompose.DecomposeError` unless the pair is in
+    :class:`~leftcurtain.measures.DecomposeError` unless the pair is in
     convex order.
     """
     if abs(mu.mass - 1.0) > MASS_TOL:
@@ -360,20 +342,13 @@ def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
     return LiftedCoupling(rows, pairs.real[keep], pairs.imag[keep], weights[keep])
 
 
-def sample_y(table: CurtainTable, u: float, v: float) -> float:
-    """Deterministic destination of the pair of uniforms ``(u, v)``.
-
-    Returns the current quantile on point-kernel intervals; otherwise the
-    lower destination when ``v`` is at most the mean-preserving threshold
-    ``(S - G) / (S - R)`` and the upper one above it.
-    """
-    if not (0.0 < u < 1.0) or not (0.0 < v < 1.0):
-        raise ValueError("both coordinates must lie in (0, 1)")
-    return float(sample_y_many(table, np.array([u]), np.array([v]))[0])
-
-
 def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`sample_y` for Monte Carlo use."""
+    """Deterministic destinations of the pairs of uniforms ``(us, vs)``.
+
+    The current quantile on point-kernel intervals; otherwise the lower
+    destination where ``v`` is at most the mean-preserving share ``(S -
+    G) / (S - R)`` and the upper one above it.
+    """
     t = table.intervals
     lower, share, _ = table._kernels
     idx = np.minimum(np.searchsorted(t["u_hi"], us, side="left"), len(t) - 1)

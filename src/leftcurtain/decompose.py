@@ -1,13 +1,14 @@
-"""Irreducible decomposition of a convex-ordered pair.
+"""Irreducible decomposition of a convex-ordered pair, read off its coupling.
 
 Wherever the potential gap ``D = P_nu - P_mu`` vanishes, no martingale
 transport may cross, so the pair splits into independent components on the
 maximal open intervals where ``D > 0``, plus a static part that is
-transported identically.  Source mass sitting exactly on a zero of ``D``
-stays in place (this needs the target to carry at least as much mass
-there); leftover target mass at an interior zero is allocated to the two
-neighbouring components by mass balance, and mean balance then holds
-automatically because the potentials agree at the zero.
+transported identically.  The left-curtain coupling already knows these
+intervals: no split kernel's band ``(r, s)`` crosses a zero of ``D``, and
+the bands of the split rows, merged where they overlap, are exactly the
+components.  Source mass outside every component stays in place; the
+target mass a component's rows send to its endpoints is its share of the
+target atoms sitting on the zeros.
 """
 
 from __future__ import annotations
@@ -16,19 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import DiscreteMeasure, Order, _gap_scale, _order_with_gap
-
-#: potential values below this, times the pair's spread (``_gap_scale``),
-#: count as zeros of D
-ZERO_TOL = 1e-11
-
-#: tolerance on component mass/mean balance
-BALANCE_TOL = 1e-10
-
-
-class DecomposeError(ValueError):
-    """Component mass or mean balance failed; should be impossible for
-    convex-ordered inputs."""
+from .curtain import LiftedCoupling, _two_point
+from .measures import DiscreteMeasure
 
 
 @dataclass(frozen=True)
@@ -58,86 +48,37 @@ class Decomposition:
     static: DiscreteMeasure
 
 
-def decompose(mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
-    """Split ``(mu, nu)`` into irreducible components and a static part."""
-    order, grid, dvals = _order_with_gap(mu, nu)
-    if not order:
-        raise DecomposeError(
-            f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
-        )
-    if order.status is Order.EQUAL_LAW:
-        return Decomposition((), mu)
-
-    zero_tol = ZERO_TOL * _gap_scale(grid, mu.mean / mu.mass)
-    is_zero = np.abs(dvals) <= zero_tol
-    if not is_zero[0] or not is_zero[-1]:
-        raise DecomposeError("potential gap does not vanish at the support ends")
-
-    # static share and leftover target mass at every zero grid point
-    static_atoms: list[tuple[float, float]] = []
-    residual: dict[int, float] = {}
-    zero_idx = np.flatnonzero(is_zero)
-    zero_x = grid[zero_idx]
-    m_ws = mu.atom_weight(zero_x).tolist()
-    n_ws = nu.atom_weight(zero_x).tolist()
-    for i, x, m_w, n_w in zip(zero_idx.tolist(), zero_x.tolist(), m_ws, n_ws):
-        if m_w > n_w + BALANCE_TOL:
-            raise DecomposeError(
-                f"source atom of weight {m_w} at zero {x} exceeds target weight {n_w}"
-            )
-        take = min(m_w, n_w)
-        if take > 0:
-            static_atoms.append((x, take))
-        residual[i] = n_w - take
+def decompose(pi: LiftedCoupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
+    """Split ``(mu, nu)`` into irreducible components and a static part,
+    given their coupling ``pi = coupling(build_curtain(mu, nu), mu)``."""
+    _, _, x, r, s = pi.intervals.T
+    split = _two_point(x, r, s)[2]
+    order = np.argsort(r[split], kind="stable")
+    r, s = r[split][order], s[split][order]
+    # a band opens a new component unless it starts inside the bands before it
+    reach = np.maximum.accumulate(s)
+    opens = np.ones(r.size, dtype=bool)
+    opens[1:] = r[1:] >= reach[:-1]
+    closes = np.ones(r.size, dtype=bool)
+    closes[:-1] = opens[1:]
 
     components: list[IrreducibleComponent] = []
-    for left, right in zip(zero_idx[:-1], zero_idx[1:]):
-        if right == left + 1:
-            continue  # adjacent zeros: identity region, no active mass between
-        if np.any(np.abs(dvals[left + 1 : right]) <= zero_tol):
-            raise DecomposeError("interior zero inside an active run")
-        a, b = float(grid[left]), float(grid[right])
+    inside = np.zeros(mu.n_atoms, dtype=bool)
+    for a, b in zip(r[opens].tolist(), reach[closes].tolist()):
         mu_mask = (mu.xs > a) & (mu.xs < b)
         nu_mask = (nu.xs > a) & (nu.xs < b)
+        inside |= mu_mask
         mu_part = DiscreteMeasure(mu.xs[mu_mask], mu.ws[mu_mask])
-        inner_x, inner_w = nu.xs[nu_mask], nu.ws[nu_mask]
-        # the component opening at `a` absorbs the target mass the previous
-        # component (processed first, left to right) did not take
-        lam_a = residual.pop(int(left), 0.0)
-        lam_b = mu_part.mass - float(inner_w.sum()) - lam_a
-        avail_b = residual.get(int(right), 0.0)
-        if lam_b < -BALANCE_TOL or lam_b > avail_b + BALANCE_TOL:
-            raise DecomposeError(
-                f"boundary allocation {lam_b:.3e} at {b} outside available mass {avail_b:.3e}"
-            )
-        lam_b = min(max(lam_b, 0.0), avail_b)
-        residual[int(right)] = avail_b - lam_b
-        extra_x: list[float] = []
-        extra_w: list[float] = []
-        if lam_a > 0:
-            extra_x.append(a)
-            extra_w.append(lam_a)
-        if lam_b > 0:
-            extra_x.append(b)
-            extra_w.append(lam_b)
+        # the joint destinations are the table's own positions, so the rows
+        # that reach an endpoint match it exactly
+        rows = (pi.joint_x > a) & (pi.joint_x < b)
+        lam_a = float(pi.joint_w[rows & (pi.joint_y == a)].sum())
+        lam_b = float(pi.joint_w[rows & (pi.joint_y == b)].sum())
+        extra = [(y, w) for y, w in ((a, lam_a), (b, lam_b)) if w > 0]
         nu_part = DiscreteMeasure(
-            np.concatenate([inner_x, extra_x]), np.concatenate([inner_w, extra_w])
+            np.concatenate([nu.xs[nu_mask], [y for y, _ in extra]]),
+            np.concatenate([nu.ws[nu_mask], [w for _, w in extra]]),
         )
-        if abs(nu_part.mass - mu_part.mass) > BALANCE_TOL:
-            raise DecomposeError(
-                f"component mass mismatch on ({a}, {b}): {nu_part.mass} vs {mu_part.mass}"
-            )
-        if abs(nu_part.mean - mu_part.mean) > BALANCE_TOL * max(1.0, abs(mu_part.mean)):
-            raise DecomposeError(
-                f"component mean mismatch on ({a}, {b}): {nu_part.mean} vs {mu_part.mean}"
-            )
-        components.append(
-            IrreducibleComponent(a, b, lam_a > 0, lam_b > 0, mu_part, nu_part)
-        )
-
-    for i, rem in residual.items():
-        if rem > BALANCE_TOL:
-            raise DecomposeError(f"unallocated target mass {rem:.3e} at zero {grid[i]}")
-
-    static = DiscreteMeasure.from_atoms(static_atoms)
+        components.append(IrreducibleComponent(a, b, lam_a > 0, lam_b > 0, mu_part, nu_part))
+    static = DiscreteMeasure(mu.xs[~inside], mu.ws[~inside])
     return Decomposition(tuple(components), static)

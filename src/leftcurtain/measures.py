@@ -255,11 +255,9 @@ class OrderResult:
         return self.status is not Order.FAILS
 
 
-def _gap_scale(grid: np.ndarray, c: float) -> float:
-    """The largest distance of a point of ``grid`` from the centre ``c``, at
-    least 1: potential values centred at ``c`` on ``grid`` are at most of
-    this size (per unit mass), so absolute tolerances on them scale by it."""
-    return max(1.0, c - float(grid[0]), float(grid[-1]) - c)
+class DecomposeError(ValueError):
+    """The pair is not in convex order, so it has no martingale coupling and
+    no irreducible decomposition."""
 
 
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
@@ -268,38 +266,28 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     Equal mass and mean plus ``P_mu <= P_nu`` at every breakpoint of both
     potentials is sufficient for piecewise-linear potentials, because the
     difference is then non-negative at all of its kinks and vanishes at
-    both tails.  The witness is the breakpoint with the most negative gap;
-    a gap fails below ``-MASS_TOL`` times :func:`_gap_scale`, since potential
-    values, and their rounding, grow with the spread of the positions.
-    """
-    return _order_with_gap(mu, nu)[0]
-
-
-def _order_with_gap(mu: DiscreteMeasure, nu: DiscreteMeasure):
-    """:func:`check_convex_order` together with the grid it evaluated the
-    potential gap on and the gap ``P_nu - P_mu`` there (both ``None`` when
-    the mass or mean test fails first).
-
-    The grid is the union of both supports; both potentials are centred
-    at ``mu``'s barycentre, which equal means make common to the pair.
+    both tails.  Both potentials are evaluated on the union of both
+    supports, centred at ``mu``'s barycentre, which equal means make common
+    to the pair.  The witness is the breakpoint with the most negative gap;
+    a gap fails below ``-MASS_TOL`` times the largest distance of a
+    breakpoint from the centre (at least 1), since potential values, and
+    their rounding, grow with the spread of the positions.
     """
     if abs(mu.mass - nu.mass) > MASS_TOL:
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass)), None, None
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass))
     if abs(mu.mean - nu.mean) > MASS_TOL * max(1.0, abs(mu.mean)):
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean)), None, None
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean))
     if mu.n_atoms == 0:
         raise ValueError("convex order requires non-empty measures")
     c = mu.mean / mu.mass
     grid = np.union1d(mu.xs, nu.xs)
     gap = _put_values(nu.xs, nu.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
     worst = int(np.argmin(gap))
-    if gap[worst] < -MASS_TOL * _gap_scale(grid, c):
-        order = OrderResult(Order.FAILS, witness=float(grid[worst]), gap=float(-gap[worst]))
-    elif mu.tv_distance(nu) <= MASS_TOL:
-        order = OrderResult(Order.EQUAL_LAW)
-    else:
-        order = OrderResult(Order.ORDERED)
-    return order, grid, gap
+    if gap[worst] < -MASS_TOL * max(1.0, c - float(grid[0]), float(grid[-1]) - c):
+        return OrderResult(Order.FAILS, witness=float(grid[worst]), gap=float(-gap[worst]))
+    if mu.tv_distance(nu) <= MASS_TOL:
+        return OrderResult(Order.EQUAL_LAW)
+    return OrderResult(Order.ORDERED)
 
 
 def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:

@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from leftcurtain import DiscreteMeasure, decompose, random_cx_pair
+from leftcurtain import (
+    DiscreteMeasure,
+    build_curtain,
+    coupling,
+    decompose,
+    random_cx_pair,
+    sample_y_many,
+)
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
 from leftcurtain.measures import POS_EPS
 
 
@@ -39,15 +47,44 @@ def interior_zeros(dec):
     return sorted(z for z in zeros if lo < z < hi)
 
 
+def decompose_pair(mu, nu):
+    """The irreducible decomposition of a pair, read off its coupling."""
+    return decompose(coupling(build_curtain(mu, nu), mu), mu, nu)
+
+
 def row_components(table, mu, nu):
-    """Irreducible component of every row of ``table``, from ``decompose(mu,
-    nu)``: the index of the component whose interval ``(a, b)`` strictly
+    """Irreducible component of every row of ``table``, read off its
+    coupling: the index of the component whose interval ``(a, b)`` strictly
     holds the row's ``g``, or -1 for a static atom."""
     g = table.intervals["g"]
     out = np.full(g.shape, -1, dtype=np.int64)
-    for k, comp in enumerate(decompose(mu, nu).components):
+    for k, comp in enumerate(decompose(coupling(table, mu), mu, nu).components):
         out[(g > comp.a) & (g < comp.b)] = k
     return out
+
+
+def breakpoints(table):
+    """The levels that bound the rows of ``table``, from 0 to 1."""
+    return np.concatenate(([table.intervals["u_lo"][0]], table.intervals["u_hi"]))
+
+
+def nontrivial_runs(table):
+    """Maximal index runs of the rows of ``table`` whose kernel splits mass
+    and whose upper function stays above the next row's quantile."""
+    t = table.intervals
+    split = t["s"] - t["r"] > DEGENERATE_KERNEL_EPS
+    joined = np.zeros(len(t), dtype=bool)
+    joined[1:] = split[:-1] & (t["g"][1:] < t["s"][:-1] - POS_EPS)
+    idx = np.flatnonzero(split)
+    if idx.size == 0:
+        return []
+    cuts = np.flatnonzero(~joined[idx])[1:]
+    return [run.tolist() for run in np.split(idx, cuts)]
+
+
+def sample_y(table, u, v):
+    """Destination of the one pair of uniforms ``(u, v)``."""
+    return float(sample_y_many(table, np.array([u]), np.array([v]))[0])
 
 
 def straddle_mass(pi, z):

@@ -11,6 +11,7 @@ import numpy as np
 
 from leftcurtain import DiscreteMeasure, restricted_measure, shadow
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
+from conftest import breakpoints
 
 
 def restricted_second_marginal(pi, u):
@@ -35,7 +36,7 @@ def shadow_tv_max(table, mu, nu, pi, grid=20, seed=0):
     """Largest TV distance between the rows' destination mass and the
     shadow, over the breakpoints of ``table`` and ``grid`` random levels."""
     rng = np.random.default_rng(seed)
-    levels = set(float(b) for b in table.breakpoints if 0.0 < b <= 1.0)
+    levels = set(float(b) for b in breakpoints(table) if 0.0 < b <= 1.0)
     levels.update(float(u) for u in rng.uniform(1e-6, 1.0, size=grid))
     return max(
         restricted_second_marginal(pi, u).tv_distance(shadow_of_restriction(mu, nu, u))

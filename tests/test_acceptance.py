@@ -38,10 +38,12 @@ from conftest import (
     bank_instance,
     barrier_instance,
     interior_zeros,
+    nontrivial_runs,
     row_components,
     scaled,
     straddle_mass,
 )
+from decompose_reference import decompose_reference
 
 N_INSTANCES = 500
 
@@ -153,11 +155,11 @@ def test_criterion_4_left_monotonicity(bank):
     assert ok
 
 
-def _component_frames(mu, nu, table, components):
+def _component_frames(pi, mu, nu, table, components):
     """Map component index -> (offset, mass, pointwise reference of the
     component's probability pair); ``components`` is the component of every
     row of ``table``."""
-    dec = decompose(mu, nu)
+    dec = decompose(pi, mu, nu)
     frames = {}
     for k, comp in enumerate(dec.components):
         offset = float(table.intervals["u_lo"][components == k].min())
@@ -187,7 +189,7 @@ def test_criterion_5_phi_laws(bank):
             gap = (ps[i] - (us[i:] - us[i])) - ps[i:]
             lip_worst = max(lip_worst, float(gap.max(initial=0.0)))
         # non-increasing along splitting runs
-        for run in table.nontrivial_runs():
+        for run in nontrivial_runs(table):
             last = None
             for idx in run:
                 iv = table.intervals[idx]
@@ -196,8 +198,8 @@ def test_criterion_5_phi_laws(bank):
                 last = _phi_at(iv, iv["u_hi"])
         # finite-difference slope identity, 20 interior points per run
         components = row_components(table, mu, nu)
-        frames = _component_frames(mu, nu, table, components)
-        for run in table.nontrivial_runs():
+        frames = _component_frames(pi, mu, nu, table, components)
+        for run in nontrivial_runs(table):
             run_ivs = table.intervals[run]
             run_components = components[run]
             lo = run_ivs["u_lo"][0]
@@ -267,8 +269,7 @@ def test_criterion_8_barrier_at_interior_zeros():
     checked = 0
     for seed in range(50):
         mu, nu = barrier_instance(seed, with_shared_atom=(seed % 2 == 0))
-        dec = decompose(mu, nu)
-        zeros = interior_zeros(dec)
+        zeros = interior_zeros(decompose_reference(mu, nu))
         assert zeros, "engineered instance lost its interior zero"
         pi = coupling(build_curtain(mu, nu), mu)
         for z in zeros:

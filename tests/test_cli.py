@@ -213,14 +213,21 @@ def test_verify_counts_monotonicity_on_the_coupling_file(tmp_path):
 
 def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypatch):
     import leftcurtain.cli as cli
+    import leftcurtain.measures as measures
 
-    calls = []
+    calls = {"decompose": 0, "put": 0}
 
-    def counted(mu, nu):
-        calls.append(1)
-        return decompose(mu, nu)
+    def counted_decompose(pi, mu, nu):
+        calls["decompose"] += 1
+        return decompose(pi, mu, nu)
 
-    monkeypatch.setattr(cli, "decompose", counted)
+    def counted_put(*args):
+        calls["put"] += 1
+        return put_values(*args)
+
+    put_values = measures._put_values
+    monkeypatch.setattr(cli, "decompose", counted_decompose)
+    monkeypatch.setattr(measures, "_put_values", counted_put)
     mu, nu = split_pair
     mu_path = tmp_path / "mu.json"
     nu_path = tmp_path / "nu.json"
@@ -229,7 +236,8 @@ def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypat
     out = tmp_path / "coupling.json"
     args = ["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]
     assert main(args + ["--components"]) == EXIT_OK
-    assert len(calls) == 1
+    # one decomposition, and the gap evaluated once: by the build's order check
+    assert calls == {"decompose": 1, "put": 2}
     obj = json.loads(out.read_text())
     assert [c["interval"] for c in obj["components"]] == [[-2.0, 0.0], [0.0, 2.0]]
     plain = tmp_path / "plain.json"
@@ -287,11 +295,13 @@ def test_order_failure_exit_code_of_every_pair_command(tmp_path, monkeypatch, ca
     "extra",
     [
         ["curtain"],
+        ["curtain", "--components"],
         # the pair is checked before the coupling file is read, which is not JSON
         ["verify", "--coupling", "bad.json"],
         ["sample", "--n", "10", "--seed", "0"],
+        ["decompose"],
     ],
-    ids=["curtain", "verify", "sample"],
+    ids=["curtain", "curtain-components", "verify", "sample", "decompose"],
 )
 def test_pair_of_mass_two_is_an_input_error(tmp_path, monkeypatch, capsys, extra):
     monkeypatch.chdir(tmp_path)

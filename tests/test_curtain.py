@@ -8,7 +8,6 @@ from leftcurtain import (
     coupling,
     quantize_density,
     random_cx_pair,
-    sample_y,
     sample_y_many,
     td_tu,
     verify_all,
@@ -16,9 +15,15 @@ from leftcurtain import (
     verify_left_monotone,
 )
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
-from leftcurtain.decompose import decompose
 from leftcurtain.oracle import PairReference, contact_points
-from conftest import dm, random_instance, row_components
+from conftest import (
+    decompose_pair,
+    dm,
+    nontrivial_runs,
+    random_instance,
+    row_components,
+    sample_y,
+)
 
 
 def phi_at(rows, u):
@@ -30,7 +35,7 @@ def single_component_instances(count, start=0):
     seed = start
     while len(found) < count:
         mu, nu = random_instance(seed)
-        dec = decompose(mu, nu)
+        dec = decompose_pair(mu, nu)
         if len(dec.components) == 1 and dec.static.n_atoms == 0:
             found.append((seed, mu, nu))
         seed += 1
@@ -358,7 +363,7 @@ class TestPhiLaws:
     def test_nonincreasing_on_split_runs(self, seed):
         mu, nu = random_instance(seed)
         table = build_curtain(mu, nu)
-        for run in table.nontrivial_runs():
+        for run in nontrivial_runs(table):
             last = None
             for idx in run:
                 iv = table.intervals[idx]
@@ -384,7 +389,7 @@ class TestPhiLaws:
         ((_, mu, nu),) = single_component_instances(1, start=start)
         table = build_curtain(mu, nu)
         ref = PairReference(mu, nu)
-        for run in table.nontrivial_runs():
+        for run in nontrivial_runs(table):
             for idx in run:
                 iv = table.intervals[idx]
                 h = (iv["u_hi"] - iv["u_lo"]) / 8

@@ -45,7 +45,6 @@ PUBLIC_NAMES = [
     "quantize_density",
     "random_cx_pair",
     "restricted_measure",
-    "sample_y",
     "sample_y_many",
     "shadow",
     "td_tu",
@@ -113,12 +112,17 @@ def imported_or_used_names(module):
 
 
 def test_cli_leaves_the_order_check_to_the_build():
-    # build_curtain and decompose check convex order and raise DecomposeError
-    # (exit 3), so the command line does not check it a second time
+    # build_curtain checks convex order and raises DecomposeError (exit 3),
+    # so the command line does not check it a second time
     assert "check_convex_order" not in imported_or_used_names("cli")
 
 
 def test_the_build_sweeps_the_pair_without_decomposing_it():
-    # one sweep over the whole pair; only the typed order error comes from
-    # the decomposition module
+    # one sweep over the whole pair; the typed order error lives in measures
+    assert "decompose" not in package_imports("curtain")
     assert "decompose" not in imported_or_used_names("curtain")
+
+
+def test_decompose_reads_the_coupling_and_evaluates_no_potential():
+    names = imported_or_used_names("decompose")
+    assert not names & {"_put_values", "put_potential", "_order_with_gap"}

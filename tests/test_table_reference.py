@@ -13,7 +13,7 @@ from leftcurtain import build_curtain, coupling, destination_cdf, verify_left_mo
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
 from leftcurtain.measures import POS_EPS
 from leftcurtain.verify import MONO_EPS
-from conftest import random_instance
+from conftest import breakpoints, nontrivial_runs, random_instance
 
 
 def _split(row):
@@ -112,7 +112,7 @@ def test_columns_match_row_loops(seed):
     for got, want in zip((pi.joint_x, pi.joint_y, pi.joint_w), loop_coupling(table)):
         assert np.array_equal(got, want)
     assert verify_left_monotone(table) == loop_left_monotone(table)
-    assert table.nontrivial_runs() == loop_runs(table)
+    assert nontrivial_runs(table) == loop_runs(table)
     ys = np.linspace(nu.xs[0] - 1.0, nu.xs[-1] + 1.0, 41)
     for y, got in zip(ys, destination_cdf(table, ys)):
         assert destination_cdf(table, y) == pytest.approx(
@@ -122,7 +122,7 @@ def test_columns_match_row_loops(seed):
     ys = np.concatenate((ys, nu.xs, table.intervals["s"]))
     assert table.s_inverse(ys).tolist() == [loop_s_inverse(table, y) for y in ys]
     mid = 0.5 * (table.intervals["u_lo"] + table.intervals["u_hi"])
-    us = np.concatenate(([0.0], table.breakpoints, mid, [1.0]))
+    us = np.concatenate(([0.0], breakpoints(table), mid, [1.0]))
     assert table.phi(us).tolist() == [loop_phi(table, u) for u in us]
     want = [loop_phi(table, u, right_limit=True) for u in us]
     assert table.phi_right_limit(us).tolist() == want
