@@ -12,13 +12,11 @@ from .curtain import (
     CurtainTable,
     InternalGeometry,
     LiftedCoupling,
-    StepMap,
     TABLE_DTYPE,
     build_curtain,
     coupling,
     curve_rows,
     sample_y_many,
-    td_tu,
 )
 from .decompose import Decomposition, IrreducibleComponent, decompose
 from .measures import (
@@ -60,7 +58,6 @@ __all__ = [
     "Order",
     "OrderResult",
     "ShadowInvalid",
-    "StepMap",
     "TABLE_DTYPE",
     "VerificationReport",
     "build_curtain",
@@ -80,7 +77,6 @@ __all__ = [
     "restricted_measure",
     "sample_y_many",
     "shadow",
-    "td_tu",
     "verify_all",
     "verify_coupling",
     "verify_left_monotone",

@@ -17,9 +17,12 @@ source atom once from left to right: a point kernel up to the closed-form
 detachment level, then a chord whose contacts move outwards each time a
 kink pierces it.  No hull is rebuilt, and no root finding or
 discretisation in ``u`` is involved.  The sweep runs once over the whole
-pair, in its global quantile levels, and reads the potentials as prefix
-sums of segment rises.  The pointwise reference, which computes the same
-data at one level from the envelope itself, is
+pair, in its global quantile levels, and reads the potentials from
+:func:`leftcurtain.measures._pair_gap`, the one evaluation of the gap that
+the order check, the sweep and the shadow share: prefix sums of segment
+rises, with the levels and the cumulative weights taken from one array
+per measure.  The pointwise reference, which computes the same data at
+one level from the envelope itself, is
 :class:`leftcurtain.oracle.PairReference`.
 """
 
@@ -31,7 +34,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import MASS_TOL, POS_EPS, DecomposeError, DiscreteMeasure, check_convex_order
+from .measures import (
+    MASS_TOL,
+    POS_EPS,
+    DecomposeError,
+    DiscreteMeasure,
+    _order_and_gap,
+    _PairGap,
+    _rise,
+)
 
 #: kernels with spread below this emit a point mass at the current quantile
 DEGENERATE_KERNEL_EPS = 1e-13
@@ -67,9 +78,9 @@ def _two_point(x, r, s):
     return np.where(split, r, x), share, split
 
 
-def _phi_on(t: np.ndarray, u, rows=slice(None)):
-    """phi at level ``u`` on the linear piece of the selected rows of ``t``."""
-    return t["phi_lo"][rows] + t["dphi"][rows] * (u - t["u_lo"][rows])
+def _phi_hi(t: np.ndarray) -> np.ndarray:
+    """phi at the top ``u_hi`` of every row of ``t``, on the row's line."""
+    return t["phi_lo"] + t["dphi"] * (t["u_hi"] - t["u_lo"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,37 +98,6 @@ class CurtainTable:
 
     intervals: np.ndarray
 
-    def locate(self, u):
-        """Index of the row whose interval ``(u_lo, u_hi]`` holds ``u``;
-        elementwise for an array ``u``."""
-        u = np.asarray(u, dtype=float)
-        if not np.all((u > 0.0) & (u <= 1.0)):
-            raise ValueError("quantile level must lie in (0, 1]")
-        i = np.minimum(self.intervals["u_hi"].searchsorted(u, side="left"), len(self.intervals) - 1)
-        return int(i) if i.ndim == 0 else i
-
-    def phi(self, u):
-        """phi(u); accepts ``u = 0`` (right limit) and returns 0 at ``u = 1``.
-        Elementwise for an array ``u``."""
-        u = np.asarray(u, dtype=float)
-        t = self.intervals
-        inner = ~(u <= 0.0)  # NaN reaches locate, which rejects it
-        out = np.where(inner, _phi_on(t, u, self.locate(np.where(inner, u, 1.0))), t["phi_lo"][0])
-        return float(out) if out.ndim == 0 else out
-
-    def phi_right_limit(self, u):
-        """Right limit of phi at ``u`` (phi itself is left-continuous);
-        elementwise for an array ``u``."""
-        u = np.asarray(u, dtype=float)
-        t = self.intervals
-        inner = ~((u <= 0.0) | (u >= 1.0))
-        i = self.locate(np.where(inner, u, 1.0))
-        on_row = t["u_hi"][i] - u > 1e-15
-        after = np.append(t["phi_lo"][1:], 0.0)[i]  # phi_lo of the next row, 0 past the last
-        out = np.where(on_row, _phi_on(t, u, i), after)
-        out = np.where(inner, out, np.where(u <= 0.0, t["phi_lo"][0], 0.0))
-        return float(out) if out.ndim == 0 else out
-
     def s_inverse(self, y):
         """Right-continuous inverse of the non-decreasing step function S;
         elementwise for an array ``y``."""
@@ -132,27 +112,9 @@ class CurtainTable:
         return _two_point(t["g"], t["r"], t["s"])
 
 
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``x`` from 0, as rows ``(sums, compensations)``: the
-    plain prefix sums and the prefix sums of their rounding errors, each
-    error exact by TwoSum (Ogita, Rump and Oishi 2005, Sum2).  Read them
-    with :func:`_rise`."""
-    s = np.concatenate(([0.0], np.cumsum(x)))
-    b = s[1:] - s[:-1]
-    err = (s[:-1] - (s[1:] - b)) + (x - b)
-    return np.stack((s, np.concatenate(([0.0], np.cumsum(err)))))
-
-
-def _rise(end, start):
-    """``end - start`` for columns of :func:`_prefix_sums`.  Sums close to
-    each other subtract exactly, so the difference is accurate relative to
-    its own size, not to the size of the sums."""
-    return (end[0] - start[0]) + (end[1] - start[1])
-
-
-def _sweep(xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray) -> list[tuple]:
-    """Curtain rows of the probability pair with source atoms ``(xs, ws)``
-    and target atoms ``(ys, vs)``.
+def _sweep(pair: _PairGap, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
+    """Curtain rows of the probability pair ``(mu, nu)`` with the
+    potentials ``pair``.
 
     One left-to-right sweep over the levels of each source atom ``x_i``.
     On the atom's quantile interval the excess potential is the gap ``D``
@@ -173,25 +135,19 @@ def _sweep(xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray) -> li
     The potentials enter only through differences that the sweep divides
     by kink gaps: of ``D`` between kinks, and of ``P_nu`` from ``x_i`` or
     a target atom to a target atom (the chord's rise ``A(s) - D(q)`` is
-    ``P_nu(s) - P_nu(x_i) + D(x_i) - D(q)``).  Both potentials are prefix
-    sums of segment rises, cumulative weight times kink gap, from the left
-    end of the support, where they vanish.  ``P_nu`` grows with the
-    distance from there, far beyond the differences read from it, so its
-    sums carry compensations (:func:`_prefix_sums`).  Rows are tuples
-    ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the pair's quantile
-    levels.
+    ``P_nu(s) - P_nu(x_i) + D(x_i) - D(q)``), both read from ``pair``
+    (:func:`~leftcurtain.measures._pair_gap`).  The levels are ``mu``'s
+    cumulative weights, the array ``pair`` reads ``F_mu`` from.  Rows are
+    tuples ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the pair's
+    quantile levels.
     """
-    kinks = np.union1d(xs, ys)
-    h = np.diff(kinks)
+    kinks, d, p_nu = pair.kinks, pair.d, pair.p_nu
+    xs, ys = mu.xs, nu.xs
     at_x, at_y = kinks.searchsorted(xs), kinks.searchsorted(ys)
-    cum = np.concatenate(([0.0], np.cumsum(ws)))
-    f_mu = cum[xs.searchsorted(kinks[:-1], side="right")]
-    f_nu = np.concatenate(([0.0], np.cumsum(vs)))[ys.searchsorted(kinks[:-1], side="right")]
-    d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * h)))
-    p_nu = _prefix_sums(f_nu * h)
     p_nu_ys = p_nu[:, at_y]
     # scalars are read as Python floats, which is faster than numpy's
-    levels, kink_at, y_at, d_at = cum.tolist(), kinks.tolist(), ys.tolist(), d.tolist()
+    levels = [0.0, *mu.cum_weights.tolist()]
+    kink_at, y_at, d_at = kinks.tolist(), ys.tolist(), d.tolist()
     levels[-1] = 1.0
     p_nu_x, p_nu_y = p_nu[:, at_x].T.tolist(), p_nu_ys.T.tolist()
 
@@ -250,21 +206,23 @@ def _sweep(xs: np.ndarray, ws: np.ndarray, ys: np.ndarray, vs: np.ndarray) -> li
 def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     """Exact curtain table for a pair of probability measures in convex order.
 
-    One sweep over the whole pair in its global quantile levels: where
-    the potential gap vanishes the sweep passes through point kernels, so
-    irreducible components and static atoms need no separate treatment.
+    The pair's potentials are read once, by the order check
+    (:func:`~leftcurtain.measures._pair_gap`), and serve one sweep over
+    the whole pair in its global quantile levels: where the potential gap
+    vanishes the sweep passes through point kernels, so irreducible
+    components and static atoms need no separate treatment.
     Raises ``ValueError`` unless ``mu`` has unit mass and
     :class:`~leftcurtain.measures.DecomposeError` unless the pair is in
     convex order.
     """
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise ValueError(f"inputs must be probability measures, mass={mu.mass}")
-    order = check_convex_order(mu, nu)
+    order, pair = _order_and_gap(mu, nu)
     if not order:
         raise DecomposeError(
             f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
         )
-    table = np.array(_sweep(mu.xs, mu.ws, nu.xs, nu.ws), dtype=TABLE_DTYPE)
+    table = np.array(_sweep(pair, mu, nu), dtype=TABLE_DTYPE)
     # stretch the outer rows to the closed level range, phi kept on its line
     table["phi_lo"][0] += table["dphi"][0] * (0.0 - table["u_lo"][0])
     table["u_lo"][0] = 0.0
@@ -355,69 +313,10 @@ def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.nda
     return np.where(vs <= share[idx], lower[idx], t["s"][idx])
 
 
-# -- destination maps in source coordinates --------------------------------
-
-
-@dataclass(frozen=True)
-class StepMap:
-    """Right-continuous step function of the source position.
-
-    At genuine source atoms the underlying map may take several values over
-    the atom's quantile interval; those positions are flagged and
-    ``values_at`` returns the full list (``__call__`` returns the last,
-    i.e. highest-level, value).
-    """
-
-    xs: np.ndarray
-    values: tuple[tuple[float, ...], ...]
-    multi_valued: np.ndarray
-
-    def __call__(self, x: float) -> float:
-        i = int(np.searchsorted(self.xs, x, side="right")) - 1
-        if i < 0:
-            raise ValueError(f"{x} lies left of the map's support")
-        return self.values[i][-1]
-
-    def values_at(self, x: float) -> tuple[float, ...]:
-        i = int(np.searchsorted(self.xs, x, side="right")) - 1
-        if i < 0:
-            raise ValueError(f"{x} lies left of the map's support")
-        return self.values[i]
-
-
-def td_tu(table: CurtainTable) -> tuple[StepMap, StepMap]:
-    """Lower and upper destination maps as step functions of the position.
-
-    These compose the table's lower/upper functions with the inverse
-    quantile map; they are single-valued wherever one source atom carries
-    one configuration and flagged multi-valued otherwise (genuine source
-    atoms spanning several configurations).
-    """
-    t = table.intervals
-    order = np.argsort(t["g"], kind="stable")
-    g = t["g"][order]
-    new_x = np.concatenate(([True], g[1:] != g[:-1]))
-    firsts = np.flatnonzero(new_x)
-
-    def step_values(column):
-        """Distinct consecutive values per source position, in table order."""
-        v = column[order]
-        keep = new_x | np.concatenate(([True], v[1:] != v[:-1]))
-        groups = np.split(v[keep], np.flatnonzero(new_x[keep])[1:])
-        counts = np.add.reduceat(keep.astype(np.intp), firsts)
-        return tuple(tuple(grp.tolist()) for grp in groups), counts > 1
-
-    lo_vals, lo_multi = step_values(t["r"])
-    up_vals, up_multi = step_values(t["s"])
-    xs = g[new_x]
-    multi = lo_multi | up_multi
-    return StepMap(xs, lo_vals, multi.copy()), StepMap(xs, up_vals, multi.copy())
-
-
 def curve_rows(table: CurtainTable) -> np.ndarray:
     """Rows ``(u, G, R, Q, S, phi)`` at both endpoints of every interval."""
     t = table.intervals
     shape = [t[name] for name in ("g", "r", "q", "s")]
     lo = np.column_stack([t["u_lo"], *shape, t["phi_lo"]])
-    hi = np.column_stack([t["u_hi"], *shape, _phi_on(t, t["u_hi"])])
+    hi = np.column_stack([t["u_hi"], *shape, _phi_hi(t)])
     return np.stack((lo, hi), axis=1).reshape(-1, 6)

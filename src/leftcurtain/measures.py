@@ -12,6 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +76,10 @@ class DiscreteMeasure:
 
     @cached_property
     def cum_weights(self) -> np.ndarray:
-        return np.cumsum(self.ws)
+        """Cumulative weights ``F(x_i)``: the TwoSum-compensated prefix sums
+        of :func:`_prefix_sums`, each rounded once."""
+        sums, comp = _prefix_sums(self.ws)
+        return (sums + comp)[1:]
 
     @property
     def support_left(self) -> float:
@@ -177,6 +181,24 @@ def _merge_atoms(xs, ws, pos_tol):
     return xs[first], np.add.reduceat(ws, first)
 
 
+def _prefix_sums(x: np.ndarray) -> np.ndarray:
+    """Prefix sums of ``x`` from 0, as rows ``(sums, compensations)``: the
+    plain prefix sums and the prefix sums of their rounding errors, each
+    error exact by TwoSum (Ogita, Rump and Oishi 2005, Sum2).  Read them
+    with :func:`_rise`."""
+    s = np.concatenate(([0.0], np.cumsum(x)))
+    b = s[1:] - s[:-1]
+    err = (s[:-1] - (s[1:] - b)) + (x - b)
+    return np.stack((s, np.concatenate(([0.0], np.cumsum(err)))))
+
+
+def _rise(end, start):
+    """``end - start`` for columns of :func:`_prefix_sums`.  Sums close to
+    each other subtract exactly, so the difference is accurate relative to
+    its own size, not to the size of the sums."""
+    return (end[0] - start[0]) + (end[1] - start[1])
+
+
 def _put_values(xs: np.ndarray, ws: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
     """Put potential ``sum_{x_i < k} w_i (k - x_i)`` of the atoms ``(xs,
     ws)`` at the points ``k``.
@@ -241,7 +263,6 @@ def restricted_measure(mu: DiscreteMeasure, u: float) -> DiscreteMeasure:
 
 class Order(enum.Enum):
     ORDERED = "ordered"
-    EQUAL_LAW = "equal-law"
     FAILS = "fails"
 
 
@@ -260,34 +281,71 @@ class DecomposeError(ValueError):
     no irreducible decomposition."""
 
 
+class _PairGap(NamedTuple):
+    """The potentials of a pair on the union of its supports.
+
+    ``kinks`` are the union's points, ``f_mu`` and ``f_nu`` the cumulative
+    weights on the segments between neighbouring kinks, read from the
+    measures' :attr:`~DiscreteMeasure.cum_weights`, and ``d`` the gap ``D
+    = P_nu - P_mu`` at the kinks: the prefix sums of the segment rises
+    ``(F_nu - F_mu) h``, from 0 at the left end of the support, where both
+    potentials vanish.  ``p_nu`` is ``P_nu`` at the kinks as the
+    compensated :func:`_prefix_sums` of ``F_nu h``, read with
+    :func:`_rise`: it grows with the distance from the left end, far
+    beyond the differences read from it.
+    """
+
+    kinks: np.ndarray
+    f_mu: np.ndarray
+    f_nu: np.ndarray
+    d: np.ndarray
+    p_nu: np.ndarray
+
+
+def _pair_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> _PairGap:
+    """The :class:`_PairGap` of two non-empty measures."""
+    kinks = np.union1d(mu.xs, nu.xs)
+    h = np.diff(kinks)
+    f_mu = np.append(0.0, mu.cum_weights)[mu.xs.searchsorted(kinks[:-1], side="right")]
+    f_nu = np.append(0.0, nu.cum_weights)[nu.xs.searchsorted(kinks[:-1], side="right")]
+    d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * h)))
+    return _PairGap(kinks, f_mu, f_nu, d, _prefix_sums(f_nu * h))
+
+
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     """Convex-order test via potential domination.
 
     Equal mass and mean plus ``P_mu <= P_nu`` at every breakpoint of both
     potentials is sufficient for piecewise-linear potentials, because the
     difference is then non-negative at all of its kinks and vanishes at
-    both tails.  Both potentials are evaluated on the union of both
-    supports, centred at ``mu``'s barycentre, which equal means make common
-    to the pair.  The witness is the breakpoint with the most negative gap;
-    a gap fails below ``-MASS_TOL`` times the largest distance of a
-    breakpoint from the centre (at least 1), since potential values, and
-    their rounding, grow with the spread of the positions.
+    both tails.  The gap is read from :func:`_pair_gap` at the kinks of
+    both supports.  The witness is the kink with the most negative gap; a
+    gap fails below ``-MASS_TOL`` times the largest distance of a kink
+    from ``mu``'s barycentre (at least 1), since potential values, and
+    their rounding, grow with the spread of the positions.  Equal laws are
+    ordered.
     """
+    return _order_and_gap(mu, nu)[0]
+
+
+def _order_and_gap(
+    mu: DiscreteMeasure, nu: DiscreteMeasure
+) -> tuple[OrderResult, _PairGap | None]:
+    """:func:`check_convex_order` of the pair and the :class:`_PairGap` it
+    read, ``None`` when mass or mean already fail."""
     if abs(mu.mass - nu.mass) > MASS_TOL:
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass))
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass)), None
     if abs(mu.mean - nu.mean) > MASS_TOL * max(1.0, abs(mu.mean)):
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean))
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean)), None
     if mu.n_atoms == 0:
         raise ValueError("convex order requires non-empty measures")
+    pair = _pair_gap(mu, nu)
+    kinks, d = pair.kinks, pair.d
     c = mu.mean / mu.mass
-    grid = np.union1d(mu.xs, nu.xs)
-    gap = _put_values(nu.xs, nu.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
-    worst = int(np.argmin(gap))
-    if gap[worst] < -MASS_TOL * max(1.0, c - float(grid[0]), float(grid[-1]) - c):
-        return OrderResult(Order.FAILS, witness=float(grid[worst]), gap=float(-gap[worst]))
-    if mu.tv_distance(nu) <= MASS_TOL:
-        return OrderResult(Order.EQUAL_LAW)
-    return OrderResult(Order.ORDERED)
+    worst = int(np.argmin(d))
+    if d[worst] < -MASS_TOL * max(1.0, c - float(kinks[0]), float(kinks[-1]) - c):
+        return OrderResult(Order.FAILS, witness=float(kinks[worst]), gap=float(-d[worst])), pair
+    return OrderResult(Order.ORDERED), pair
 
 
 def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:

@@ -4,17 +4,18 @@ The shadow of ``mu`` in ``nu`` is the smallest measure in convex order
 among those dominated by ``nu`` into which ``mu`` embeds; its put
 potential equals ``P_nu`` minus the lower convex envelope of
 ``P_nu - P_mu``.  So the shadow is ``nu`` minus the slope jumps of that
-one envelope: the gap is evaluated on the union of both supports, one hull
-scan takes its envelope, and each target atom loses the envelope's jump
-there.  The output's defining properties are then validated; inputs not
-in extended convex order are signalled through :class:`ShadowInvalid`.
+one envelope: the gap is read on the union of both supports from
+:func:`leftcurtain.measures._pair_gap`, one hull scan takes its envelope,
+and each target atom loses the envelope's jump there.  The output's
+defining properties are then validated; inputs not in extended convex
+order are signalled through :class:`ShadowInvalid`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _put_values
+from .measures import DiscreteMeasure, _pair_gap, _put_values
 from .pwl import convex_hull
 
 #: slack allowed when checking atomwise domination by ``nu`` (absorbs
@@ -42,20 +43,17 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
         return DiscreteMeasure([], [])
     if mu.mass > nu.mass + 1e-12:
         raise ShadowInvalid(f"source mass {mu.mass} exceeds target mass {nu.mass}")
-    grid = np.union1d(mu.xs, nu.xs)
+    pair = _pair_gap(mu, nu)
+    grid = pair.kinks
     ws = np.zeros(grid.size)  # nu's weights on the grid; the envelope's jumps come off below
     ws[grid.searchsorted(nu.xs)] = nu.ws
-    mu_w = np.zeros(grid.size)
-    mu_w[grid.searchsorted(mu.xs)] = mu.ws
-    c = nu.mean / nu.mass
-    excess = _put_values(nu.xs, nu.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
     slope_right = nu.mass - mu.mass
-    hx, hy = convex_hull(grid, excess, 0.0, slope_right)
+    hx, hy = convex_hull(grid, pair.d, 0.0, slope_right)
     # an envelope edge between neighbouring grid points runs along the gap,
     # whose slope there is F_nu - F_mu: a difference of cumulative weights,
     # free of the cancellation of a chord slope taken from potential values
     v = grid.searchsorted(hx)
-    along = np.cumsum(ws) - np.cumsum(mu_w)
+    along = pair.f_nu - pair.f_mu
     chord = np.diff(hy) / np.diff(hx)
     slopes = np.concatenate(([0.0], np.where(np.diff(v) == 1, along[v[:-1]], chord), [slope_right]))
     ws[v] -= np.diff(slopes)

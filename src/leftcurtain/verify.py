@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curtain import CurtainTable, LiftedCoupling, _two_point
+from .curtain import CurtainTable, LiftedCoupling, _phi_hi, _two_point
 from .measures import POS_EPS, DiscreteMeasure, _run_starts
 
 #: default residual tolerance for exact-arithmetic checks
@@ -213,10 +213,14 @@ def verify_marginal_identity(
     ys = _sample_points(rng, atoms, samples)
     target = nu.cdf(ys)
     worst = float(np.abs(destination_cdf(table, ys) - target).max(initial=0.0))
-    v = table.s_inverse(ys)
-    x = target - v
-    phi_left = np.where(v > 0, table.phi(v), 0.0)
-    gaps = np.maximum(phi_left - x, x - table.phi_right_limit(v))
+    # S^{-1}(y) is the top of the rows below j, so phi is read at row ends:
+    # on row j - 1 from the left (0 below the first row), at the start of
+    # row j from the right (0 above the last)
+    t = table.intervals
+    j = t["s"].searchsorted(ys, side="right")
+    x = target - np.append(0.0, t["u_hi"])[j]
+    phi_left = np.append(0.0, _phi_hi(t))[j]
+    gaps = np.maximum(phi_left - x, x - np.append(t["phi_lo"], 0.0)[j])
     sandwich = float(gaps[ys >= nu.support_left].max(initial=0.0))
     if report is not None:
         report.proby_residual_max = worst

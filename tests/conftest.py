@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -80,6 +82,79 @@ def nontrivial_runs(table):
         return []
     cuts = np.flatnonzero(~joined[idx])[1:]
     return [run.tolist() for run in np.split(idx, cuts)]
+
+
+def locate(table, u):
+    """Index of the row of ``table`` whose interval ``(u_lo, u_hi]`` holds
+    the level ``u``."""
+    t = table.intervals
+    return min(int(t["u_hi"].searchsorted(u, side="left")), len(t) - 1)
+
+
+def phi_at(rows, u):
+    """phi at level ``u`` on the linear piece of ``rows``."""
+    return rows["phi_lo"] + rows["dphi"] * (u - rows["u_lo"])
+
+
+def phi(table, u):
+    """phi(u) of ``table``: left-continuous, with its right limit at
+    ``u = 0``."""
+    t = table.intervals
+    return float(t["phi_lo"][0] if u <= 0.0 else phi_at(t[locate(table, u)], u))
+
+
+@dataclass(frozen=True)
+class StepMap:
+    """Right-continuous step function of the source position.
+
+    At genuine source atoms the underlying map may take several values over
+    the atom's quantile interval; those positions are flagged and
+    ``values_at`` returns the full list (``__call__`` returns the last,
+    i.e. highest-level, value).
+    """
+
+    xs: np.ndarray
+    values: tuple[tuple[float, ...], ...]
+    multi_valued: np.ndarray
+
+    def __call__(self, x: float) -> float:
+        return self.values_at(x)[-1]
+
+    def values_at(self, x: float) -> tuple[float, ...]:
+        i = int(np.searchsorted(self.xs, x, side="right")) - 1
+        if i < 0:
+            raise ValueError(f"{x} lies left of the map's support")
+        return self.values[i]
+
+
+def td_tu(table):
+    """Lower and upper destination maps (the paper's lower and upper
+    functions) as step functions of the source position.
+
+    These compose the table's lower/upper functions with the inverse
+    quantile map; they are single-valued wherever one source atom carries
+    one configuration and flagged multi-valued otherwise (genuine source
+    atoms spanning several configurations).
+    """
+    t = table.intervals
+    order = np.argsort(t["g"], kind="stable")
+    g = t["g"][order]
+    new_x = np.concatenate(([True], g[1:] != g[:-1]))
+    firsts = np.flatnonzero(new_x)
+
+    def step_values(column):
+        """Distinct consecutive values per source position, in table order."""
+        v = column[order]
+        keep = new_x | np.concatenate(([True], v[1:] != v[:-1]))
+        groups = np.split(v[keep], np.flatnonzero(new_x[keep])[1:])
+        counts = np.add.reduceat(keep.astype(np.intp), firsts)
+        return tuple(tuple(grp.tolist()) for grp in groups), counts > 1
+
+    lo_vals, lo_multi = step_values(t["r"])
+    up_vals, up_multi = step_values(t["s"])
+    xs = g[new_x]
+    multi = lo_multi | up_multi
+    return StepMap(xs, lo_vals, multi.copy()), StepMap(xs, up_vals, multi.copy())
 
 
 def sample_y(table, u, v):

@@ -28,7 +28,6 @@ from leftcurtain import (
     restricted_measure,
     sample_y_many,
     shadow,
-    td_tu,
     verify_left_monotone,
     verify_marginal_identity,
 )
@@ -39,9 +38,11 @@ from conftest import (
     barrier_instance,
     interior_zeros,
     nontrivial_runs,
+    phi_at,
     row_components,
     scaled,
     straddle_mass,
+    td_tu,
 )
 from decompose_reference import decompose_reference
 
@@ -168,10 +169,6 @@ def _component_frames(pi, mu, nu, table, components):
     return frames
 
 
-def _phi_at(rows, u):
-    return rows["phi_lo"] + rows["dphi"] * (u - rows["u_lo"])
-
-
 def test_criterion_5_phi_laws(bank):
     instances, _ = bank
     lip_worst = 0.0
@@ -182,7 +179,7 @@ def test_criterion_5_phi_laws(bank):
         t = table.intervals
         mids = 0.5 * (t["u_lo"] + t["u_hi"])
         us = np.concatenate((mids, t["u_hi"]))
-        ps = np.concatenate((_phi_at(t, mids), _phi_at(t, t["u_hi"])))
+        ps = np.concatenate((phi_at(t, mids), phi_at(t, t["u_hi"])))
         order = np.lexsort((ps, us))
         us, ps = us[order], ps[order]
         for i in range(len(us)):
@@ -195,7 +192,7 @@ def test_criterion_5_phi_laws(bank):
                 iv = table.intervals[idx]
                 if last is not None:
                     mono_worst = max(mono_worst, iv["phi_lo"] - last)
-                last = _phi_at(iv, iv["u_hi"])
+                last = phi_at(iv, iv["u_hi"])
         # finite-difference slope identity, 20 interior points per run
         components = row_components(table, mu, nu)
         frames = _component_frames(pi, mu, nu, table, components)

@@ -215,19 +215,19 @@ def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypat
     import leftcurtain.cli as cli
     import leftcurtain.measures as measures
 
-    calls = {"decompose": 0, "put": 0}
+    calls = {"decompose": 0, "gap": 0}
 
     def counted_decompose(pi, mu, nu):
         calls["decompose"] += 1
         return decompose(pi, mu, nu)
 
-    def counted_put(*args):
-        calls["put"] += 1
-        return put_values(*args)
+    def counted_gap(*args):
+        calls["gap"] += 1
+        return pair_gap(*args)
 
-    put_values = measures._put_values
+    pair_gap = measures._pair_gap
     monkeypatch.setattr(cli, "decompose", counted_decompose)
-    monkeypatch.setattr(measures, "_put_values", counted_put)
+    monkeypatch.setattr(measures, "_pair_gap", counted_gap)
     mu, nu = split_pair
     mu_path = tmp_path / "mu.json"
     nu_path = tmp_path / "nu.json"
@@ -236,8 +236,9 @@ def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypat
     out = tmp_path / "coupling.json"
     args = ["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]
     assert main(args + ["--components"]) == EXIT_OK
-    # one decomposition, and the gap evaluated once: by the build's order check
-    assert calls == {"decompose": 1, "put": 2}
+    # one decomposition, and the gap evaluated once: by the build, for its
+    # order check and its sweep
+    assert calls == {"decompose": 1, "gap": 1}
     obj = json.loads(out.read_text())
     assert [c["interval"] for c in obj["components"]] == [[-2.0, 0.0], [0.0, 2.0]]
     plain = tmp_path / "plain.json"

@@ -9,7 +9,6 @@ from leftcurtain import (
     quantize_density,
     random_cx_pair,
     sample_y_many,
-    td_tu,
     verify_all,
     verify_coupling,
     verify_left_monotone,
@@ -19,15 +18,15 @@ from leftcurtain.oracle import PairReference, contact_points
 from conftest import (
     decompose_pair,
     dm,
+    locate,
     nontrivial_runs,
+    phi,
+    phi_at,
     random_instance,
     row_components,
     sample_y,
+    td_tu,
 )
-
-
-def phi_at(rows, u):
-    return rows["phi_lo"] + rows["dphi"] * (u - rows["u_lo"])
 
 
 def single_component_instances(count, start=0):
@@ -136,8 +135,8 @@ class TestBuildCurtain:
         assert (second["r"], second["g"], second["s"]) == (-3.0, 1.0, 3.0)
         # envelope slope: (1 - u) / 3 on both intervals
         assert first["phi_lo"] == pytest.approx(1 / 3)
-        assert table.phi(0.5) == pytest.approx(1 / 6)
-        assert table.phi(1.0) == pytest.approx(0.0, abs=1e-12)
+        assert phi(table, 0.5) == pytest.approx(1 / 6)
+        assert phi(table, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     def test_decomposed_table(self, split_pair):
         mu, nu = split_pair
@@ -155,7 +154,7 @@ class TestBuildCurtain:
             rng = np.random.default_rng(seed + 1)
             for u in rng.uniform(1e-4, 1 - 1e-4, size=50):
                 pc = ref.at(float(u))
-                iv = table.intervals[table.locate(float(u))]
+                iv = table.intervals[locate(table, float(u))]
                 assert pc.g == pytest.approx(iv["g"], abs=1e-10)
                 assert pc.q == pytest.approx(iv["q"], abs=1e-10)
                 assert pc.s == pytest.approx(iv["s"], abs=1e-10)
@@ -227,6 +226,31 @@ class TestSweepRegressions:
         assert (t["u_hi"] - t["u_lo"]).min() >= 1e-10
         rep = verify_all(table, coupling(table, mu), mu, nu)
         assert rep.passed(), rep.checks
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            pytest.param(
+                lambda: (
+                    quantize_density([-1.0, 1.0], [0.5, 0.5], 4000),
+                    quantize_density([-2.0, 2.0], [0.25, 0.25], 4000),
+                ),
+                id="uniform-4000",
+            ),
+            *(
+                pytest.param(lambda i=i: random_cx_pair(i, 1 + i % 8, (i // 8) % 7), id=f"cx-{i}")
+                for i in range(0, 56, 5)
+            ),
+        ],
+    )
+    def test_source_atoms_end_at_their_cumulative_weights(self, pair):
+        # the sweep's levels are mu's cumulative weights themselves, not a
+        # second sum of the same weights
+        mu, nu = pair()
+        t = build_curtain(mu, nu).intervals
+        atom = mu.xs.searchsorted(t["g"])
+        last = atom.searchsorted(np.arange(mu.n_atoms - 1), side="right") - 1
+        assert np.array_equal(t["u_hi"][last], mu.cum_weights[:-1])
 
     def test_uniform_200_reproduces_point_construction_on_every_row(self):
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 200)
@@ -381,7 +405,7 @@ class TestPhiLaws:
         for u in (t["u_lo"] + (t["u_hi"] - t["u_lo"]) / 2, t["u_hi"]):
             val = phi_at(t, u)
             assert np.all(-1e-10 <= val) and np.all(val <= 1.0 - u + 1e-10)
-        assert table.phi(1.0) <= 1e-9
+        assert phi(table, 1.0) <= 1e-9
 
     @pytest.mark.parametrize("start", [0, 11, 29, 47])
     def test_slope_identity_by_finite_differences(self, start):

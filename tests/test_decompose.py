@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from leftcurtain import DecomposeError, build_curtain, coupling, decompose, random_cx_pair
+from leftcurtain import (
+    DecomposeError,
+    build_curtain,
+    coupling,
+    decompose,
+    quantize_density,
+    random_cx_pair,
+)
 from conftest import (
     bank_instance,
     barrier_instance,
@@ -131,3 +138,15 @@ def test_components_read_off_the_coupling_match_the_zeros_of_the_gap():
             assert same_bits(c.nu_part.xs, d.nu_part.xs)
             worst = max(worst, float(np.abs(c.nu_part.ws - d.nu_part.ws).max()))
     assert worst <= 1e-12
+
+
+def test_component_masses_balance_on_the_uniform_pair():
+    # the boundary weights of nu_part are sums of joint weights, so they
+    # carry the coupling's marginal error; with the levels and F_nu read
+    # from compensated cumulative weights the two masses agree
+    mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 4000)
+    nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 4000)
+    dec = decompose_pair(mu, nu)
+    assert dec.components
+    for comp in dec.components:
+        assert abs(comp.nu_part.mass - comp.mu_part.mass) <= 1e-15

@@ -27,7 +27,6 @@ PUBLIC_NAMES = [
     "Order",
     "OrderResult",
     "ShadowInvalid",
-    "StepMap",
     "TABLE_DTYPE",
     "VerificationReport",
     "build_curtain",
@@ -47,7 +46,6 @@ PUBLIC_NAMES = [
     "restricted_measure",
     "sample_y_many",
     "shadow",
-    "td_tu",
     "verify_all",
     "verify_coupling",
     "verify_left_monotone",
@@ -126,3 +124,25 @@ def test_the_build_sweeps_the_pair_without_decomposing_it():
 def test_decompose_reads_the_coupling_and_evaluates_no_potential():
     names = imported_or_used_names("decompose")
     assert not names & {"_put_values", "put_potential", "_order_with_gap"}
+
+
+def called_names(node):
+    """The names and attributes that the code under ``node`` reads."""
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)} | {
+        n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
+    }
+
+
+def test_the_curtain_reads_its_potentials_from_measures():
+    # one gap evaluation per pair (measures._pair_gap): the builder sums
+    # no weights and evaluates no potential of its own
+    assert not imported_or_used_names("curtain") & {"cumsum", "union1d", "_put_values"}
+    assert "_order_and_gap" in imported_or_used_names("curtain")
+
+
+def test_the_shadow_takes_its_gap_from_measures():
+    tree = ast.parse((SRC / "shadow.py").read_text())
+    (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "shadow")
+    names = called_names(fn)
+    assert "_pair_gap" in names
+    assert not names & {"cumsum", "union1d", "_put_values"}

@@ -9,11 +9,17 @@ float64 ulps of its [0, 1] range.
 import numpy as np
 import pytest
 
-from leftcurtain import build_curtain, coupling, destination_cdf, verify_left_monotone
+from leftcurtain import (
+    build_curtain,
+    coupling,
+    destination_cdf,
+    verify_left_monotone,
+    verify_marginal_identity,
+)
 from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
 from leftcurtain.measures import POS_EPS
-from leftcurtain.verify import MONO_EPS
-from conftest import breakpoints, nontrivial_runs, random_instance
+from leftcurtain.verify import MONO_EPS, VerificationReport, _sample_points
+from conftest import nontrivial_runs, random_instance
 
 
 def _split(row):
@@ -121,11 +127,16 @@ def test_columns_match_row_loops(seed):
         assert got == destination_cdf(table, y)
     ys = np.concatenate((ys, nu.xs, table.intervals["s"]))
     assert table.s_inverse(ys).tolist() == [loop_s_inverse(table, y) for y in ys]
-    mid = 0.5 * (table.intervals["u_lo"] + table.intervals["u_hi"])
-    us = np.concatenate(([0.0], breakpoints(table), mid, [1.0]))
-    assert table.phi(us).tolist() == [loop_phi(table, u) for u in us]
-    want = [loop_phi(table, u, right_limit=True) for u in us]
-    assert table.phi_right_limit(us).tolist() == want
+    report = VerificationReport()
+    verify_marginal_identity(table, nu, samples=60, seed=seed, mu=mu, report=report)
+    ys = _sample_points(np.random.default_rng(seed), np.union1d(nu.xs, mu.xs), 60)
+    worst = 0.0
+    for y in ys[ys >= nu.support_left]:
+        v = loop_s_inverse(table, y)
+        x = nu.cdf(y) - v
+        left = loop_phi(table, v) if v > 0 else 0.0
+        worst = max(worst, left - x, x - loop_phi(table, v, right_limit=True))
+    assert report.phi_sandwich_violation_max == worst
 
 
 @pytest.mark.parametrize("seed", range(10))
