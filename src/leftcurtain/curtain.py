@@ -51,9 +51,10 @@ DEGENERATE_KERNEL_EPS = 1e-13
 #: event; levels are the pair's global quantile levels
 TIE_EPS = 1e-12
 
-#: row layout of :attr:`CurtainTable.intervals`
+#: row layout of :attr:`CurtainTable.intervals`: a row's levels, its
+#: kernel ``(g, r, s)`` and phi at its start
 TABLE_DTYPE = np.dtype(
-    [(name, np.float64) for name in ("u_lo", "u_hi", "g", "r", "q", "s", "phi_lo", "dphi")]
+    [(name, np.float64) for name in ("u_lo", "u_hi", "g", "r", "s", "phi_lo")]
 )
 
 #: column names of :attr:`LiftedCoupling.intervals` and of its JSON rows
@@ -78,38 +79,34 @@ def _two_point(x, r, s):
     return np.where(split, r, x), share, split
 
 
-def _phi_hi(t: np.ndarray) -> np.ndarray:
-    """phi at the top ``u_hi`` of every row of ``t``, on the row's line."""
-    return t["phi_lo"] + t["dphi"] * (t["u_hi"] - t["u_lo"])
-
-
 @dataclass(frozen=True, eq=False)
 class CurtainTable:
-    """Piecewise-constant-in-``u`` representation of ``(G, R, Q, S, phi)``.
+    """Piecewise-constant-in-``u`` representation of ``(G, R, S, phi)``.
 
     ``intervals`` is one structured array of dtype :data:`TABLE_DTYPE`,
-    one row per quantile interval ``(u_lo, u_hi]`` in increasing order.
-    On a row ``phi(u) = phi_lo + dphi * (u - u_lo)``.  Point-kernel rows
-    (``s - r <= DEGENERATE_KERNEL_EPS``) store ``r = q = g = s``; on the
-    other rows ``r`` equals ``q`` in the interior of the interval, and
+    one row per quantile interval ``(u_lo, u_hi]`` in increasing order;
     pointwise queries at exact breakpoints follow the left-limit
-    convention.
+    convention.  Point-kernel rows (``s - r <= DEGENERATE_KERNEL_EPS``)
+    store ``r = g = s`` and keep phi constant.  On the other rows phi falls
+    at the rate ``(S - G) / (S - R)``, the share of the row's mass that its
+    kernel sends to ``R`` (``phi' = -(S - G) / (S - R)``), so ``phi_lo``
+    fixes phi on the whole row.
     """
 
     intervals: np.ndarray
-
-    def s_inverse(self, y):
-        """Right-continuous inverse of the non-decreasing step function S;
-        elementwise for an array ``y``."""
-        j = self.intervals["s"].searchsorted(np.asarray(y, dtype=float), side="right")
-        out = np.append(0.0, self.intervals["u_hi"])[j]
-        return float(out) if out.ndim == 0 else out
 
     @cached_property
     def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_two_point` of the rows ``(g, r, s)``."""
         t = self.intervals
         return _two_point(t["g"], t["r"], t["s"])
+
+
+def _phi_hi(table: CurtainTable) -> np.ndarray:
+    """phi at the top ``u_hi`` of every row of ``table``, on the row's line."""
+    t = table.intervals
+    _, share, split = table._kernels
+    return t["phi_lo"] + np.where(split, -share, 0.0) * (t["u_hi"] - t["u_lo"])
 
 
 def _sweep(pair: _PairGap, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
@@ -137,9 +134,9 @@ def _sweep(pair: _PairGap, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tup
     a target atom to a target atom (the chord's rise ``A(s) - D(q)`` is
     ``P_nu(s) - P_nu(x_i) + D(x_i) - D(q)``), both read from ``pair``
     (:func:`~leftcurtain.measures._pair_gap`).  The levels are ``mu``'s
-    cumulative weights, the array ``pair`` reads ``F_mu`` from.  Rows are
-    tuples ``(u_lo, u_hi, g, r, q, s, phi_lo, dphi)`` in the pair's
-    quantile levels.
+    cumulative weights, the array ``pair`` reads ``F_mu`` from, from
+    exactly 0 to exactly 1.  Rows are :data:`TABLE_DTYPE` tuples ``(u_lo,
+    u_hi, g, r, s, phi_lo)`` in the pair's quantile levels.
     """
     kinks, d, p_nu = pair.kinks, pair.d, pair.p_nu
     xs, ys = mu.xs, nu.xs
@@ -165,11 +162,11 @@ def _sweep(pair: _PairGap, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tup
             sigma = max(0.0, float(left.max())) if n_left else 0.0
             u_detach = float(right.min()) - sigma if right.size else math.inf
             if u_detach >= hi - TIE_EPS:
-                rows.append((lo, hi, xi, xi, xi, xi, sigma, 0.0))
+                rows.append((lo, hi, xi, xi, xi, sigma))
                 q = s = -1
                 continue
             if u_detach > lo + TIE_EPS:
-                rows.append((lo, u_detach, xi, xi, xi, xi, sigma, 0.0))
+                rows.append((lo, u_detach, xi, xi, xi, sigma))
                 u = u_detach
             if not n_left:
                 raise InternalGeometry(f"source atom {xi} detaches with no kink to its left")
@@ -191,10 +188,10 @@ def _sweep(pair: _PairGap, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tup
             right_min = (right_slope.min(initial=math.inf) - phi_a) * scale
             nxt = min(left_min, right_min)
             if nxt >= hi - TIE_EPS:  # the chord lasts to the end of the atom
-                rows.append((u, hi, xi, x_q, x_q, x_s, phi_a - phi_b * u, -phi_b))
+                rows.append((u, hi, xi, x_q, x_s, phi_a - phi_b * u))
                 break
             if nxt > u + TIE_EPS:
-                rows.append((u, nxt, xi, x_q, x_q, x_s, phi_a - phi_b * u, -phi_b))
+                rows.append((u, nxt, xi, x_q, x_s, phi_a - phi_b * u))
                 u = nxt
             if left_min <= nxt + TIE_EPS:
                 q = int(np.flatnonzero((phi_a - left_slope) / phi_b <= nxt + TIE_EPS)[0])
@@ -223,10 +220,6 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
             f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
         )
     table = np.array(_sweep(pair, mu, nu), dtype=TABLE_DTYPE)
-    # stretch the outer rows to the closed level range, phi kept on its line
-    table["phi_lo"][0] += table["dphi"][0] * (0.0 - table["u_lo"][0])
-    table["u_lo"][0] = 0.0
-    table["u_hi"][-1] = 1.0
     table.flags.writeable = False
     return CurtainTable(table)
 
@@ -296,7 +289,7 @@ def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
     pairs, inverse = np.unique(keys, return_inverse=True)
     weights = np.bincount(inverse, weights=ws[live], minlength=len(pairs))
     keep = weights > 0
-    rows = np.column_stack([t[name] for name in ("u_lo", "u_hi", "g", "r", "s")])
+    rows = np.column_stack([t[name] for name in TABLE_DTYPE.names[:5]])
     return LiftedCoupling(rows, pairs.real[keep], pairs.imag[keep], weights[keep])
 
 
@@ -314,9 +307,10 @@ def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.nda
 
 
 def curve_rows(table: CurtainTable) -> np.ndarray:
-    """Rows ``(u, G, R, Q, S, phi)`` at both endpoints of every interval."""
+    """Rows ``(u, G, R, Q, S, phi)`` at both endpoints of every interval;
+    the contact ``Q`` of the envelope left of ``G`` is ``R`` itself."""
     t = table.intervals
-    shape = [t[name] for name in ("g", "r", "q", "s")]
+    shape = [t[name] for name in ("g", "r", "r", "s")]
     lo = np.column_stack([t["u_lo"], *shape, t["phi_lo"]])
-    hi = np.column_stack([t["u_hi"], *shape, _phi_hi(t)])
+    hi = np.column_stack([t["u_hi"], *shape, _phi_hi(table)])
     return np.stack((lo, hi), axis=1).reshape(-1, 6)

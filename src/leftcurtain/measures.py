@@ -85,10 +85,6 @@ class DiscreteMeasure:
     def support_left(self) -> float:
         return float(self.xs[0])
 
-    @property
-    def support_right(self) -> float:
-        return float(self.xs[-1])
-
     def cdf(self, k) -> np.ndarray | float:
         """Right-continuous distribution function ``F(k)``."""
         k = np.asarray(k, dtype=float)
@@ -98,17 +94,19 @@ class DiscreteMeasure:
         return float(out) if out.ndim == 0 else out
 
     def atom_index(self, x) -> np.ndarray | int:
-        """Index of the atom within ``POS_EPS`` of ``x``, the left neighbour
-        first, or -1 if there is none; elementwise for an array ``x``."""
+        """Index of the atom nearest to ``x`` if it lies within ``POS_EPS``,
+        the left one of two equally near, or -1 if there is none;
+        elementwise for an array ``x``."""
         x = np.asarray(x, dtype=float)
         out = np.full(x.shape, -1, dtype=np.intp)
         if self.n_atoms:
+            # i - 1 and i are the neighbours of x; an index out of range
+            # clips onto the other one
             i = np.searchsorted(self.xs, x)
-            # i - 1 and i are the neighbours of x; an index out of range clips
-            # onto the other one, and the left one, written last, wins
-            for j in (np.minimum(i, self.n_atoms - 1), np.maximum(i - 1, 0)):
-                hit = np.abs(self.xs[j] - x) <= POS_EPS
-                out[hit] = j[hit]
+            left, right = np.maximum(i - 1, 0), np.minimum(i, self.n_atoms - 1)
+            gap_left, gap_right = np.abs(self.xs[left] - x), np.abs(self.xs[right] - x)
+            near = np.where(gap_right < gap_left, right, left)
+            out = np.where(np.minimum(gap_left, gap_right) <= POS_EPS, near, out)
         return int(out) if out.ndim == 0 else out
 
     def atom_weight(self, x) -> np.ndarray | float:

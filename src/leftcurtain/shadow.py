@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import DiscreteMeasure, _pair_gap, _put_values
+from .measures import MASS_TOL, DiscreteMeasure, _pair_gap, _put_values, check_convex_order
 from .pwl import convex_hull
 
 #: slack allowed when checking atomwise domination by ``nu`` (absorbs
@@ -37,12 +37,22 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     under it, or a kink off ``nu``'s atoms) raises.  The result is then
     checked for the three defining properties: domination by ``nu`` atom
     by atom, convex-order domination of ``mu``, and exact mass/mean
-    agreement with ``mu``.
+    agreement with ``mu``.  A source with the target's mass (within
+    ``MASS_TOL``) has all of ``nu`` as its shadow when it lies below ``nu``
+    in convex order, and ``nu`` itself is returned.
     """
     if mu.n_atoms == 0:
         return DiscreteMeasure([], [])
-    if mu.mass > nu.mass + 1e-12:
+    if mu.mass > nu.mass + MASS_TOL:
         raise ShadowInvalid(f"source mass {mu.mass} exceeds target mass {nu.mass}")
+    if mu.mass >= nu.mass - MASS_TOL:
+        order = check_convex_order(mu, nu)
+        if not order:
+            raise ShadowInvalid(
+                f"source not below target in convex order (witness {order.witness}, "
+                f"gap {order.gap:.3e})"
+            )
+        return nu
     pair = _pair_gap(mu, nu)
     grid = pair.kinks
     ws = np.zeros(grid.size)  # nu's weights on the grid; the envelope's jumps come off below

@@ -39,11 +39,11 @@ so the certificate passes on it and on no other coupling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .curtain import CurtainTable, LiftedCoupling, _phi_hi, _two_point
+from .curtain import CurtainTable, LiftedCoupling, _phi_hi, _two_point, coupling
 from .measures import POS_EPS, DiscreteMeasure, _run_starts
 
 #: default residual tolerance for exact-arithmetic checks
@@ -67,24 +67,15 @@ class VerificationReport:
     checks: dict = field(default_factory=dict)
 
     def record(self, name: str, value: float, tol: float) -> None:
+        """Set the residual ``name`` to ``value`` and judge it against ``tol``."""
+        setattr(self, name, value)
         self.checks[name] = {"value": float(value), "tol": float(tol), "pass": bool(value <= tol)}
 
     def passed(self) -> bool:
         return all(entry["pass"] for entry in self.checks.values())
 
     def to_json(self) -> str:
-        payload = {
-            "marginal_mu_tv": self.marginal_mu_tv,
-            "marginal_nu_tv": self.marginal_nu_tv,
-            "martingale_residual_max": self.martingale_residual_max,
-            "monotonicity_violations": self.monotonicity_violations,
-            "proby_residual_max": self.proby_residual_max,
-            "phi_sandwich_violation_max": self.phi_sandwich_violation_max,
-            "shadow_certificate_max": self.shadow_certificate_max,
-            "checks": self.checks,
-            "pass": self.passed(),
-        }
-        return json.dumps(payload, indent=2)
+        return json.dumps({**asdict(self), "pass": self.passed()}, indent=2)
 
 
 def verify_coupling(
@@ -96,10 +87,8 @@ def verify_coupling(
 ) -> VerificationReport:
     """Marginal and martingale checks of a flattened coupling."""
     rep = report or VerificationReport()
-    rep.marginal_mu_tv = pi.first_marginal().tv_distance(mu)
-    rep.marginal_nu_tv = pi.second_marginal().tv_distance(nu)
-    rep.record("marginal_mu_tv", rep.marginal_mu_tv, tol)
-    rep.record("marginal_nu_tv", rep.marginal_nu_tv, tol)
+    rep.record("marginal_mu_tv", pi.first_marginal().tv_distance(mu), tol)
+    rep.record("marginal_nu_tv", pi.second_marginal().tv_distance(nu), tol)
 
     # sources within POS_EPS of the first of their run are one atom; bincount
     # adds each run's moments in order
@@ -109,27 +98,19 @@ def verify_coupling(
     run = np.cumsum(starts) - 1
     moments = (pi.joint_y[order] - xs[starts][run]) * pi.joint_w[order]
     residual = float(np.abs(np.bincount(run, weights=moments)).max(initial=0.0))
-    rep.martingale_residual_max = residual
     rep.record("martingale_residual_max", residual, tol)
     return rep
 
 
-def verify_left_monotone(
-    rows: CurtainTable | LiftedCoupling, report: VerificationReport | None = None
-) -> int:
-    """Count of ordered interval pairs violating left-monotonicity.
+def verify_left_monotone(pi: LiftedCoupling, report: VerificationReport | None = None) -> int:
+    """Count of ordered pairs of the coupling's lifted rows violating
+    left-monotonicity.
 
-    For interval indices ``i < j`` the upper function must not decrease and
-    the later lower value must avoid the open band ``(R_i, S_i)``.  The
-    ``r`` and ``s`` columns are read from a table or from a coupling's
-    lifted rows.
+    For row indices ``i < j`` the upper function must not decrease and the
+    later lower value must avoid the open band ``(R_i, S_i)``.
     """
-    if isinstance(rows, LiftedCoupling):
-        r, s = rows.intervals[:, 3], rows.intervals[:, 4]
-    else:
-        r, s = rows.intervals["r"], rows.intervals["s"]
-    r = np.ascontiguousarray(r)
-    s = np.ascontiguousarray(s)
+    r = np.ascontiguousarray(pi.intervals[:, 3])
+    s = np.ascontiguousarray(pi.intervals[:, 4])
     violations = 0
     for i in range(len(r) - 1):
         later_r = r[i + 1 :]
@@ -138,13 +119,22 @@ def verify_left_monotone(
             np.count_nonzero((r[i] + MONO_EPS < later_r) & (later_r < s[i] - MONO_EPS))
         )
     if report is not None:
-        report.monotonicity_violations = violations
         report.record("monotonicity_violations", violations, 0)
     return violations
 
 
 #: elements per temporary (samples x rows) block of :func:`destination_cdf`
 _CDF_BLOCK = 1 << 18
+
+
+def _s_inverse(table: CurtainTable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The right-continuous inverse ``S^{-1}(y)`` of the non-decreasing step
+    function S at the points ``y``, with the index ``j`` it is read at: the
+    rows below ``j`` have ``s <= y``, and ``S^{-1}(y)`` is the top of the
+    last of them, 0 when there is none."""
+    t = table.intervals
+    j = t["s"].searchsorted(y, side="right")
+    return np.append(0.0, t["u_hi"])[j], j
 
 
 def destination_cdf(table: CurtainTable, y):
@@ -158,7 +148,7 @@ def destination_cdf(table: CurtainTable, y):
     """
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
-    v = table.s_inverse(flat)
+    v, _ = _s_inverse(table, flat)
     t = table.intervals
     lower, share, _ = table._kernels
     above = t["u_hi"].searchsorted(v, side="right")  # per y, first row with u_hi > v
@@ -216,15 +206,12 @@ def verify_marginal_identity(
     # S^{-1}(y) is the top of the rows below j, so phi is read at row ends:
     # on row j - 1 from the left (0 below the first row), at the start of
     # row j from the right (0 above the last)
-    t = table.intervals
-    j = t["s"].searchsorted(ys, side="right")
-    x = target - np.append(0.0, t["u_hi"])[j]
-    phi_left = np.append(0.0, _phi_hi(t))[j]
-    gaps = np.maximum(phi_left - x, x - np.append(t["phi_lo"], 0.0)[j])
+    v, j = _s_inverse(table, ys)
+    x = target - v
+    phi_left = np.append(0.0, _phi_hi(table))[j]
+    gaps = np.maximum(phi_left - x, x - np.append(table.intervals["phi_lo"], 0.0)[j])
     sandwich = float(gaps[ys >= nu.support_left].max(initial=0.0))
     if report is not None:
-        report.proby_residual_max = worst
-        report.phi_sandwich_violation_max = sandwich
         report.record("proby_residual_max", worst, tol)
         report.record("phi_sandwich_violation_max", sandwich, 1e-8)
     return worst
@@ -258,9 +245,7 @@ def verify_shadow_consistency(
     it is ``None``); ``table`` is read only to build that coupling.
     ``grid`` and ``seed`` are unused: every level is checked.
     """
-    from .curtain import coupling as _build_coupling
-
-    pi = coupling_obj or _build_coupling(table, mu)
+    pi = coupling_obj or coupling(table, mu)
     u_lo, u_hi, x, r, s = pi.intervals.T
     width = u_hi - u_lo
     mass = np.maximum(width, 0.0)
@@ -294,7 +279,6 @@ def verify_shadow_consistency(
 
     worst = float(max(tiling, wrong_x, bad_kernel, tv, straddle))
     if report is not None:
-        report.shadow_certificate_max = worst
         report.record("shadow_certificate_max", worst, tol)
     return worst
 

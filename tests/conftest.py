@@ -11,8 +11,9 @@ from leftcurtain import (
     random_cx_pair,
     sample_y_many,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, _two_point
 from leftcurtain.measures import POS_EPS
+from leftcurtain.verify import _s_inverse
 
 
 def dm(*pairs):
@@ -91,9 +92,16 @@ def locate(table, u):
     return min(int(t["u_hi"].searchsorted(u, side="left")), len(t) - 1)
 
 
+def dphi(rows):
+    """phi's slope on ``rows``: ``-(S - G) / (S - R)`` where the kernel
+    splits, 0 on point rows."""
+    _, share, split = _two_point(rows["g"], rows["r"], rows["s"])
+    return np.where(split, -share, 0.0)[()]
+
+
 def phi_at(rows, u):
     """phi at level ``u`` on the linear piece of ``rows``."""
-    return rows["phi_lo"] + rows["dphi"] * (u - rows["u_lo"])
+    return rows["phi_lo"] + dphi(rows) * (u - rows["u_lo"])
 
 
 def phi(table, u):
@@ -101,6 +109,11 @@ def phi(table, u):
     ``u = 0``."""
     t = table.intervals
     return float(t["phi_lo"][0] if u <= 0.0 else phi_at(t[locate(table, u)], u))
+
+
+def s_inverse(table, y):
+    """``S^{-1}(y)`` of ``table`` at one point, as the verifiers read it."""
+    return float(_s_inverse(table, np.array([y], dtype=float))[0][0])
 
 
 @dataclass(frozen=True)

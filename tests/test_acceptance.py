@@ -31,7 +31,7 @@ from leftcurtain import (
     verify_left_monotone,
     verify_marginal_identity,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, LiftedCoupling
 from leftcurtain.oracle import PairReference, shadow_lp
 from conftest import (
     bank_instance,
@@ -127,22 +127,20 @@ def test_criterion_4_left_monotonicity(bank):
     instances, _ = bank
     total = 0
     for seed, mu, nu, table, pi, oracle in instances:
-        total += verify_left_monotone(table)
+        total += verify_left_monotone(pi)
     flagged = 0
     for seed, mu, nu, table, pi, oracle in instances[:20]:
-        t = table.intervals
-        splitting = np.flatnonzero(t["s"] - t["r"] > DEGENERATE_KERNEL_EPS)
+        t = pi.intervals
+        splitting = np.flatnonzero(t[:, 4] - t[:, 3] > DEGENERATE_KERNEL_EPS)
         if not splitting.size:
             continue
         i = int(splitting[0])
         rows = np.concatenate((t[: i + 1], t[i : i + 1]))
-        iv = rows[i]
+        u_lo, u_hi, x, r, s = rows[i]
         # plant a later lower value inside the earlier open band
-        inside = 0.5 * (iv["r"] + iv["s"])
-        rows[i + 1] = (
-            iv["u_hi"], iv["u_hi"] + 1e-3, iv["g"], inside, inside, iv["s"] + 1.0, 0.0, 0.0
-        )
-        if verify_left_monotone(CurtainTable(rows)) > 0:
+        rows[i + 1] = (u_hi, u_hi + 1e-3, x, 0.5 * (r + s), s + 1.0)
+        bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+        if verify_left_monotone(bad) > 0:
             flagged += 1
         else:
             flagged -= 10**6

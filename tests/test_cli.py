@@ -211,6 +211,19 @@ def test_verify_counts_monotonicity_on_the_coupling_file(tmp_path):
     assert json.loads(report.read_text())["monotonicity_violations"] > 0
 
 
+def test_verify_passes_target_atoms_closer_than_pos_eps(tmp_path):
+    nu = dm((-1.0, 0.5), (1.0, 0.25), (1.0 + 5e-12, 0.25))
+    mu = dm((nu.mean, 1.0))
+    mu_path, nu_path = tmp_path / "mu.json", tmp_path / "nu.json"
+    mu_path.write_text(json.dumps(measure_to_json(mu)))
+    nu_path.write_text(json.dumps(measure_to_json(nu)))
+    pair = ["--mu", str(mu_path), "--nu", str(nu_path)]
+    out, report = tmp_path / "coupling.json", tmp_path / "report.json"
+    assert main(["curtain", *pair, "--out", str(out)]) == EXIT_OK
+    assert main(["verify", *pair, "--coupling", str(out), "--out", str(report)]) == EXIT_OK
+    assert json.loads(report.read_text())["shadow_certificate_max"] <= 1e-15
+
+
 def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypatch):
     import leftcurtain.cli as cli
     import leftcurtain.measures as measures

@@ -67,12 +67,21 @@ class TestDiscreteMeasure:
         np.testing.assert_allclose(mw, out_w, rtol=0.0, atol=1e-14)
 
     def test_atom_weight_of_array_matches_scalar_calls(self):
-        # the left neighbour wins when both are within POS_EPS
+        # the nearer neighbour wins when both are within POS_EPS, the left
+        # one when they are equally near
         eta = dm((0.0, 0.1), (5e-12, 0.4), (1.0, 0.5))
         x = np.array([2.5e-12, 5e-12 + 8e-12, -5e-12, 0.5, 1.0 + 5e-12, -1.0, 2.0])
         assert eta.atom_weight(x).tolist() == [0.1, 0.4, 0.1, 0.0, 0.5, 0.0, 0.0]
         assert [eta.atom_weight(v) for v in x] == eta.atom_weight(x).tolist()
         assert isinstance(eta.atom_weight(0.0), float)
+
+    def test_atoms_closer_than_pos_eps_each_match_themselves(self):
+        # apart by more than POS_TOL, so not merged, and by less than POS_EPS
+        nu = dm((-1.0, 0.5), (1.0, 0.25), (1.0 + 5e-12, 0.25))
+        assert nu.n_atoms == 3
+        assert nu.atom_index(nu.xs).tolist() == [0, 1, 2]
+        assert [nu.atom_index(1.0 + d) for d in (1e-12, 2e-12, 4e-12, 1.2e-11)] == [1, 1, 2, 2]
+        assert nu.atom_weight(nu.xs).tolist() == nu.ws.tolist()
 
     def test_tv_distance_cancels_weights_at_shared_positions(self):
         a = dm((0.0, 0.5), (1.0, 0.5))

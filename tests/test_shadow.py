@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from leftcurtain import put_potential, restricted_measure, shadow
+from leftcurtain import put_potential, quantize_density, random_cx_pair, restricted_measure, shadow
 from leftcurtain.oracle import shadow_lp
 from leftcurtain.shadow import ShadowInvalid, _validate
 from conftest import bank_instance, dm, random_instance
@@ -30,6 +30,30 @@ class TestShadowExamples:
     def test_mass_excess_rejected(self):
         with pytest.raises(ShadowInvalid):
             shadow(dm((0.0, 1.0)), dm((0.0, 0.5)))
+
+    def test_full_mass_source_shadows_to_the_target_bitwise(self):
+        # a source with the target's mass that lies below it in convex order
+        # has all of the target as its shadow
+        mu = dm((-1.0, 0.25), (-0.0, 0.5), (1.0, 0.25))
+        pairs = [(mu, dm((-2.0, 0.2), (0.0, 0.6), (2.0, 0.2)))]
+        for n in range(1, 41):
+            mu = quantize_density([-1.0, 1.0], [0.5, 0.5], n)
+            pairs.append((mu, quantize_density([-2.0, 2.0], [0.25, 0.25], n)))
+            pairs.append((mu, quantize_density([-3.0, 0.0, 3.0], [0.0, 1 / 3, 0.0], n)))
+        pairs += [random_cx_pair(seed, 1 + seed % 8, seed % 7) for seed in range(40)]
+        for mu, nu in pairs:
+            s = shadow(mu, nu)
+            assert s.xs.tobytes() == nu.xs.tobytes()
+            assert s.ws.tobytes() == nu.ws.tobytes()
+
+    @pytest.mark.parametrize(
+        "mu", [dm((-2.0, 0.5), (2.0, 0.5)), dm((0.5, 1.0)), dm((-1.5, 0.25), (0.5, 0.75))]
+    )
+    def test_full_mass_source_outside_convex_order_rejected(self, mu):
+        # spread past the target on both sides, off the target's mean, and
+        # past it on one side with the target's mean
+        with pytest.raises(ShadowInvalid, match="convex order"):
+            shadow(mu, dm((-1.0, 0.5), (1.0, 0.5)))
 
     def test_invalid_embedding_rejected(self):
         # mass fits but the source is too spread out for the target

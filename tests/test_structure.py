@@ -8,9 +8,11 @@ only the shadow (and the references) take convex envelopes through
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import leftcurtain
+from leftcurtain import TABLE_DTYPE, build_curtain, coupling, random_cx_pair
 
 SRC = Path(leftcurtain.__file__).parent
 
@@ -146,3 +148,21 @@ def test_the_shadow_takes_its_gap_from_measures():
     names = called_names(fn)
     assert "_pair_gap" in names
     assert not names & {"cumsum", "union1d", "_put_values"}
+
+
+def test_the_table_keeps_what_the_sweep_decides():
+    # a row is fixed by its levels, its kernel (g, r, s) and phi at its
+    # start; the coupling's lifted rows are the table's first five columns
+    assert TABLE_DTYPE.names == ("u_lo", "u_hi", "g", "r", "s", "phi_lo")
+    mu, nu = random_cx_pair(5, 6, 4)
+    table = build_curtain(mu, nu)
+    rows = np.column_stack([table.intervals[name] for name in ("u_lo", "u_hi", "g", "r", "s")])
+    assert np.array_equal(coupling(table, mu).intervals, rows)
+
+
+def test_the_left_monotone_count_reads_one_row_format():
+    tree = ast.parse((SRC / "verify.py").read_text())
+    (fn,) = (
+        n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "verify_left_monotone"
+    )
+    assert "isinstance" not in called_names(fn)

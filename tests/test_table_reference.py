@@ -16,9 +16,9 @@ from leftcurtain import (
     verify_left_monotone,
     verify_marginal_identity,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, CurtainTable
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, LiftedCoupling
 from leftcurtain.measures import POS_EPS
-from leftcurtain.verify import MONO_EPS, VerificationReport, _sample_points
+from leftcurtain.verify import MONO_EPS, VerificationReport, _s_inverse, _sample_points
 from conftest import nontrivial_runs, random_instance
 
 
@@ -47,18 +47,19 @@ def loop_coupling(table):
     )
 
 
-def loop_left_monotone(table):
-    rows = table.intervals
+def loop_left_monotone(pi):
+    rows = pi.intervals
     count = 0
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
-            count += rows["s"][j] < rows["s"][i] - MONO_EPS
-            count += rows["r"][i] + MONO_EPS < rows["r"][j] < rows["s"][i] - MONO_EPS
+            r_i, s_i, r_j, s_j = rows[i, 3], rows[i, 4], rows[j, 3], rows[j, 4]
+            count += s_j < s_i - MONO_EPS
+            count += r_i + MONO_EPS < r_j < s_i - MONO_EPS
     return count
 
 
 def loop_destination_cdf(table, y):
-    v = table.s_inverse(y)
+    v = loop_s_inverse(table, y)
     total = v
     for row in table.intervals:
         frac = row["u_hi"] - max(row["u_lo"], v)
@@ -81,7 +82,8 @@ def loop_s_inverse(table, y):
 
 def loop_phi(table, u, right_limit=False):
     """phi at ``u``, or its right limit; the row holding ``u`` is the first
-    with ``u <= u_hi`` (the last row past the end)."""
+    with ``u <= u_hi`` (the last row past the end), and on it phi falls at
+    the rate ``(s - g) / (s - r)`` where the kernel splits."""
     rows = table.intervals
     if u <= 0.0:
         return float(rows["phi_lo"][0])
@@ -90,7 +92,9 @@ def loop_phi(table, u, right_limit=False):
     i = next((i for i, row in enumerate(rows) if u <= row["u_hi"]), len(rows) - 1)
     if right_limit and not rows["u_hi"][i] - u > 1e-15:
         return float(rows["phi_lo"][i + 1]) if i + 1 < len(rows) else 0.0
-    return float(rows["phi_lo"][i] + rows["dphi"][i] * (u - rows["u_lo"][i]))
+    row = rows[i]
+    slope = -(row["s"] - row["g"]) / (row["s"] - row["r"]) if _split(row) else 0.0
+    return float(row["phi_lo"] + slope * (u - row["u_lo"]))
 
 
 def loop_runs(table):
@@ -117,7 +121,7 @@ def test_columns_match_row_loops(seed):
     pi = coupling(table, mu)
     for got, want in zip((pi.joint_x, pi.joint_y, pi.joint_w), loop_coupling(table)):
         assert np.array_equal(got, want)
-    assert verify_left_monotone(table) == loop_left_monotone(table)
+    assert verify_left_monotone(pi) == loop_left_monotone(pi)
     assert nontrivial_runs(table) == loop_runs(table)
     ys = np.linspace(nu.xs[0] - 1.0, nu.xs[-1] + 1.0, 41)
     for y, got in zip(ys, destination_cdf(table, ys)):
@@ -126,7 +130,7 @@ def test_columns_match_row_loops(seed):
         )
         assert got == destination_cdf(table, y)
     ys = np.concatenate((ys, nu.xs, table.intervals["s"]))
-    assert table.s_inverse(ys).tolist() == [loop_s_inverse(table, y) for y in ys]
+    assert _s_inverse(table, ys)[0].tolist() == [loop_s_inverse(table, y) for y in ys]
     report = VerificationReport()
     verify_marginal_identity(table, nu, samples=60, seed=seed, mu=mu, report=report)
     ys = _sample_points(np.random.default_rng(seed), np.union1d(nu.xs, mu.xs), 60)
@@ -142,9 +146,8 @@ def test_columns_match_row_loops(seed):
 @pytest.mark.parametrize("seed", range(10))
 def test_violation_count_matches_loop_on_shuffled_rows(seed):
     mu, nu = random_instance(seed)
-    rows = build_curtain(mu, nu).intervals.copy()
-    perm = np.random.default_rng(seed).permutation(len(rows))
-    rows["r"] = rows["r"][perm]
-    rows["s"] = rows["s"][perm]
-    table = CurtainTable(rows)
-    assert verify_left_monotone(table) == loop_left_monotone(table)
+    pi = coupling(build_curtain(mu, nu), mu)
+    rows = pi.intervals.copy()
+    rows[:, 3:] = rows[np.random.default_rng(seed).permutation(len(rows)), 3:]
+    shuffled = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+    assert verify_left_monotone(shuffled) == loop_left_monotone(shuffled)

@@ -16,9 +16,8 @@ from leftcurtain import (
     verify_marginal_identity,
     verify_shadow_consistency,
 )
-from leftcurtain.curtain import CurtainTable
 from leftcurtain.verify import VerificationReport
-from conftest import dm, phi, random_instance
+from conftest import dm, phi, random_instance, s_inverse
 from shadow_oracle import restricted_second_marginal, shadow_tv_max
 
 
@@ -87,27 +86,29 @@ class TestVerifyLeftMonotone:
     @pytest.mark.parametrize("seed", range(15))
     def test_clean_tables_have_no_violations(self, seed):
         mu, nu = random_instance(seed)
-        assert verify_left_monotone(build_curtain(mu, nu)) == 0
+        assert verify_left_monotone(coupling(build_curtain(mu, nu), mu)) == 0
 
     def test_hand_swapped_lower_value_detected(self, three_atom):
         mu, nu = three_atom
-        table = build_curtain(mu, nu)
-        rows = table.intervals.copy()
+        pi = coupling(build_curtain(mu, nu), mu)
+        rows = pi.intervals.copy()
         # push the later lower value inside the earlier open band (-3, 0)
-        rows["r"][1] = -1.5
-        assert verify_left_monotone(CurtainTable(rows)) > 0
+        rows[1, 3] = -1.5
+        bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+        assert verify_left_monotone(bad) > 0
 
     def test_decreasing_upper_value_detected(self, three_atom):
         mu, nu = three_atom
-        table = build_curtain(mu, nu)
-        rows = table.intervals.copy()
-        rows["s"][1] = -2.5
-        assert verify_left_monotone(CurtainTable(rows)) > 0
+        pi = coupling(build_curtain(mu, nu), mu)
+        rows = pi.intervals.copy()
+        rows[1, 4] = -2.5
+        bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+        assert verify_left_monotone(bad) > 0
 
     def test_jumping_lower_function_is_legal(self, three_atom):
         """The lower function may jump down across intervals."""
         mu, nu = three_atom
-        assert verify_left_monotone(build_curtain(mu, nu)) == 0
+        assert verify_left_monotone(coupling(build_curtain(mu, nu), mu)) == 0
 
 
 class TestMarginalIdentity:
@@ -116,7 +117,7 @@ class TestMarginalIdentity:
         # envelope slope there is 1/2, matching the target distribution
         mu, nu = two_point
         table = build_curtain(mu, nu)
-        assert table.s_inverse(0.0) == 0.0
+        assert s_inverse(table, 0.0) == 0.0
         assert phi(table, 0.0) == pytest.approx(0.5)
         assert destination_cdf(table, 0.0) == pytest.approx(0.5)
 
@@ -127,7 +128,7 @@ class TestMarginalIdentity:
         assert destination_cdf(table, 2.0) == pytest.approx(1.0)
         # quantile form right of the support: inverse is 1 and the slope
         # vanishes there, so the identity reads 1 + 0 = 1
-        assert table.s_inverse(2.0) == 1.0
+        assert s_inverse(table, 2.0) == 1.0
         assert phi(table, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(15))
@@ -294,6 +295,16 @@ class TestVerifyAll:
         for name in ("marginal_nu_tv", "proby_residual_max", "shadow_certificate_max"):
             assert rep.checks[name]["tol"] == 1e-3
         assert rep.checks["phi_sandwich_violation_max"]["tol"] == 1e-8
+
+    def test_target_atoms_closer_than_pos_eps_pass(self):
+        # two target atoms 5e-12 apart are distinct atoms, and each of the
+        # coupling's destinations is matched to itself, not to its neighbour
+        nu = dm((-1.0, 0.5), (1.0, 0.25), (1.0 + 5e-12, 0.25))
+        mu = dm((nu.mean, 1.0))
+        table = build_curtain(mu, nu)
+        rep = verify_all(table, coupling(table, mu), mu, nu)
+        assert rep.passed(), rep.checks
+        assert rep.shadow_certificate_max <= 1e-15
 
     @pytest.mark.parametrize("n", [4000, 16000])
     def test_uniform_pair_passes_at_default_tol(self, n):
