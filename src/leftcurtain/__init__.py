@@ -1,9 +1,10 @@
 """Left-curtain martingale coupling toolkit.
 
 Builds the lifted left-curtain coupling of two atomic measures in convex
-order through exact piecewise-linear potential geometry: shadow measures,
-irreducible decomposition, destination functions with their quantile
-table, and theorem-level verifiers.  The independent references that
+order by using up the target's atoms, one shadow after another: the
+destination functions with their quantile table, the shadow measure and
+the convex-order check from piecewise-linear potentials, the irreducible
+decomposition, and theorem-level verifiers.  The independent references that
 tests check against live in :mod:`leftcurtain.oracle`; of them only
 ``curtain_incremental`` and ``joint_tv`` are exported here.
 """

@@ -9,20 +9,17 @@ sent to the two contacts ``R(u) <= G(u) <= S(u)`` with the unique weights
 that preserve the conditional mean.  ``phi(u)`` is the slope of the
 envelope's linear piece through ``G(u)``.
 
-Because all inputs are atomic, ``E_u`` is affine in ``u`` on ``[G(u),
-oo)`` while ``u`` stays inside one source atom's quantile interval, so the
-contact configuration is piecewise constant in ``u`` and its breakpoints
-solve linear equations.  The table builder sweeps the levels of each
-source atom once from left to right: a point kernel up to the closed-form
-detachment level, then a chord whose contacts move outwards each time a
-kink pierces it.  No hull is rebuilt, and no root finding or
-discretisation in ``u`` is involved.  The sweep runs once over the whole
-pair, in its global quantile levels, and reads the potentials from
-:func:`leftcurtain.measures._pair_gap`, the one evaluation of the gap that
-the order check, the sweep and the shadow share: prefix sums of segment
-rises, with the levels and the cumulative weights taken from one array
-per measure.  The pointwise reference, which computes the same data at
-one level from the envelope itself, is
+The same data can be read without a potential.  The shadow of an atom in
+the target mass not yet used is that mass restricted to a quantile
+interval with the atom's mean, and taking the shadow of one atom after
+another, each in what is left, gives the shadow of the whole source
+(Beiglboeck and Juillet 2016, section 4).  So ``R(u)`` and ``S(u)`` are
+the two ends of that interval as it widens, and the table builder walks
+``nu``'s atoms once, keeping each atom's remaining mass: a row ends where
+one of its two atoms runs empty or its source atom's levels end.  No hull
+or tangent is taken, and no root finding or discretisation in ``u`` is
+involved.  The pointwise reference, which computes the same data at one
+level from the envelope itself, is
 :class:`leftcurtain.oracle.PairReference`.
 """
 
@@ -34,21 +31,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import (
-    MASS_TOL,
-    POS_EPS,
-    DecomposeError,
-    DiscreteMeasure,
-    _order_and_gap,
-    _PairGap,
-    _rise,
-)
+from .measures import MASS_TOL, POS_EPS, DecomposeError, DiscreteMeasure, check_convex_order
 
 #: kernels with spread below this emit a point mass at the current quantile
 DEGENERATE_KERNEL_EPS = 1e-13
 
-#: piercing levels (and tangent slopes) closer than this are one sweep
-#: event; levels are the pair's global quantile levels
+#: levels at which target atoms run empty closer than this are one event
+#: of the walk; levels are the pair's global quantile levels
 TIE_EPS = 1e-12
 
 #: row layout of :attr:`CurtainTable.intervals`: a row's levels, its
@@ -62,8 +51,9 @@ _COUPLING_ROW_KEYS = ("u_lo", "u_hi", "x", "r", "s")
 
 
 class InternalGeometry(RuntimeError):
-    """A source atom detaches with no kink to its left; indicates a geometry
-    bug, not bad input."""
+    """A source atom finds no target atom with mass left on one side of it.
+    A pair in convex order never does, so this indicates a bug, not bad
+    input."""
 
 
 # -- curtain table ---------------------------------------------------------
@@ -109,117 +99,85 @@ def _phi_hi(table: CurtainTable) -> np.ndarray:
     return t["phi_lo"] + np.where(split, -share, 0.0) * (t["u_hi"] - t["u_lo"])
 
 
-def _sweep(pair: _PairGap, mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
-    """Curtain rows of the probability pair ``(mu, nu)`` with the
-    potentials ``pair``.
+def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
+    """Curtain rows of the probability pair ``(mu, nu)``: one walk over
+    ``nu``'s atoms that keeps the mass ``left`` in each.
 
-    One left-to-right sweep over the levels of each source atom ``x_i``.
-    On the atom's quantile interval the excess potential is the gap ``D``
-    at kinks ``p <= x_i`` and ``A(k) - u (k - x_i)`` at target kinks
-    ``k > x_i``, with ``A = P_nu - P_mu(x_i)``.  The envelope touches at
-    ``x_i`` (a point kernel) up to ``u_detach``; from then on its piece
-    over ``x_i`` is a chord ``(q, s)`` with slope ``phi(u) = phi_a - phi_b
-    u``.  A kink ``p < q`` pierces the chord when ``phi`` falls to the
-    slope of ``D`` from ``p`` to ``q``, a kink ``k > s`` when it falls to
-    the slope of the excess from ``s`` to ``k``; the outermost kink among
-    simultaneous piercings becomes the new contact.  ``q`` only moves left
-    and ``s`` only right, so every atom ends after finitely many steps.
-    The chord an atom ends with carries over to the next atom if it spans
-    that atom; otherwise the next atom starts as a point kernel.  Where
-    ``D`` vanishes the envelope touches, so the sweep passes from one
-    irreducible component to the next through point kernels.
-
-    The potentials enter only through differences that the sweep divides
-    by kink gaps: of ``D`` between kinks, and of ``P_nu`` from ``x_i`` or
-    a target atom to a target atom (the chord's rise ``A(s) - D(q)`` is
-    ``P_nu(s) - P_nu(x_i) + D(x_i) - D(q)``), both read from ``pair``
-    (:func:`~leftcurtain.measures._pair_gap`).  The levels are ``mu``'s
-    cumulative weights, the array ``pair`` reads ``F_mu`` from, from
-    exactly 0 to exactly 1.  Rows are :data:`TABLE_DTYPE` tuples ``(u_lo,
-    u_hi, g, r, s, phi_lo)`` in the pair's quantile levels.
+    Source atom ``x`` sends its levels to a target atom within ``POS_EPS``
+    of ``x`` while that atom has mass left (a point row ``(x, x, x)``), and
+    otherwise splits them between the nearest atoms with mass left below
+    and above ``x``, ``r`` and ``s``, at the mean-preserving rates ``(s -
+    x) / (s - r)`` and ``(x - r) / (s - r)``.  A row ends where one of its
+    atoms runs empty or where ``x``'s levels end; events closer than
+    ``TIE_EPS`` are one.  ``s`` only moves right, and every atom right of
+    it is untouched; ``r`` steps back through ``prv``, the previous atom
+    with mass left.  phi at a row's start is the mass of ``nu`` used up to
+    and including its upper atom, less ``u``.  The levels are ``mu``'s
+    cumulative weights, from exactly 0 to exactly 1.  Rows are
+    :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g, r, s, phi_lo)``.
     """
-    kinks, d, p_nu = pair.kinks, pair.d, pair.p_nu
-    xs, ys = mu.xs, nu.xs
-    at_x, at_y = kinks.searchsorted(xs), kinks.searchsorted(ys)
-    p_nu_ys = p_nu[:, at_y]
     # scalars are read as Python floats, which is faster than numpy's
+    ys, f_nu, left = nu.xs.tolist(), nu.cum_weights.tolist(), nu.ws.tolist()
     levels = [0.0, *mu.cum_weights.tolist()]
-    kink_at, y_at, d_at = kinks.tolist(), ys.tolist(), d.tolist()
     levels[-1] = 1.0
-    p_nu_x, p_nu_y = p_nu[:, at_x].T.tolist(), p_nu_ys.T.tolist()
-
+    prv = [-1] * len(ys)
     rows: list[tuple] = []
-    q = s = -1  # chord contacts as indices into ``kinks`` and ``ys``; -1: none
-    for i, xi in enumerate(xs.tolist()):
-        lo, hi = levels[i], levels[i + 1]
-        first_right = int(ys.searchsorted(xi + POS_EPS, side="right"))
-        u = lo
-        d_xi, p_nu_xi = d_at[at_x[i]], p_nu_x[i]
-        if s < first_right:  # no chord spans x_i: point kernel until detachment
-            n_left = int(kinks.searchsorted(xi - POS_EPS, side="left"))
-            left = (d_xi - d[:n_left]) / (xi - kinks[:n_left])
-            right = _rise(p_nu_ys[:, first_right:], p_nu_xi) / (ys[first_right:] - xi)
-            sigma = max(0.0, float(left.max())) if n_left else 0.0
-            u_detach = float(right.min()) - sigma if right.size else math.inf
-            if u_detach >= hi - TIE_EPS:
-                rows.append((lo, hi, xi, xi, xi, sigma))
-                q = s = -1
-                continue
-            if u_detach > lo + TIE_EPS:
-                rows.append((lo, u_detach, xi, xi, xi, sigma))
-                u = u_detach
-            if not n_left:
-                raise InternalGeometry(f"source atom {xi} detaches with no kink to its left")
-            # the tangents from (x_i, D(x_i)): outermost kinks of extreme slope
-            q = int(np.flatnonzero(left >= left.max() - TIE_EPS)[0])
-            s = first_right + int(np.flatnonzero(right <= right.min() + TIE_EPS)[-1])
+    r, s = -1, 0  # the lower atom with mass left (-1: none) and the first atom right of it
+    for i, x in enumerate(mu.xs.tolist()):
+        u, hi = levels[i], levels[i + 1]
+        while s < len(ys) and ys[s] <= x + POS_EPS:
+            prv[s], r, s = r, s, s + 1
         while True:
-            x_q, x_s, d_q = kink_at[q], y_at[s], d_at[q]
-            span = x_s - x_q
-            phi_a = (_rise(p_nu_y[s], p_nu_xi) + (d_xi - d_q)) / span
-            phi_b = (x_s - xi) / span
-            scale = span / (xi - x_q)
-            # chord slopes to the outer kinks; a kink pierces when phi(u)
-            # falls to its slope, at a level monotone in the slope, so only
-            # the extreme slope of each side is turned into a level at once
-            left_slope = (d_q - d[:q]) / (x_q - kinks[:q])
-            right_slope = _rise(p_nu_ys[:, s + 1 :], p_nu_ys[:, s]) / (ys[s + 1 :] - x_s)
-            left_min = (phi_a - left_slope.max(initial=-math.inf)) / phi_b
-            right_min = (right_slope.min(initial=math.inf) - phi_a) * scale
-            nxt = min(left_min, right_min)
-            if nxt >= hi - TIE_EPS:  # the chord lasts to the end of the atom
-                rows.append((u, hi, xi, x_q, x_s, phi_a - phi_b * u))
-                break
-            if nxt > u + TIE_EPS:
-                rows.append((u, nxt, xi, x_q, x_s, phi_a - phi_b * u))
+            if r >= 0 and ys[r] >= x - POS_EPS:  # an atom at x: a point row
+                y_r, y_s, w_r, w_s, upper = x, x, 1.0, 0.0, r
+            elif r < 0 or s == len(ys):
+                raise InternalGeometry(f"no target atom with mass left on one side of {x}")
+            else:
+                y_r, y_s, upper = ys[r], ys[s], s
+                w_r, w_s = (y_s - x) / (y_s - y_r), (x - y_r) / (y_s - y_r)
+            phi = f_nu[upper] - left[upper] - u
+            # the last atom with mass on a side never runs empty: it takes up
+            # the rounding of a pair that is in convex order within tolerance
+            end_r = u + left[r] / w_r if prv[r] >= 0 and s < len(ys) else math.inf
+            end_s = u + left[s] / w_s if w_s and s + 1 < len(ys) else math.inf
+            nxt = min(end_r, end_s)
+            last = nxt >= hi - TIE_EPS  # the row lasts to the end of x's levels
+            if last:
+                nxt = hi
+            if last or nxt > u + TIE_EPS:
+                rows.append((u, nxt, x, y_r, y_s, phi))
+                left[r] -= (nxt - u) * w_r
+                if w_s:
+                    left[s] -= (nxt - u) * w_s
                 u = nxt
-            if left_min <= nxt + TIE_EPS:
-                q = int(np.flatnonzero((phi_a - left_slope) / phi_b <= nxt + TIE_EPS)[0])
-            if right_min <= nxt + TIE_EPS:
-                s += 1 + int(np.flatnonzero((right_slope - phi_a) * scale <= nxt + TIE_EPS)[-1])
+            if last:
+                break
+            if end_r <= nxt + TIE_EPS:
+                left[r], r = 0.0, prv[r]
+            if end_s <= nxt + TIE_EPS:
+                left[s], s = 0.0, s + 1
     return rows
 
 
 def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     """Exact curtain table for a pair of probability measures in convex order.
 
-    The pair's potentials are read once, by the order check
-    (:func:`~leftcurtain.measures._pair_gap`), and serve one sweep over
-    the whole pair in its global quantile levels: where the potential gap
-    vanishes the sweep passes through point kernels, so irreducible
-    components and static atoms need no separate treatment.
-    Raises ``ValueError`` unless ``mu`` has unit mass and
+    One walk over the whole pair in its global quantile levels uses up the
+    target's atoms: where the shadow so far fills ``nu`` up to a source
+    atom, the walk passes through point kernels, so irreducible components
+    and static atoms need no separate treatment.  Raises ``ValueError``
+    unless ``mu`` has unit mass and
     :class:`~leftcurtain.measures.DecomposeError` unless the pair is in
-    convex order.
+    convex order (:func:`~leftcurtain.measures.check_convex_order`).
     """
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise ValueError(f"inputs must be probability measures, mass={mu.mass}")
-    order, pair = _order_and_gap(mu, nu)
+    order = check_convex_order(mu, nu)
     if not order:
         raise DecomposeError(
             f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
         )
-    table = np.array(_sweep(pair, mu, nu), dtype=TABLE_DTYPE)
+    table = np.array(_walk(mu, nu), dtype=TABLE_DTYPE)
     table.flags.writeable = False
     return CurtainTable(table)
 

@@ -24,7 +24,8 @@ POS_TOL = 1e-12
 
 #: positions closer than this are the same point of the line when atoms are
 #: matched: by :meth:`DiscreteMeasure.atom_index`, in total variation, in
-#: the martingale residual, and between the curtain sweep's kinks
+#: the martingale residual, and by the curtain walk between a source atom
+#: and a target atom
 POS_EPS = 1e-11
 
 
@@ -76,10 +77,13 @@ class DiscreteMeasure:
 
     @cached_property
     def cum_weights(self) -> np.ndarray:
-        """Cumulative weights ``F(x_i)``: the TwoSum-compensated prefix sums
-        of :func:`_prefix_sums`, each rounded once."""
-        sums, comp = _prefix_sums(self.ws)
-        return (sums + comp)[1:]
+        """Cumulative weights ``F(x_i)``: the plain prefix sums plus the
+        prefix sums of their rounding errors, each error exact by TwoSum
+        (Ogita, Rump and Oishi 2005, Sum2), so each is rounded once."""
+        sums = np.cumsum(self.ws)
+        before = np.concatenate(([0.0], sums[:-1]))
+        b = sums - before
+        return sums + np.cumsum((before - (sums - b)) + (self.ws - b))
 
     @property
     def support_left(self) -> float:
@@ -179,24 +183,6 @@ def _merge_atoms(xs, ws, pos_tol):
     return xs[first], np.add.reduceat(ws, first)
 
 
-def _prefix_sums(x: np.ndarray) -> np.ndarray:
-    """Prefix sums of ``x`` from 0, as rows ``(sums, compensations)``: the
-    plain prefix sums and the prefix sums of their rounding errors, each
-    error exact by TwoSum (Ogita, Rump and Oishi 2005, Sum2).  Read them
-    with :func:`_rise`."""
-    s = np.concatenate(([0.0], np.cumsum(x)))
-    b = s[1:] - s[:-1]
-    err = (s[:-1] - (s[1:] - b)) + (x - b)
-    return np.stack((s, np.concatenate(([0.0], np.cumsum(err)))))
-
-
-def _rise(end, start):
-    """``end - start`` for columns of :func:`_prefix_sums`.  Sums close to
-    each other subtract exactly, so the difference is accurate relative to
-    its own size, not to the size of the sums."""
-    return (end[0] - start[0]) + (end[1] - start[1])
-
-
 def _put_values(xs: np.ndarray, ws: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
     """Put potential ``sum_{x_i < k} w_i (k - x_i)`` of the atoms ``(xs,
     ws)`` at the points ``k``.
@@ -280,24 +266,21 @@ class DecomposeError(ValueError):
 
 
 class _PairGap(NamedTuple):
-    """The potentials of a pair on the union of its supports.
+    """The potential gap of a pair on the union of its supports, which the
+    order check and the shadow read.
 
     ``kinks`` are the union's points, ``f_mu`` and ``f_nu`` the cumulative
     weights on the segments between neighbouring kinks, read from the
     measures' :attr:`~DiscreteMeasure.cum_weights`, and ``d`` the gap ``D
     = P_nu - P_mu`` at the kinks: the prefix sums of the segment rises
     ``(F_nu - F_mu) h``, from 0 at the left end of the support, where both
-    potentials vanish.  ``p_nu`` is ``P_nu`` at the kinks as the
-    compensated :func:`_prefix_sums` of ``F_nu h``, read with
-    :func:`_rise`: it grows with the distance from the left end, far
-    beyond the differences read from it.
+    potentials vanish.
     """
 
     kinks: np.ndarray
     f_mu: np.ndarray
     f_nu: np.ndarray
     d: np.ndarray
-    p_nu: np.ndarray
 
 
 def _pair_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> _PairGap:
@@ -307,7 +290,7 @@ def _pair_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> _PairGap:
     f_mu = np.append(0.0, mu.cum_weights)[mu.xs.searchsorted(kinks[:-1], side="right")]
     f_nu = np.append(0.0, nu.cum_weights)[nu.xs.searchsorted(kinks[:-1], side="right")]
     d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * h)))
-    return _PairGap(kinks, f_mu, f_nu, d, _prefix_sums(f_nu * h))
+    return _PairGap(kinks, f_mu, f_nu, d)
 
 
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
@@ -323,18 +306,10 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     their rounding, grow with the spread of the positions.  Equal laws are
     ordered.
     """
-    return _order_and_gap(mu, nu)[0]
-
-
-def _order_and_gap(
-    mu: DiscreteMeasure, nu: DiscreteMeasure
-) -> tuple[OrderResult, _PairGap | None]:
-    """:func:`check_convex_order` of the pair and the :class:`_PairGap` it
-    read, ``None`` when mass or mean already fail."""
     if abs(mu.mass - nu.mass) > MASS_TOL:
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass)), None
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass))
     if abs(mu.mean - nu.mean) > MASS_TOL * max(1.0, abs(mu.mean)):
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean)), None
+        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean))
     if mu.n_atoms == 0:
         raise ValueError("convex order requires non-empty measures")
     pair = _pair_gap(mu, nu)
@@ -342,8 +317,8 @@ def _order_and_gap(
     c = mu.mean / mu.mass
     worst = int(np.argmin(d))
     if d[worst] < -MASS_TOL * max(1.0, c - float(kinks[0]), float(kinks[-1]) - c):
-        return OrderResult(Order.FAILS, witness=float(kinks[worst]), gap=float(-d[worst])), pair
-    return OrderResult(Order.ORDERED), pair
+        return OrderResult(Order.FAILS, witness=float(kinks[worst]), gap=float(-d[worst]))
+    return OrderResult(Order.ORDERED)
 
 
 def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:

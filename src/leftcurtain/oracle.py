@@ -17,7 +17,7 @@ computing its quantity another way than the code it checks:
 * :class:`PairReference` computes the destination data ``(R, Q, G, S,
   phi)`` of one pair at any single level from the lower convex envelope of
   the excess potential ``E_u = P_nu - P_{mu_u}`` itself, where the curtain
-  builder sweeps levels without taking an envelope.
+  builder walks the target's atoms without taking an envelope.
 
 The LP is solved by an in-repo dense two-phase simplex with Bland's rule;
 instances are tiny (a few dozen variables), so no external solver is

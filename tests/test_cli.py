@@ -249,8 +249,8 @@ def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypat
     out = tmp_path / "coupling.json"
     args = ["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]
     assert main(args + ["--components"]) == EXIT_OK
-    # one decomposition, and the gap evaluated once: by the build, for its
-    # order check and its sweep
+    # one decomposition, and the gap evaluated once: by the build's order
+    # check
     assert calls == {"decompose": 1, "gap": 1}
     obj = json.loads(out.read_text())
     assert [c["interval"] for c in obj["components"]] == [[-2.0, 0.0], [0.0, 2.0]]

@@ -13,8 +13,9 @@ from leftcurtain import (
     verify_coupling,
     verify_left_monotone,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
+from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, TABLE_DTYPE, InternalGeometry, _walk
 from leftcurtain.oracle import PairReference, contact_points
+from sweep_reference import sweep_rows
 from conftest import (
     decompose_pair,
     dm,
@@ -196,8 +197,9 @@ class TestSweepRegressions:
 
     @pytest.mark.parametrize("seed", range(60))
     def test_translated_pair_builds_and_verifies(self, seed):
-        # the sweep reads potential differences from segment rises, so far
-        # from the origin simultaneous sweep events still tie: no sliver rows
+        # the walk divides only differences of positions and remaining
+        # masses, so far from the origin simultaneous events still tie: no
+        # sliver rows
         mu, nu = random_cx_pair(seed, 1 + seed % 8, 1 + seed % 6)
         rows = len(build_curtain(mu, nu).intervals)
         for shift in (1e4, 1e6, -3.7e5):
@@ -210,9 +212,9 @@ class TestSweepRegressions:
             assert len(table.intervals) == rows, shift
 
     def test_far_apart_components_sweep_as_if_built_alone(self):
-        # 400 components 40 apart, each of mass 1/400: the potentials grow
-        # to thousands along the support while the differences the sweep
-        # divides stay of the size of one component's
+        # 400 components 40 apart, each of mass 1/400: the walk passes from
+        # one to the next through point kernels, and the levels grow to 1
+        # while each component's masses stay of size 1/400
         parts = [random_cx_pair(k, 1 + k % 8, k % 7) for k in range(400)]
         mu, nu = (
             DiscreteMeasure(
@@ -267,6 +269,53 @@ class TestSweepRegressions:
             assert pc.phi == pytest.approx(phi_at(iv, u), abs=1e-10)
             if iv["s"] - iv["r"] > DEGENERATE_KERNEL_EPS:
                 assert pc.r == iv["r"]
+
+
+class TestWalk:
+    """The walk over the target's atoms against the retired potential sweep
+    (``tests/sweep_reference.py``), and at the edges of its geometry."""
+
+    @staticmethod
+    def assert_sweep_table(mu, nu):
+        t = build_curtain(mu, nu).intervals
+        ref = np.array(sweep_rows(mu, nu), dtype=TABLE_DTYPE)
+        assert len(t) == len(ref)
+        for name in ("g", "r", "s"):
+            assert np.array_equal(t[name], ref[name]), name
+        for name in ("u_lo", "u_hi", "phi_lo"):
+            assert np.abs(t[name] - ref[name]).max() <= 1e-13, name
+
+    @pytest.mark.parametrize("start", range(0, 336, 48))
+    def test_cx_bank_builds_the_sweep_table(self, start):
+        for i in range(start, start + 48):
+            self.assert_sweep_table(*random_cx_pair(i, 1 + i % 8, (i // 8) % 7))
+
+    @pytest.mark.parametrize("n", [50, 500, 1000, 4000])
+    def test_uniform_pair_builds_the_sweep_table(self, n):
+        self.assert_sweep_table(
+            quantize_density([-1.0, 1.0], [0.5, 0.5], n),
+            quantize_density([-2.0, 2.0], [0.25, 0.25], n),
+        )
+
+    @pytest.mark.parametrize("x, y", [(0.0, 1.0), (1.0, 0.0)])
+    def test_a_side_with_no_atom_raises_internal_geometry(self, x, y):
+        # the walk on its own, without the order check: delta_x -> delta_y
+        # has no target atom on one side of x
+        with pytest.raises(InternalGeometry, match="one side"):
+            _walk(dm((x, 1.0)), dm((y, 1.0)))
+
+    def test_the_last_atom_on_a_side_takes_up_rounding(self):
+        # near 1e6 a spread of 0.16 leaves the rates (s - x) / (s - r) about
+        # nine digits, so the upper atom would run empty 2.9e-10 before the
+        # last level with no atom beyond it: it takes up the rest instead
+        mu = DiscreteMeasure([999999.9898278287], [1.0])
+        nu = DiscreteMeasure(
+            [999999.9173611072, 1000000.0736816676], [0.5364223277403153, 0.4635776722596847]
+        )
+        table = build_curtain(mu, nu)
+        assert [tuple(row) for row in table.intervals] == sweep_rows(mu, nu)
+        rep = verify_all(table, coupling(table, mu), mu, nu)
+        assert rep.passed(), rep.checks
 
 
 class TestContinuumLimit:

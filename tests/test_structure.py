@@ -135,11 +135,19 @@ def called_names(node):
     }
 
 
-def test_the_curtain_reads_its_potentials_from_measures():
-    # one gap evaluation per pair (measures._pair_gap): the builder sums
-    # no weights and evaluates no potential of its own
-    assert not imported_or_used_names("curtain") & {"cumsum", "union1d", "_put_values"}
-    assert "_order_and_gap" in imported_or_used_names("curtain")
+def test_the_curtain_reads_no_potential():
+    # the walk uses up the target's atoms; the build checks the order
+    # through the public check and reads nothing of the gap it evaluates
+    tree = ast.parse((SRC / "curtain.py").read_text())
+    names = imported_or_used_names("curtain") | called_names(tree)
+    assert not names & {
+        "_pair_gap", "_order_and_gap", "_PairGap", "_rise", "_put_values", "put_potential"
+    }
+    assert "check_convex_order" in names
+    import leftcurtain.measures as measures
+
+    assert not hasattr(measures, "_rise")
+    assert "p_nu" not in measures._PairGap._fields
 
 
 def test_the_shadow_takes_its_gap_from_measures():
