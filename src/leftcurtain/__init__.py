@@ -23,7 +23,6 @@ from .decompose import Decomposition, IrreducibleComponent, decompose
 from .measures import (
     DecomposeError,
     DiscreteMeasure,
-    Order,
     OrderResult,
     check_convex_order,
     measure_from_json,
@@ -56,7 +55,6 @@ __all__ = [
     "InternalGeometry",
     "IrreducibleComponent",
     "LiftedCoupling",
-    "Order",
     "OrderResult",
     "ShadowInvalid",
     "TABLE_DTYPE",

@@ -40,7 +40,7 @@ from .measures import (
     quantile_left,
 )
 from .shadow import ShadowInvalid, shadow
-from .verify import verify_all
+from .verify import DEFAULT_TOL, verify_all
 
 EXIT_OK = 0
 EXIT_VERIFICATION = 1
@@ -196,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_pair(p)
     p.add_argument("--coupling", required=True, help="coupling JSON to check")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--out", default="-", help="report JSON output")
     p.set_defaults(func=_cmd_verify)
 

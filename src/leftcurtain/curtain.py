@@ -33,13 +33,6 @@ import numpy as np
 
 from .measures import MASS_TOL, POS_EPS, DecomposeError, DiscreteMeasure, check_convex_order
 
-#: kernels with spread below this emit a point mass at the current quantile
-DEGENERATE_KERNEL_EPS = 1e-13
-
-#: levels at which target atoms run empty closer than this are one event
-#: of the walk; levels are the pair's global quantile levels
-TIE_EPS = 1e-12
-
 #: row layout of :attr:`CurtainTable.intervals`: a row's levels, its
 #: kernel ``(g, r, s)`` and phi at its start
 TABLE_DTYPE = np.dtype(
@@ -62,9 +55,12 @@ class InternalGeometry(RuntimeError):
 def _two_point(x, r, s):
     """The kernels of rows ``(x, r, s)``: per row the lower destination, the
     share of the row's mass sent there, ``(s - x) / (s - r)``, and whether
-    the kernel splits.  A point kernel (``s - r <= DEGENERATE_KERNEL_EPS``)
-    sends its whole mass to ``x``, so its upper share is exactly 0."""
-    split = s - r > DEGENERATE_KERNEL_EPS
+    the kernel splits, exactly when ``s > r``.  The walk writes a point row
+    as exactly ``(x, x, x)``, and a split row's ``r`` and ``s`` are two
+    target atoms, which :class:`DiscreteMeasure` keeps more than ``POS_TOL``
+    apart.  A point kernel sends its whole mass to ``x``, so its upper share
+    is exactly 0."""
+    split = s > r
     share = np.where(split, (s - x) / np.where(split, s - r, 1.0), 1.0)
     return np.where(split, r, x), share, split
 
@@ -76,11 +72,11 @@ class CurtainTable:
     ``intervals`` is one structured array of dtype :data:`TABLE_DTYPE`,
     one row per quantile interval ``(u_lo, u_hi]`` in increasing order;
     pointwise queries at exact breakpoints follow the left-limit
-    convention.  Point-kernel rows (``s - r <= DEGENERATE_KERNEL_EPS``)
-    store ``r = g = s`` and keep phi constant.  On the other rows phi falls
-    at the rate ``(S - G) / (S - R)``, the share of the row's mass that its
-    kernel sends to ``R`` (``phi' = -(S - G) / (S - R)``), so ``phi_lo``
-    fixes phi on the whole row.
+    convention.  Point-kernel rows store exactly ``r = g = s`` and keep phi
+    constant.  On the other rows phi falls at the rate ``(S - G) / (S -
+    R)``, the share of the row's mass that its kernel sends to ``R``
+    (``phi' = -(S - G) / (S - R)``), so ``phi_lo`` fixes phi on the whole
+    row.
     """
 
     intervals: np.ndarray
@@ -108,13 +104,14 @@ def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
     otherwise splits them between the nearest atoms with mass left below
     and above ``x``, ``r`` and ``s``, at the mean-preserving rates ``(s -
     x) / (s - r)`` and ``(x - r) / (s - r)``.  A row ends where one of its
-    atoms runs empty or where ``x``'s levels end; events closer than
-    ``TIE_EPS`` are one.  ``s`` only moves right, and every atom right of
-    it is untouched; ``r`` steps back through ``prv``, the previous atom
-    with mass left.  phi at a row's start is the mass of ``nu`` used up to
-    and including its upper atom, less ``u``.  The levels are ``mu``'s
-    cumulative weights, from exactly 0 to exactly 1.  Rows are
-    :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g, r, s, phi_lo)``.
+    atoms runs empty or where ``x``'s levels end.  Levels are cumulative
+    masses, so events closer than ``MASS_TOL`` are one.  ``s`` only moves
+    right, and every atom right of it is untouched; ``r`` steps back
+    through ``prv``, the previous atom with mass left.  phi at a row's
+    start is the mass of ``nu`` used up to and including its upper atom,
+    less ``u``.  The levels are ``mu``'s cumulative weights, from exactly 0
+    to exactly 1.  Rows are :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g,
+    r, s, phi_lo)``.
     """
     # scalars are read as Python floats, which is faster than numpy's
     ys, f_nu, left = nu.xs.tolist(), nu.cum_weights.tolist(), nu.ws.tolist()
@@ -141,10 +138,10 @@ def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
             end_r = u + left[r] / w_r if prv[r] >= 0 and s < len(ys) else math.inf
             end_s = u + left[s] / w_s if w_s and s + 1 < len(ys) else math.inf
             nxt = min(end_r, end_s)
-            last = nxt >= hi - TIE_EPS  # the row lasts to the end of x's levels
+            last = nxt >= hi - MASS_TOL  # the row lasts to the end of x's levels
             if last:
                 nxt = hi
-            if last or nxt > u + TIE_EPS:
+            if last or nxt > u + MASS_TOL:
                 rows.append((u, nxt, x, y_r, y_s, phi))
                 left[r] -= (nxt - u) * w_r
                 if w_s:
@@ -152,9 +149,9 @@ def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
                 u = nxt
             if last:
                 break
-            if end_r <= nxt + TIE_EPS:
+            if end_r <= nxt + MASS_TOL:
                 left[r], r = 0.0, prv[r]
-            if end_s <= nxt + TIE_EPS:
+            if end_s <= nxt + MASS_TOL:
                 left[s], s = 0.0, s + 1
     return rows
 

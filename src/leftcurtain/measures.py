@@ -8,7 +8,6 @@ is ``sum(x * w)`` and ``mean / mass`` is the barycentre.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +15,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-#: absolute tolerance on probability mass / mean equality
+#: masses closer than this are the same level: probability mass and mean
+#: equality, the walk's levels (cumulative masses) and the slopes of
+#: potentials (differences of cumulative weights)
 MASS_TOL = 1e-12
 
 #: positions closer than this are merged into one atom on construction
@@ -24,8 +25,8 @@ POS_TOL = 1e-12
 
 #: positions closer than this are the same point of the line when atoms are
 #: matched: by :meth:`DiscreteMeasure.atom_index`, in total variation, in
-#: the martingale residual, and by the curtain walk between a source atom
-#: and a target atom
+#: the martingale residual, by the curtain walk between a source atom and a
+#: target atom, and by the left-monotone count
 POS_EPS = 1e-11
 
 
@@ -245,19 +246,14 @@ def restricted_measure(mu: DiscreteMeasure, u: float) -> DiscreteMeasure:
     return DiscreteMeasure(xs, ws)
 
 
-class Order(enum.Enum):
-    ORDERED = "ordered"
-    FAILS = "fails"
-
-
 @dataclass(frozen=True)
 class OrderResult:
-    status: Order
+    ordered: bool
     witness: float | None = None
     gap: float = 0.0
 
     def __bool__(self) -> bool:
-        return self.status is not Order.FAILS
+        return self.ordered
 
 
 class DecomposeError(ValueError):
@@ -307,9 +303,9 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     ordered.
     """
     if abs(mu.mass - nu.mass) > MASS_TOL:
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mass - nu.mass))
+        return OrderResult(False, witness=None, gap=abs(mu.mass - nu.mass))
     if abs(mu.mean - nu.mean) > MASS_TOL * max(1.0, abs(mu.mean)):
-        return OrderResult(Order.FAILS, witness=None, gap=abs(mu.mean - nu.mean))
+        return OrderResult(False, witness=None, gap=abs(mu.mean - nu.mean))
     if mu.n_atoms == 0:
         raise ValueError("convex order requires non-empty measures")
     pair = _pair_gap(mu, nu)
@@ -317,8 +313,8 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     c = mu.mean / mu.mass
     worst = int(np.argmin(d))
     if d[worst] < -MASS_TOL * max(1.0, c - float(kinks[0]), float(kinks[-1]) - c):
-        return OrderResult(Order.FAILS, witness=float(kinks[worst]), gap=float(-d[worst]))
-    return OrderResult(Order.ORDERED)
+        return OrderResult(False, witness=float(kinks[worst]), gap=float(-d[worst]))
+    return OrderResult(True)
 
 
 def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:

@@ -32,6 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .measures import (
+    MASS_TOL,
     POS_EPS,
     DiscreteMeasure,
     _put_values,
@@ -39,7 +40,7 @@ from .measures import (
     put_potential,
     restricted_measure,
 )
-from .pwl import EPS_GEOM, convex_hull, evaluate
+from .pwl import convex_hull, evaluate
 
 #: tolerance for deciding that a function touches its convex envelope
 CONTACT_EPS = 1e-10
@@ -246,7 +247,7 @@ def curtain_incremental(mu: DiscreteMeasure, nu: DiscreteMeasure):
     return np.array(xs_out), np.array(ys_out), np.array(ws_out)
 
 
-def joint_tv(a, b, pos_tol: float = 1e-11) -> float:
+def joint_tv(a, b, pos_tol: float = POS_EPS) -> float:
     """Total-variation distance between two atomic joint measures.
 
     Each argument is an ``(xs, ys, ws)`` triple; atoms within ``pos_tol``
@@ -276,7 +277,7 @@ class PointConstruction(NamedTuple):
     phi: float
 
 
-def _drop_collinear(xs, ys, slope_left, slope_right, eps=EPS_GEOM):
+def _drop_collinear(xs, ys, slope_left, slope_right, eps=MASS_TOL):
     """Breakpoints of a piecewise-linear function without those where its
     slope changes by at most ``eps``; an affine function keeps its first."""
     if xs.size < 2:
@@ -288,7 +289,7 @@ def _drop_collinear(xs, ys, slope_left, slope_right, eps=EPS_GEOM):
     return xs[keep], ys[keep]
 
 
-def _left_slope(xs, ys, slope_left, slope_right, k, eps=EPS_GEOM) -> float:
+def _left_slope(xs, ys, slope_left, slope_right, k, eps=POS_EPS) -> float:
     """Left derivative at ``k`` of a piecewise-linear function; a breakpoint
     within ``eps`` of ``k`` counts as ``k``."""
     slopes = np.concatenate(([slope_left], np.diff(ys) / np.diff(xs), [slope_right]))
@@ -341,7 +342,7 @@ class PairReference:
     slope at ``S``; ``R`` is the leftmost point at or below ``G(u)`` where
     ``D`` meets the supporting line through ``(G(u), envelope(G(u)))``
     with slope ``phi``.  Breakpoints where a function does not bend (by
-    more than 1e-12 in slope) are dropped before contacts are sought.
+    more than ``MASS_TOL`` in slope) are dropped before contacts are sought.
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):

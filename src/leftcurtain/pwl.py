@@ -8,6 +8,9 @@ The shadow takes one envelope of the potential gap ``P_nu - P_mu`` and
 reads the shadow's weights off its slope jumps; the pointwise reference in
 :mod:`leftcurtain.oracle` also evaluates such functions with
 :func:`evaluate`.  The curtain builder and the verifiers use neither.
+Every slope the hull scan compares is a difference of cumulative weights,
+so its comparisons take the mass tolerance ``MASS_TOL`` of
+:mod:`leftcurtain.measures`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ import math
 
 import numpy as np
 
-#: absolute tolerance of the hull scan's slope comparisons
-EPS_GEOM = 1e-12
+from .measures import MASS_TOL
 
 
 def evaluate(xs, ys, slope_left, slope_right, k):
@@ -42,7 +44,7 @@ def convex_hull(xs, ys, slope_left, slope_right):
     breakpoint of the function.  O(n) on the sorted breakpoints and exact
     for piecewise-linear input.
     """
-    if slope_left > slope_right + EPS_GEOM:
+    if slope_left > slope_right + MASS_TOL:
         raise ValueError("no finite convex minorant: slope_left > slope_right")
     xs = np.asarray(xs, dtype=float).tolist()
     ys = np.asarray(ys, dtype=float).tolist()
@@ -54,7 +56,7 @@ def convex_hull(xs, ys, slope_left, slope_right):
     for x, y in zip(xs[1:], ys[1:]):
         while True:
             s_out = (y - hy[-1]) / (x - hx[-1])
-            if hs[-1] < s_out - EPS_GEOM:
+            if hs[-1] < s_out - MASS_TOL:
                 break
             hx.pop()
             hy.pop()
@@ -68,7 +70,7 @@ def convex_hull(xs, ys, slope_left, slope_right):
     def _anchor(slope, leftmost):
         vals = hy_arr - slope * hx_arr
         m = vals.min()
-        idx = np.flatnonzero(vals <= m + EPS_GEOM * max(1.0, abs(m)))
+        idx = np.flatnonzero(vals <= m + MASS_TOL * max(1.0, abs(m)))
         return int(idx[0]) if leftmost else int(idx[-1])
 
     i_l = _anchor(slope_left, leftmost=True)

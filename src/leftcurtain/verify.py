@@ -49,9 +49,6 @@ from .measures import POS_EPS, DiscreteMeasure, _run_starts
 #: default residual tolerance for exact-arithmetic checks
 DEFAULT_TOL = 1e-9
 
-#: slack for strict-inequality monotonicity comparisons
-MONO_EPS = 1e-12
-
 
 @dataclass
 class VerificationReport:
@@ -107,16 +104,18 @@ def verify_left_monotone(pi: LiftedCoupling, report: VerificationReport | None =
     left-monotonicity.
 
     For row indices ``i < j`` the upper function must not decrease and the
-    later lower value must avoid the open band ``(R_i, S_i)``.
+    later lower value must avoid the open band ``(R_i, S_i)``.  Positions
+    within ``POS_EPS`` are the same point, as in the walk that writes the
+    rows, so both comparisons are strict beyond ``POS_EPS``.
     """
     r = np.ascontiguousarray(pi.intervals[:, 3])
     s = np.ascontiguousarray(pi.intervals[:, 4])
     violations = 0
     for i in range(len(r) - 1):
         later_r = r[i + 1 :]
-        violations += int(np.count_nonzero(s[i + 1 :] < s[i] - MONO_EPS))
+        violations += int(np.count_nonzero(s[i + 1 :] < s[i] - POS_EPS))
         violations += int(
-            np.count_nonzero((r[i] + MONO_EPS < later_r) & (later_r < s[i] - MONO_EPS))
+            np.count_nonzero((r[i] + POS_EPS < later_r) & (later_r < s[i] - POS_EPS))
         )
     if report is not None:
         report.record("monotonicity_violations", violations, 0)
@@ -182,7 +181,8 @@ def verify_marginal_identity(
     nu: DiscreteMeasure,
     samples: int = 100,
     seed: int = 0,
-    mu: DiscreteMeasure | None = None,
+    *,
+    mu: DiscreteMeasure,
     report: VerificationReport | None = None,
     tol: float = DEFAULT_TOL,
 ) -> float:
@@ -199,8 +199,7 @@ def verify_marginal_identity(
     levels where the upper function jumps across ``y``).
     """
     rng = np.random.default_rng(seed)
-    atoms = nu.xs if mu is None else np.union1d(nu.xs, mu.xs)
-    ys = _sample_points(rng, atoms, samples)
+    ys = _sample_points(rng, np.union1d(nu.xs, mu.xs), samples)
     target = nu.cdf(ys)
     worst = float(np.abs(destination_cdf(table, ys) - target).max(initial=0.0))
     # S^{-1}(y) is the top of the rows below j, so phi is read at row ends:

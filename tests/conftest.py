@@ -11,7 +11,7 @@ from leftcurtain import (
     random_cx_pair,
     sample_y_many,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, _two_point
+from leftcurtain.curtain import _two_point
 from leftcurtain.measures import POS_EPS
 from leftcurtain.verify import _s_inverse
 
@@ -75,7 +75,7 @@ def nontrivial_runs(table):
     """Maximal index runs of the rows of ``table`` whose kernel splits mass
     and whose upper function stays above the next row's quantile."""
     t = table.intervals
-    split = t["s"] - t["r"] > DEGENERATE_KERNEL_EPS
+    split = t["s"] > t["r"]
     joined = np.zeros(len(t), dtype=bool)
     joined[1:] = split[:-1] & (t["g"][1:] < t["s"][:-1] - POS_EPS)
     idx = np.flatnonzero(split)
@@ -195,6 +195,29 @@ def three_atom():
     """Two source atoms into three target atoms; table is hand-checkable."""
     mu = dm((-1.0, 0.5), (1.0, 0.5))
     nu = dm((-3.0, 1 / 3), (0.0, 1 / 3), (3.0, 1 / 3))
+    return mu, nu
+
+
+@pytest.fixture
+def near_atom():
+    """A source atom 5e-12 below a target atom, within POS_EPS of it."""
+    mu = dm((0.0, 0.5), (1.0 - 5e-12, 0.5))
+    p = (1.0 - mu.mean) / 2
+    return mu, dm((-1.0, p), (1.0, 1.0 - p))
+
+
+@pytest.fixture
+def near_atom_shifted():
+    """The barycentres of consecutive groups of target atoms near 6e4; the
+    last group has one atom, and its barycentre ``x w / w`` rounds 7.3e-12
+    below that atom."""
+    mu = DiscreteMeasure(
+        [59999.99594949433, 60000.002081222796], [0.926194004417855, 0.07380599558214504]
+    )
+    nu = DiscreteMeasure(
+        [59999.99315761971, 59999.997209325426, 60000.00026706794, 60000.0020812228],
+        [0.33245859843866626, 0.5348107594900972, 0.05892464648909163, 0.07380599558214504],
+    )
     return mu, nu
 
 

@@ -10,7 +10,6 @@ It shares no code with the certificate.
 import numpy as np
 
 from leftcurtain import DiscreteMeasure, restricted_measure, shadow
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS
 from conftest import breakpoints
 
 
@@ -18,7 +17,7 @@ def restricted_second_marginal(pi, u):
     """Destination mass of the levels up to ``u`` of the rows of ``pi``."""
     rows = pi.intervals[pi.intervals[:, 0] < u]
     u_lo, u_hi, x, r, s = rows.T
-    split = s - r > DEGENERATE_KERNEL_EPS
+    split = s > r
     w_r = np.where(split, (s - x) / np.where(split, s - r, 1.0), 1.0)
     frac = np.minimum(u, u_hi) - u_lo
     ys = np.concatenate((np.where(split, r, x), s[split]))

@@ -31,7 +31,7 @@ from leftcurtain import (
     verify_left_monotone,
     verify_marginal_identity,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, LiftedCoupling
+from leftcurtain.curtain import LiftedCoupling
 from leftcurtain.oracle import PairReference, shadow_lp
 from conftest import (
     bank_instance,
@@ -131,7 +131,7 @@ def test_criterion_4_left_monotonicity(bank):
     flagged = 0
     for seed, mu, nu, table, pi, oracle in instances[:20]:
         t = pi.intervals
-        splitting = np.flatnonzero(t[:, 4] - t[:, 3] > DEGENERATE_KERNEL_EPS)
+        splitting = np.flatnonzero(t[:, 4] > t[:, 3])
         if not splitting.size:
             continue
         i = int(splitting[0])

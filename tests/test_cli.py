@@ -211,17 +211,30 @@ def test_verify_counts_monotonicity_on_the_coupling_file(tmp_path):
     assert json.loads(report.read_text())["monotonicity_violations"] > 0
 
 
-def test_verify_passes_target_atoms_closer_than_pos_eps(tmp_path):
-    nu = dm((-1.0, 0.5), (1.0, 0.25), (1.0 + 5e-12, 0.25))
-    mu = dm((nu.mean, 1.0))
+def verify_own_coupling(tmp_path, mu, nu):
+    """Exit code of ``verify`` on the ``curtain`` output of ``(mu, nu)``, and its report."""
     mu_path, nu_path = tmp_path / "mu.json", tmp_path / "nu.json"
     mu_path.write_text(json.dumps(measure_to_json(mu)))
     nu_path.write_text(json.dumps(measure_to_json(nu)))
     pair = ["--mu", str(mu_path), "--nu", str(nu_path)]
     out, report = tmp_path / "coupling.json", tmp_path / "report.json"
     assert main(["curtain", *pair, "--out", str(out)]) == EXIT_OK
-    assert main(["verify", *pair, "--coupling", str(out), "--out", str(report)]) == EXIT_OK
-    assert json.loads(report.read_text())["shadow_certificate_max"] <= 1e-15
+    rc = main(["verify", *pair, "--coupling", str(out), "--out", str(report)])
+    return rc, json.loads(report.read_text())
+
+
+def test_verify_passes_target_atoms_closer_than_pos_eps(tmp_path):
+    nu = dm((-1.0, 0.5), (1.0, 0.25), (1.0 + 5e-12, 0.25))
+    mu = dm((nu.mean, 1.0))
+    rc, report = verify_own_coupling(tmp_path, mu, nu)
+    assert rc == EXIT_OK
+    assert report["shadow_certificate_max"] <= 1e-15
+
+
+def test_verify_passes_a_source_atom_within_pos_eps_of_a_target_atom(near_atom, tmp_path):
+    rc, report = verify_own_coupling(tmp_path, *near_atom)
+    assert rc == EXIT_OK
+    assert report["monotonicity_violations"] == 0
 
 
 def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypatch):

@@ -13,7 +13,7 @@ from leftcurtain import (
     verify_coupling,
     verify_left_monotone,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, TABLE_DTYPE, InternalGeometry, _walk
+from leftcurtain.curtain import TABLE_DTYPE, InternalGeometry, _walk
 from leftcurtain.oracle import PairReference, contact_points
 from sweep_reference import sweep_rows
 from conftest import (
@@ -161,7 +161,7 @@ class TestBuildCurtain:
                 assert pc.q == pytest.approx(iv["r"], abs=1e-10)
                 assert pc.s == pytest.approx(iv["s"], abs=1e-10)
                 assert pc.phi == pytest.approx(phi_at(iv, float(u)), abs=1e-10)
-                if iv["s"] - iv["r"] > DEGENERATE_KERNEL_EPS:
+                if iv["s"] > iv["r"]:
                     assert pc.r == pytest.approx(iv["r"], abs=1e-10)
 
     def test_breakpoints_cover_unit_interval(self):
@@ -267,7 +267,7 @@ class TestSweepRegressions:
             pc = ref.at(u)
             assert (pc.g, pc.q, pc.s) == (iv["g"], iv["r"], iv["s"])
             assert pc.phi == pytest.approx(phi_at(iv, u), abs=1e-10)
-            if iv["s"] - iv["r"] > DEGENERATE_KERNEL_EPS:
+            if iv["s"] > iv["r"]:
                 assert pc.r == iv["r"]
 
 
@@ -340,7 +340,7 @@ class TestContinuumLimit:
         nu = quantize_density([-2.0, 2.0], [0.25, 0.25], n)
         t = build_curtain(mu, nu).intervals
         u = 0.5 * (t["u_lo"] + t["u_hi"])
-        assert np.all(t["s"] - t["r"] > DEGENERATE_KERNEL_EPS)
+        assert np.all(t["s"] > t["r"])
         errors = {
             "g": t["g"] - (2.0 * u - 1.0),
             "r": t["r"] + (u + 1.0),

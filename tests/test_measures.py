@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from leftcurtain import (
     DiscreteMeasure,
-    Order,
     check_convex_order,
     put_potential,
     quantile_left,
@@ -204,23 +203,23 @@ class TestRestrictedMeasure:
 class TestConvexOrder:
     def test_jensen_spread(self):
         res = check_convex_order(dm((0.0, 1.0)), dm((-1.0, 0.5), (1.0, 0.5)))
-        assert res.status is Order.ORDERED
+        assert res.ordered
 
     def test_equal_law(self):
         # equal laws are ordered; their gap vanishes at every kink
         eta = dm((-1.0, 0.5), (1.0, 0.5))
         res = check_convex_order(eta, eta)
-        assert res and res.status is Order.ORDERED
+        assert res and res.ordered
 
     def test_reversed_pair_fails_with_witness(self):
         res = check_convex_order(dm((-1.0, 0.5), (1.0, 0.5)), dm((0.0, 1.0)))
-        assert res.status is Order.FAILS
+        assert not res.ordered
         assert res.witness == 0.0
         assert res.gap == pytest.approx(0.5)
 
     def test_mass_mismatch_fails(self):
         res = check_convex_order(dm((0.0, 0.5)), dm((0.0, 1.0)))
-        assert res.status is Order.FAILS
+        assert not res.ordered
 
 
 class TestQuantizeDensity:
@@ -248,7 +247,7 @@ class TestQuantizeDensity:
         # smaller potential everywhere
         fine = quantize_density([-1.0, 1.0], [0.5, 0.5], 64)
         coarse = quantize_density([-1.0, 1.0], [0.5, 0.5], 8)
-        assert check_convex_order(coarse, fine).status is Order.ORDERED
+        assert check_convex_order(coarse, fine).ordered
 
     def test_rejects_zero_mass(self):
         with pytest.raises(ValueError):

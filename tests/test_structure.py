@@ -1,4 +1,5 @@
-"""The package's shape: which of its modules import which, and its public names.
+"""The package's shape: which of its modules import which, its public names,
+and which module binds which tolerance.
 
 The solver modules never import the test references in ``oracle``, and
 only the shadow (and the references) take convex envelopes through
@@ -26,7 +27,6 @@ PUBLIC_NAMES = [
     "InternalGeometry",
     "IrreducibleComponent",
     "LiftedCoupling",
-    "Order",
     "OrderResult",
     "ShadowInvalid",
     "TABLE_DTYPE",
@@ -174,3 +174,38 @@ def test_the_left_monotone_count_reads_one_row_format():
         n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "verify_left_monotone"
     )
     assert "isinstance" not in called_names(fn)
+
+
+def float_constants(path):
+    """The names that the module at ``path`` binds to a float literal at top level."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, ast.UnaryOp):
+            value = value.operand
+        if isinstance(value, ast.Constant) and isinstance(value.value, float):
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_one_tolerance_policy():
+    # a point and a level are compared with the tolerances of measures; the
+    # others are the verifiers' residual tolerance, the shadow's safety
+    # slack and the references' own
+    found = {path.stem: float_constants(path) for path in SRC.glob("*.py")}
+    assert found == {
+        "__init__": set(),
+        "measures": {"MASS_TOL", "POS_TOL", "POS_EPS"},
+        "verify": {"DEFAULT_TOL"},
+        "shadow": {"DOMINATION_SLACK"},
+        "oracle": {"CONTACT_EPS", "_PIVOT_EPS"},
+        "curtain": set(),
+        "pwl": set(),
+        "decompose": set(),
+        "cli": set(),
+    }

@@ -16,14 +16,14 @@ from leftcurtain import (
     verify_left_monotone,
     verify_marginal_identity,
 )
-from leftcurtain.curtain import DEGENERATE_KERNEL_EPS, LiftedCoupling
+from leftcurtain.curtain import LiftedCoupling
 from leftcurtain.measures import POS_EPS
-from leftcurtain.verify import MONO_EPS, VerificationReport, _s_inverse, _sample_points
+from leftcurtain.verify import VerificationReport, _s_inverse, _sample_points
 from conftest import nontrivial_runs, random_instance
 
 
 def _split(row):
-    return row["s"] - row["r"] > DEGENERATE_KERNEL_EPS
+    return row["s"] > row["r"]
 
 
 def loop_coupling(table):
@@ -53,8 +53,8 @@ def loop_left_monotone(pi):
     for i in range(len(rows)):
         for j in range(i + 1, len(rows)):
             r_i, s_i, r_j, s_j = rows[i, 3], rows[i, 4], rows[j, 3], rows[j, 4]
-            count += s_j < s_i - MONO_EPS
-            count += r_i + MONO_EPS < r_j < s_i - MONO_EPS
+            count += s_j < s_i - POS_EPS
+            count += r_i + POS_EPS < r_j < s_i - POS_EPS
     return count
 
 

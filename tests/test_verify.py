@@ -110,6 +110,16 @@ class TestVerifyLeftMonotone:
         mu, nu = three_atom
         assert verify_left_monotone(coupling(build_curtain(mu, nu), mu)) == 0
 
+    @pytest.mark.parametrize("pair", ["near_atom", "near_atom_shifted"])
+    def test_source_atom_within_pos_eps_of_a_target_atom_passes(self, pair, request):
+        # the walk sends the source atom to the target atom as a point row,
+        # and the count reads positions within POS_EPS as one point too
+        mu, nu = request.getfixturevalue(pair)
+        table = build_curtain(mu, nu)
+        rep = verify_all(table, coupling(table, mu), mu, nu)
+        assert rep.monotonicity_violations == 0
+        assert rep.passed(), rep.checks
+
 
 class TestMarginalIdentity:
     def test_two_point_midpoint(self, two_point):
