@@ -2,16 +2,16 @@
 
 Builds the lifted left-curtain coupling of two atomic measures in convex
 order by using up the target's atoms, one shadow after another: the
-destination functions with their quantile table, the shadow measure and
-the convex-order check from piecewise-linear potentials, the irreducible
-decomposition, and theorem-level verifiers.  The independent references that
-tests check against live in :mod:`leftcurtain.oracle`; of them only
-``curtain_incremental`` and ``joint_tv`` are exported here.
+destination functions with their quantile table, the shadow measure from
+the same walk, the convex-order check from piecewise-linear potentials,
+the irreducible decomposition, and theorem-level verifiers.  The
+independent references that tests check against live in
+:mod:`leftcurtain.oracle`; of them only ``curtain_incremental`` and
+``joint_tv`` are exported here.
 """
 
 from .curtain import (
     CurtainTable,
-    InternalGeometry,
     LiftedCoupling,
     TABLE_DTYPE,
     build_curtain,
@@ -52,7 +52,6 @@ __all__ = [
     "DecomposeError",
     "Decomposition",
     "DiscreteMeasure",
-    "InternalGeometry",
     "IrreducibleComponent",
     "LiftedCoupling",
     "OrderResult",

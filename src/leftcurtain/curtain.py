@@ -43,12 +43,6 @@ TABLE_DTYPE = np.dtype(
 _COUPLING_ROW_KEYS = ("u_lo", "u_hi", "x", "r", "s")
 
 
-class InternalGeometry(RuntimeError):
-    """A source atom finds no target atom with mass left on one side of it.
-    A pair in convex order never does, so this indicates a bug, not bad
-    input."""
-
-
 # -- curtain table ---------------------------------------------------------
 
 
@@ -95,9 +89,12 @@ def _phi_hi(table: CurtainTable) -> np.ndarray:
     return t["phi_lo"] + np.where(split, -share, 0.0) * (t["u_hi"] - t["u_lo"])
 
 
-def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
-    """Curtain rows of the probability pair ``(mu, nu)``: one walk over
-    ``nu``'s atoms that keeps the mass ``left`` in each.
+def _walk(
+    mu: DiscreteMeasure, nu: DiscreteMeasure, end: float
+) -> tuple[list[tuple], list[float]]:
+    """Curtain rows of ``mu`` in ``nu``, and the mass ``left`` in each of
+    ``nu``'s atoms after them: one walk over ``nu``'s atoms that uses up
+    their mass.
 
     Source atom ``x`` sends its levels to a target atom within ``POS_EPS``
     of ``x`` while that atom has mass left (a point row ``(x, x, x)``), and
@@ -110,13 +107,19 @@ def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
     through ``prv``, the previous atom with mass left.  phi at a row's
     start is the mass of ``nu`` used up to and including its upper atom,
     less ``u``.  The levels are ``mu``'s cumulative weights, from exactly 0
-    to exactly 1.  Rows are :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g,
-    r, s, phi_lo)``.
+    to exactly ``end``: 1 for a probability pair, ``mu.mass`` for a
+    sub-probability source, whose shadow is the mass used up.  Rows are
+    :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g, r, s, phi_lo)``.  A source
+    atom with no target atom with mass left on one side of it raises
+    :class:`~leftcurtain.measures.DecomposeError`: the source does not lie
+    below ``nu`` in convex order, which a pair that passes the order check
+    can do only by rounding (a source atom more than ``POS_EPS`` outside
+    ``nu``'s support).
     """
     # scalars are read as Python floats, which is faster than numpy's
     ys, f_nu, left = nu.xs.tolist(), nu.cum_weights.tolist(), nu.ws.tolist()
     levels = [0.0, *mu.cum_weights.tolist()]
-    levels[-1] = 1.0
+    levels[-1] = end
     prv = [-1] * len(ys)
     rows: list[tuple] = []
     r, s = -1, 0  # the lower atom with mass left (-1: none) and the first atom right of it
@@ -128,7 +131,9 @@ def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
             if r >= 0 and ys[r] >= x - POS_EPS:  # an atom at x: a point row
                 y_r, y_s, w_r, w_s, upper = x, x, 1.0, 0.0, r
             elif r < 0 or s == len(ys):
-                raise InternalGeometry(f"no target atom with mass left on one side of {x}")
+                raise DecomposeError(
+                    f"inputs not in convex order: no target atom with mass left on one side of {x}"
+                )
             else:
                 y_r, y_s, upper = ys[r], ys[s], s
                 w_r, w_s = (y_s - x) / (y_s - y_r), (x - y_r) / (y_s - y_r)
@@ -153,7 +158,7 @@ def _walk(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
                 left[r], r = 0.0, prv[r]
             if end_s <= nxt + MASS_TOL:
                 left[s], s = 0.0, s + 1
-    return rows
+    return rows, left
 
 
 def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
@@ -174,7 +179,8 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
         raise DecomposeError(
             f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
         )
-    table = np.array(_walk(mu, nu), dtype=TABLE_DTYPE)
+    rows, _ = _walk(mu, nu, 1.0)
+    table = np.array(rows, dtype=TABLE_DTYPE)
     table.flags.writeable = False
     return CurtainTable(table)
 

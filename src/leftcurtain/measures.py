@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -125,7 +124,7 @@ class DiscreteMeasure:
 
         Atoms of the two measures within ``POS_EPS`` of the first atom of
         their run are identified (the rule of the constructor's merge),
-        absorbing float noise in positions produced by hull arithmetic.
+        absorbing float noise in positions.
         """
         xs = np.concatenate([self.xs, other.xs])
         ws = np.concatenate([self.ws, -other.ws])
@@ -261,46 +260,21 @@ class DecomposeError(ValueError):
     no irreducible decomposition."""
 
 
-class _PairGap(NamedTuple):
-    """The potential gap of a pair on the union of its supports, which the
-    order check and the shadow read.
-
-    ``kinks`` are the union's points, ``f_mu`` and ``f_nu`` the cumulative
-    weights on the segments between neighbouring kinks, read from the
-    measures' :attr:`~DiscreteMeasure.cum_weights`, and ``d`` the gap ``D
-    = P_nu - P_mu`` at the kinks: the prefix sums of the segment rises
-    ``(F_nu - F_mu) h``, from 0 at the left end of the support, where both
-    potentials vanish.
-    """
-
-    kinks: np.ndarray
-    f_mu: np.ndarray
-    f_nu: np.ndarray
-    d: np.ndarray
-
-
-def _pair_gap(mu: DiscreteMeasure, nu: DiscreteMeasure) -> _PairGap:
-    """The :class:`_PairGap` of two non-empty measures."""
-    kinks = np.union1d(mu.xs, nu.xs)
-    h = np.diff(kinks)
-    f_mu = np.append(0.0, mu.cum_weights)[mu.xs.searchsorted(kinks[:-1], side="right")]
-    f_nu = np.append(0.0, nu.cum_weights)[nu.xs.searchsorted(kinks[:-1], side="right")]
-    d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * h)))
-    return _PairGap(kinks, f_mu, f_nu, d)
-
-
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     """Convex-order test via potential domination.
 
     Equal mass and mean plus ``P_mu <= P_nu`` at every breakpoint of both
     potentials is sufficient for piecewise-linear potentials, because the
     difference is then non-negative at all of its kinks and vanishes at
-    both tails.  The gap is read from :func:`_pair_gap` at the kinks of
-    both supports.  The witness is the kink with the most negative gap; a
-    gap fails below ``-MASS_TOL`` times the largest distance of a kink
-    from ``mu``'s barycentre (at least 1), since potential values, and
-    their rounding, grow with the spread of the positions.  Equal laws are
-    ordered.
+    both tails.  The gap ``D = P_nu - P_mu`` is read at the kinks, the
+    union of both supports, as the prefix sums of its rises ``(F_nu -
+    F_mu) h`` over the segments between neighbouring kinks, from 0 at the
+    left end, where both potentials vanish; ``F_mu`` and ``F_nu`` are read
+    from the measures' :attr:`~DiscreteMeasure.cum_weights`.  The witness
+    is the kink with the most negative gap; a gap fails below
+    ``-MASS_TOL`` times the largest distance of a kink from ``mu``'s
+    barycentre (at least 1), since potential values, and their rounding,
+    grow with the spread of the positions.  Equal laws are ordered.
     """
     if abs(mu.mass - nu.mass) > MASS_TOL:
         return OrderResult(False, witness=None, gap=abs(mu.mass - nu.mass))
@@ -308,8 +282,10 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
         return OrderResult(False, witness=None, gap=abs(mu.mean - nu.mean))
     if mu.n_atoms == 0:
         raise ValueError("convex order requires non-empty measures")
-    pair = _pair_gap(mu, nu)
-    kinks, d = pair.kinks, pair.d
+    kinks = np.union1d(mu.xs, nu.xs)
+    f_mu = np.append(0.0, mu.cum_weights)[mu.xs.searchsorted(kinks[:-1], side="right")]
+    f_nu = np.append(0.0, nu.cum_weights)[nu.xs.searchsorted(kinks[:-1], side="right")]
+    d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * np.diff(kinks))))
     c = mu.mean / mu.mass
     worst = int(np.argmin(d))
     if d[worst] < -MASS_TOL * max(1.0, c - float(kinks[0]), float(kinks[-1]) - c):

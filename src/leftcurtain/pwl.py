@@ -4,11 +4,11 @@ A function is given by its breakpoints ``(xs, ys)``, with ``xs`` strictly
 increasing, and two asymptotic slopes: it is affine with slope
 ``slope_left`` on ``(-inf, xs[0]]``, linear between consecutive
 breakpoints, and affine with slope ``slope_right`` on ``[xs[-1], +inf)``.
-The shadow takes one envelope of the potential gap ``P_nu - P_mu`` and
-reads the shadow's weights off its slope jumps; the pointwise reference in
-:mod:`leftcurtain.oracle` also evaluates such functions with
-:func:`evaluate`.  The curtain builder and the verifiers use neither.
-Every slope the hull scan compares is a difference of cumulative weights,
+Envelopes serve only the references: the pointwise reference in
+:mod:`leftcurtain.oracle` takes the envelope of each level's excess
+potential and evaluates such functions with :func:`evaluate`.  No solver
+module imports this one; the shadow is the mass the curtain walk uses up.
+The slopes the hull scan compares are differences of cumulative weights,
 so its comparisons take the mass tolerance ``MASS_TOL`` of
 :mod:`leftcurtain.measures`.
 """

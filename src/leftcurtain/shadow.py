@@ -1,12 +1,13 @@
-"""Shadow measure computed from the potential formula.
+"""Shadow measure: the target mass that the curtain walk of the source
+uses up.
 
 The shadow of ``mu`` in ``nu`` is the smallest measure in convex order
-among those dominated by ``nu`` into which ``mu`` embeds; its put
-potential equals ``P_nu`` minus the lower convex envelope of
-``P_nu - P_mu``.  So the shadow is ``nu`` minus the slope jumps of that
-one envelope: the gap is read on the union of both supports from
-:func:`leftcurtain.measures._pair_gap`, one hull scan takes its envelope,
-and each target atom loses the envelope's jump there.  The output's
+among those dominated by ``nu`` into which ``mu`` embeds.  Shadows add
+(Beiglboeck and Juillet 2016, section 4): the shadow of ``mu`` is the
+shadow of its first atom in ``nu``, then of the next atom in what is left,
+and so on.  That is the walk that builds the curtain table
+(:func:`leftcurtain.curtain._walk`), run up to ``mu``'s mass, so the
+shadow is ``nu`` less the mass the walk leaves in each atom.  The output's
 defining properties are then validated; inputs not in extended convex
 order are signalled through :class:`ShadowInvalid`.
 """
@@ -15,11 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .measures import MASS_TOL, DiscreteMeasure, _pair_gap, _put_values, check_convex_order
-from .pwl import convex_hull
+from .curtain import _walk
+from .measures import MASS_TOL, DecomposeError, DiscreteMeasure, _put_values, check_convex_order
 
 #: slack allowed when checking atomwise domination by ``nu`` (absorbs
-#: float error of slope-jump extraction)
+#: the float error of the walk's rates)
 DOMINATION_SLACK = 1e-10
 
 
@@ -29,17 +30,18 @@ class ShadowInvalid(ValueError):
 
 
 def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
-    """Shadow of ``mu`` in ``nu`` via the potential formula.
+    """Shadow of ``mu`` in ``nu``: the mass of ``nu``'s atoms that the walk
+    of ``mu`` uses up.
 
-    Each weight is the ``nu`` weight minus the slope jump of the envelope
-    of ``P_nu - P_mu`` at that point; weights up to 1e-13 are dropped, and
-    a weight below -1e-9 (an envelope kink heavier than the target atom
-    under it, or a kink off ``nu``'s atoms) raises.  The result is then
-    checked for the three defining properties: domination by ``nu`` atom
-    by atom, convex-order domination of ``mu``, and exact mass/mean
-    agreement with ``mu``.  A source with the target's mass (within
-    ``MASS_TOL``) has all of ``nu`` as its shadow when it lies below ``nu``
-    in convex order, and ``nu`` itself is returned.
+    A source atom with no target mass left on one side of it, or a walk
+    that overdraws a target atom by more than 1e-9 (the last atom on a
+    side takes up what the others cannot), raises; weights up to 1e-13
+    are dropped.  The result is then checked for the three defining
+    properties: domination by ``nu`` atom by atom, convex-order domination
+    of ``mu``, and exact mass/mean agreement with ``mu``.  A source with
+    the target's mass (within ``MASS_TOL``) has all of ``nu`` as its shadow
+    when it lies below ``nu`` in convex order, and ``nu`` itself is
+    returned.
     """
     if mu.n_atoms == 0:
         return DiscreteMeasure([], [])
@@ -53,27 +55,18 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
                 f"gap {order.gap:.3e})"
             )
         return nu
-    pair = _pair_gap(mu, nu)
-    grid = pair.kinks
-    ws = np.zeros(grid.size)  # nu's weights on the grid; the envelope's jumps come off below
-    ws[grid.searchsorted(nu.xs)] = nu.ws
-    slope_right = nu.mass - mu.mass
-    hx, hy = convex_hull(grid, pair.d, 0.0, slope_right)
-    # an envelope edge between neighbouring grid points runs along the gap,
-    # whose slope there is F_nu - F_mu: a difference of cumulative weights,
-    # free of the cancellation of a chord slope taken from potential values
-    v = grid.searchsorted(hx)
-    along = pair.f_nu - pair.f_mu
-    chord = np.diff(hy) / np.diff(hx)
-    slopes = np.concatenate(([0.0], np.where(np.diff(v) == 1, along[v[:-1]], chord), [slope_right]))
-    ws[v] -= np.diff(slopes)
-    worst = int(np.argmin(ws))
-    if ws[worst] < -1e-9:
+    try:
+        _, left = _walk(mu, nu, mu.mass)
+    except DecomposeError as exc:
+        raise ShadowInvalid(str(exc)) from exc
+    worst = int(np.argmin(left))
+    if left[worst] < -1e-9:
         raise ShadowInvalid(
-            f"envelope kink at {grid[worst]} exceeds the target weight there by {-ws[worst]:.3e}"
+            f"source overdraws the target atom at {nu.xs[worst]} by {-left[worst]:.3e}"
         )
+    ws = nu.ws - left
     keep = ws > 1e-13
-    result = DiscreteMeasure(grid[keep], ws[keep])
+    result = DiscreteMeasure(nu.xs[keep], ws[keep])
     _validate(mu, nu, result)
     return result
 

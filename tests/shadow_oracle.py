@@ -3,14 +3,16 @@ certificate of :func:`leftcurtain.verify_shadow_consistency`.
 
 At every table breakpoint, plus random levels, the destination mass of the
 coupling's rows up to level ``u`` is compared in total variation with the
-shadow of ``mu_u`` that ``shadow.py`` computes from the potential formula.
-It shares no code with the certificate.
+shadow of ``mu_u``.  The shadow is taken by the retired hull route of
+``tests/shadow_hull_reference.py``, not by :func:`leftcurtain.shadow`, which
+runs the walk that builds the rows.  It shares no code with the certificate.
 """
 
 import numpy as np
 
-from leftcurtain import DiscreteMeasure, restricted_measure, shadow
+from leftcurtain import DiscreteMeasure, restricted_measure
 from conftest import breakpoints
+from shadow_hull_reference import hull_shadow
 
 
 def restricted_second_marginal(pi, u):
@@ -28,7 +30,7 @@ def restricted_second_marginal(pi, u):
 
 def shadow_of_restriction(mu, nu, u):
     """Shadow of the leftmost mass-``u`` part of ``mu`` in ``nu``."""
-    return shadow(mu if u >= 1.0 else restricted_measure(mu, u), nu)
+    return hull_shadow(mu if u >= 1.0 else restricted_measure(mu, u), nu)
 
 
 def shadow_tv_max(table, mu, nu, pi, grid=20, seed=0):

@@ -239,21 +239,23 @@ def test_verify_passes_a_source_atom_within_pos_eps_of_a_target_atom(near_atom, 
 
 def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypatch):
     import leftcurtain.cli as cli
+    import leftcurtain.curtain as curtain
     import leftcurtain.measures as measures
 
-    calls = {"decompose": 0, "gap": 0}
+    calls = {"decompose": 0, "order": 0}
 
     def counted_decompose(pi, mu, nu):
         calls["decompose"] += 1
         return decompose(pi, mu, nu)
 
-    def counted_gap(*args):
-        calls["gap"] += 1
-        return pair_gap(*args)
+    def counted_order(*args):
+        calls["order"] += 1
+        return order_check(*args)
 
-    pair_gap = measures._pair_gap
+    order_check = measures.check_convex_order
     monkeypatch.setattr(cli, "decompose", counted_decompose)
-    monkeypatch.setattr(measures, "_pair_gap", counted_gap)
+    for module in (measures, curtain):
+        monkeypatch.setattr(module, "check_convex_order", counted_order)
     mu, nu = split_pair
     mu_path = tmp_path / "mu.json"
     nu_path = tmp_path / "nu.json"
@@ -262,9 +264,8 @@ def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypat
     out = tmp_path / "coupling.json"
     args = ["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]
     assert main(args + ["--components"]) == EXIT_OK
-    # one decomposition, and the gap evaluated once: by the build's order
-    # check
-    assert calls == {"decompose": 1, "gap": 1}
+    # one decomposition, and one order check: the build's
+    assert calls == {"decompose": 1, "order": 1}
     obj = json.loads(out.read_text())
     assert [c["interval"] for c in obj["components"]] == [[-2.0, 0.0], [0.0, 2.0]]
     plain = tmp_path / "plain.json"
@@ -315,6 +316,30 @@ def test_order_failure_exit_code_of_every_pair_command(tmp_path, monkeypatch, ca
     rc = main([extra[0], "--mu", "mu.json", "--nu", "nu.json", *extra[1:], "--out", "out"])
     assert rc == EXIT_ORDER
     assert "not in convex order" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["curtain"], ["decompose"], ["sample", "--n", "10", "--seed", "0"]],
+    ids=["curtain", "decompose", "sample"],
+)
+def test_source_atom_outside_the_target_by_rounding_is_an_order_failure(
+    tmp_path, monkeypatch, capsys, extra
+):
+    # the order check accepts this pair with gap 0, but mu's upper atom lies
+    # 2.3e-10 right of nu's, beyond POS_EPS: the walk finds no target atom
+    # right of it, and the pair is not in convex order
+    w = (0.7922671063943849, 0.20773289360561503)
+    mu = DiscreteMeasure([999999.9421465949, 999999.9730576744], w)
+    nu = DiscreteMeasure([999999.9421465949, 999999.9730576742], w)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(mu)))
+    (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(nu)))
+    rc = main([extra[0], "--mu", "mu.json", "--nu", "nu.json", *extra[1:], "--out", "out"])
+    assert rc == EXIT_ORDER
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: inputs not in convex order")
     assert not (tmp_path / "out").exists()
 
 

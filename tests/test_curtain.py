@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from leftcurtain import (
+    DecomposeError,
     DiscreteMeasure,
     build_curtain,
     check_convex_order,
@@ -13,7 +14,7 @@ from leftcurtain import (
     verify_coupling,
     verify_left_monotone,
 )
-from leftcurtain.curtain import TABLE_DTYPE, InternalGeometry, _walk
+from leftcurtain.curtain import TABLE_DTYPE, _walk
 from leftcurtain.oracle import PairReference, contact_points
 from sweep_reference import sweep_rows
 from conftest import (
@@ -298,11 +299,11 @@ class TestWalk:
         )
 
     @pytest.mark.parametrize("x, y", [(0.0, 1.0), (1.0, 0.0)])
-    def test_a_side_with_no_atom_raises_internal_geometry(self, x, y):
+    def test_a_side_with_no_atom_raises_decompose_error(self, x, y):
         # the walk on its own, without the order check: delta_x -> delta_y
-        # has no target atom on one side of x
-        with pytest.raises(InternalGeometry, match="one side"):
-            _walk(dm((x, 1.0)), dm((y, 1.0)))
+        # has no target atom on one side of x, so it is not in convex order
+        with pytest.raises(DecomposeError, match="one side"):
+            _walk(dm((x, 1.0)), dm((y, 1.0)), 1.0)
 
     def test_the_last_atom_on_a_side_takes_up_rounding(self):
         # near 1e6 a spread of 0.16 leaves the rates (s - x) / (s - r) about
@@ -319,35 +320,46 @@ class TestWalk:
 
 
 class TestContinuumLimit:
-    """The quantised pair U[-1, 1] -> U[-2, 2] against the continuous
-    left-curtain functions of that pair, in levels ``u``: G = 2u - 1, R =
-    -(u + 1), S = 3u - 1 and phi = (1 - u) / 4.
+    """The quantised pair U[-a, a] -> U[-b, b] against the continuous
+    left-curtain functions of that pair, in levels ``u``: G = a (2u - 1),
+    R = (a - b) u - a, S = (a + b) u - a and phi = (b - a) (1 - u) / (2b).
 
-    For mu = U[-a, a] and nu = U[-b, b], the shadow of mu on [-a, x] fills
-    nu on [T_d, T_u], with T_u - T_d = b (x + a) / a (mass) and T_u + T_d =
-    x - a (mean); a = 1, b = 2 and x = 2u - 1 give R = T_d and S = T_u.
-    phi(u) = F_nu(S(u)) - u is the quantile form of the destination law.
+    The shadow of mu on [-a, x] fills nu on [T_d, T_u], with T_u - T_d =
+    b (x + a) / a (mass) and T_u + T_d = x - a (mean); x = a (2u - 1) gives
+    R = T_d and S = T_u.  phi(u) = F_nu(S(u)) - u is the quantile form of
+    the destination law.  Every row splits except where a source atom sits
+    on a target atom (for a = 1, b = 3 the first one does), and there the
+    row is a point row.
     """
 
     #: n times the largest error at the row midpoints: the values measured
-    #: at n = 1000 and 4000 (flat in n, 0.706, 3.167, 2.500 and 0.167) plus
-    #: a margin of 20 %
-    BOUNDS = {"g": 0.85, "r": 3.8, "s": 3.0, "phi": 0.2}
+    #: at n = 1000 and 4000 (flat in n) plus a margin of 20 %; they are
+    #: 0.706, 3.167, 2.500 and 0.167 for (1, 2), 0.6, 2.0, 2.2 and 0.167
+    #: for (1, 3), and 1.655, 6.3, 4.5 and 0.3 for (2, 3).  The constants
+    #: depend on how the two grids interleave: at n = 2000 one short row of
+    #: (2, 3) near u = 0.0015 has a lower atom that the continuum does not
+    #: see, with n |error of r| = 16.1
+    BOUNDS = {
+        (1, 2): {"g": 0.85, "r": 3.8, "s": 3.0, "phi": 0.2},
+        (1, 3): {"g": 0.72, "r": 2.4, "s": 2.7, "phi": 0.2},
+        (2, 3): {"g": 2.0, "r": 7.6, "s": 5.4, "phi": 0.36},
+    }
 
+    @pytest.mark.parametrize("a, b", list(BOUNDS))
     @pytest.mark.parametrize("n", [1000, 4000])
-    def test_table_converges_at_rate_one_over_n(self, n):
-        mu = quantize_density([-1.0, 1.0], [0.5, 0.5], n)
-        nu = quantize_density([-2.0, 2.0], [0.25, 0.25], n)
+    def test_table_converges_at_rate_one_over_n(self, a, b, n):
+        mu = quantize_density([-a, a], [0.5 / a, 0.5 / a], n)
+        nu = quantize_density([-b, b], [0.5 / b, 0.5 / b], n)
         t = build_curtain(mu, nu).intervals
         u = 0.5 * (t["u_lo"] + t["u_hi"])
-        assert np.all(t["s"] > t["r"])
+        assert np.all(nu.atom_index(t["g"][~(t["s"] > t["r"])]) >= 0)
         errors = {
-            "g": t["g"] - (2.0 * u - 1.0),
-            "r": t["r"] + (u + 1.0),
-            "s": t["s"] - (3.0 * u - 1.0),
-            "phi": phi_at(t, u) - (1.0 - u) / 4.0,
+            "g": t["g"] - a * (2.0 * u - 1.0),
+            "r": t["r"] - ((a - b) * u - a),
+            "s": t["s"] - ((a + b) * u - a),
+            "phi": phi_at(t, u) - (b - a) * (1.0 - u) / (2.0 * b),
         }
-        for name, bound in self.BOUNDS.items():
+        for name, bound in self.BOUNDS[a, b].items():
             assert n * np.abs(errors[name]).max() <= bound, name
 
 

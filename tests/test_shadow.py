@@ -1,11 +1,19 @@
 import numpy as np
 import pytest
 
-from leftcurtain import put_potential, quantize_density, random_cx_pair, restricted_measure, shadow
+from leftcurtain import (
+    DiscreteMeasure,
+    put_potential,
+    quantize_density,
+    random_cx_pair,
+    restricted_measure,
+    shadow,
+)
 from leftcurtain.oracle import shadow_lp
 from leftcurtain.shadow import ShadowInvalid, _validate
 from conftest import bank_instance, dm, random_instance
 from exact_reference import exact_shadow
+from shadow_hull_reference import hull_shadow
 
 
 class TestShadowExamples:
@@ -59,6 +67,12 @@ class TestShadowExamples:
         # mass fits but the source is too spread out for the target
         with pytest.raises(ShadowInvalid):
             shadow(dm((-5.0, 0.25), (5.0, 0.25)), dm((-1.0, 0.5), (1.0, 0.5)))
+
+    def test_overdrawn_target_atom_rejected(self):
+        # both atoms lie inside the target's support, but the atom at 0.9
+        # sends 0.38 to 1, where only 0.25 is left after the atom at 0
+        with pytest.raises(ShadowInvalid, match="overdraws the target atom at 1.0 by 1.300e-01"):
+            shadow(dm((0.0, 0.5), (0.9, 0.4)), dm((-1.0, 0.5), (1.0, 0.5)))
 
 
 class TestShadowProperties:
@@ -130,4 +144,45 @@ def test_shadow_matches_the_exact_rational_reference():
             exact = {float(x): float(w) for x, w in exact_shadow(part, nu).items()}
             for x in got.keys() | exact.keys():
                 worst = max(worst, abs(got.get(x, 0.0) - exact.get(x, 0.0)))
+    assert worst <= 1e-14
+
+
+def hull_reference_sources(seed):
+    """Three sub-probability sources in the target of the bank pair ``seed``:
+    a left restriction, a random sub-measure and half of the source with its
+    positions perturbed, which often leaves it without a shadow."""
+    mu, nu = random_cx_pair(seed, 1 + seed % 8, seed % 7)
+    rng = np.random.default_rng(seed + 4096)
+    yield restricted_measure(mu, float(rng.uniform(0.02, 0.998))), nu
+    keep = rng.uniform(0.0, 1.0, size=mu.n_atoms) * (rng.uniform(size=mu.n_atoms) < 0.8)
+    if keep.any() and (keep < 1).any():
+        yield DiscreteMeasure(mu.xs[keep > 0], (mu.ws * keep)[keep > 0]), nu
+    else:
+        yield DiscreteMeasure(mu.xs, 0.7 * mu.ws), nu
+    jitter = rng.normal(0.0, [0.01, 0.1, 0.5, 2.0][seed % 4], size=mu.n_atoms)
+    yield DiscreteMeasure(mu.xs + jitter, 0.5 * mu.ws), nu
+
+
+def test_shadow_matches_the_frozen_hull_route():
+    """The walk's shadow and the retired hull route accept and reject the
+    same 1800 sources and agree within TV 1e-14 on the accepted ones."""
+
+    def attempt(fn, mu, nu):
+        try:
+            return fn(mu, nu)
+        except ShadowInvalid:
+            return None
+
+    accepted = rejected = 0
+    worst = 0.0
+    for seed in range(600):
+        for mu, nu in hull_reference_sources(seed):
+            got, want = attempt(shadow, mu, nu), attempt(hull_shadow, mu, nu)
+            assert (got is None) == (want is None), (seed, got, want)
+            if got is None:
+                rejected += 1
+            else:
+                accepted += 1
+                worst = max(worst, got.tv_distance(want))
+    assert accepted > 1000 and rejected > 100
     assert worst <= 1e-14

@@ -2,8 +2,10 @@
 and which module binds which tolerance.
 
 The solver modules never import the test references in ``oracle``, and
-only the shadow (and the references) take convex envelopes through
-``pwl``: the curtain builder and the verifiers work without one.
+only ``oracle`` takes convex envelopes through ``pwl``: the curtain walk
+gives both the table and the shadow, and the verifiers work without an
+envelope.  The potential gap ``P_nu - P_mu`` is read by the convex-order
+check alone.
 """
 
 import ast
@@ -24,7 +26,6 @@ PUBLIC_NAMES = [
     "DecomposeError",
     "Decomposition",
     "DiscreteMeasure",
-    "InternalGeometry",
     "IrreducibleComponent",
     "LiftedCoupling",
     "OrderResult",
@@ -88,9 +89,9 @@ def test_solver_modules_do_not_import_the_oracle(module):
     assert "oracle" not in package_imports(module)
 
 
-def test_only_the_shadow_and_the_references_take_envelopes():
+def test_only_the_oracle_takes_envelopes():
     users = {m for m in (*SOLVER_MODULES, "oracle") if "pwl" in package_imports(m)}
-    assert users == {"shadow", "oracle"}
+    assert users == {"oracle"}
 
 
 def test_public_names_are_the_listed_ones_and_resolve():
@@ -147,15 +148,20 @@ def test_the_curtain_reads_no_potential():
     import leftcurtain.measures as measures
 
     assert not hasattr(measures, "_rise")
-    assert "p_nu" not in measures._PairGap._fields
 
 
-def test_the_shadow_takes_its_gap_from_measures():
+def test_the_shadow_reads_the_walk():
+    # the shadow is the mass the curtain walk uses up; the convex-order
+    # check is the one reader of the potential gap
     tree = ast.parse((SRC / "shadow.py").read_text())
     (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "shadow")
     names = called_names(fn)
-    assert "_pair_gap" in names
-    assert not names & {"cumsum", "union1d", "_put_values"}
+    assert "_walk" in names
+    assert not names & {"_pair_gap", "convex_hull", "_put_values", "cumsum", "union1d"}
+    import leftcurtain.measures as measures
+
+    assert not hasattr(measures, "_pair_gap")
+    assert not hasattr(measures, "_PairGap")
 
 
 def test_the_table_keeps_what_the_sweep_decides():
