@@ -33,12 +33,12 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
     """Shadow of ``mu`` in ``nu``: the mass of ``nu``'s atoms that the walk
     of ``mu`` uses up.
 
-    A source atom with no target mass left on one side of it, or a walk
-    that overdraws a target atom by more than 1e-9 (the last atom on a
-    side takes up what the others cannot), raises; weights up to 1e-13
-    are dropped.  The result is then checked for the three defining
-    properties: domination by ``nu`` atom by atom, convex-order domination
-    of ``mu``, and exact mass/mean agreement with ``mu``.  A source with
+    A source atom with no target mass left on one side of it raises, and
+    weights up to 1e-13 are dropped.  The result is then checked for the
+    three defining properties: domination by ``nu`` atom by atom, which
+    rejects a walk that overdraws a target atom (the last atom on a side
+    takes up what the others cannot), convex-order domination of ``mu``,
+    and exact mass/mean agreement with ``mu``.  A source with
     the target's mass (within ``MASS_TOL``) has all of ``nu`` as its shadow
     when it lies below ``nu`` in convex order, and ``nu`` itself is
     returned.
@@ -59,11 +59,6 @@ def shadow(mu: DiscreteMeasure, nu: DiscreteMeasure) -> DiscreteMeasure:
         _, left = _walk(mu, nu, mu.mass)
     except DecomposeError as exc:
         raise ShadowInvalid(str(exc)) from exc
-    worst = int(np.argmin(left))
-    if left[worst] < -1e-9:
-        raise ShadowInvalid(
-            f"source overdraws the target atom at {nu.xs[worst]} by {-left[worst]:.3e}"
-        )
     ws = nu.ws - left
     keep = ws > 1e-13
     result = DiscreteMeasure(nu.xs[keep], ws[keep])
