@@ -17,7 +17,9 @@ It checks, in mass units:
 (ii)  ``S_1 = nu``, in total variation;
 (iii) no target atom ``k`` lies strictly inside the band ``(r, s)`` of a
       row below its fill level ``tau_k``, the top of the last row that
-      sends mass to ``k``.
+      sends mass to ``k``.  The residual is the level mass of the rows
+      that break it: each band row's levels below the highest ``tau_k``
+      of the atoms inside its band.
 
 Together these hold exactly when ``S_u`` is the shadow of ``mu_u`` at
 every level ``u``.  By (i) the first marginal of the rows up to ``u`` is ``mu_u``,
@@ -107,19 +109,69 @@ def verify_left_monotone(pi: LiftedCoupling, report: VerificationReport | None =
     later lower value must avoid the open band ``(R_i, S_i)``.  Positions
     within ``POS_EPS`` are the same point, as in the walk that writes the
     rows, so both comparisons are strict beyond ``POS_EPS``.
+
+    The rows are cut into leaves of ``_LEAF`` rows (a shorter table is one
+    leaf), and the pairs inside a leaf are compared by the rule in one
+    broadcast.  Merge levels then double the block width: with every
+    block's values sorted, each row of an even block counts the values of
+    its sibling block below its threshold by binary search.  The values
+    inside a band are those below its top less those at or below its
+    bottom.  Cost ``O(N log N)`` for ``N`` rows.
     """
-    r = np.ascontiguousarray(pi.intervals[:, 3])
-    s = np.ascontiguousarray(pi.intervals[:, 4])
-    violations = 0
-    for i in range(len(r) - 1):
-        later_r = r[i + 1 :]
-        violations += int(np.count_nonzero(s[i + 1 :] < s[i] - POS_EPS))
-        violations += int(
-            np.count_nonzero((r[i] + POS_EPS < later_r) & (later_r < s[i] - POS_EPS))
-        )
+    n = len(pi.intervals)
+    leaf = max(min(n, _LEAF), 1)
+    # rows padded with NaN to whole leaves; NaN compares false, as in the rule
+    rows = np.full((2, -(-n // leaf) * leaf), np.nan)
+    rows[:, :n] = pi.intervals[:, 3:5].T
+    bottom, top = rows[0] + POS_EPS, rows[1] - POS_EPS
+    # the later row of a pair runs along the last axis
+    later_r, later_s = rows.reshape(2, -1, 1, leaf)
+    low, high = bottom.reshape(-1, leaf, 1), top.reshape(-1, leaf, 1)
+    later = _LATER[:leaf, :leaf]
+    violations = np.count_nonzero((later_s < high) & later) + np.count_nonzero(
+        (low < later_r) & (later_r < high) & later
+    )
+    # a NaN value counts as +inf, above every threshold that is searched: a
+    # NaN top searches -inf, and a band with a NaN end is empty
+    size = rows.shape[1]
+    index = np.arange(size)
+    keys = _complex(0.0, np.fmin(rows, np.inf))
+    r_keys, s_keys = keys
+    top = np.where(np.isnan(top), -np.inf, top)
+    band = bottom < top
+    width = leaf
+    while width < size:
+        block = index // width
+        # sorted by block, then value; from the second level on, each block
+        # holds two sorted runs, which a stable sort merges in linear time
+        keys.real = block
+        keys.sort(kind="stable")
+        at = (block % 2 == 0) & ((block + 1) * width < size)
+        sibling = block + 1
+        drops = s_keys.searchsorted(_complex(sibling[at], top[at])) - sibling[at] * width
+        at &= band
+        below_top = r_keys.searchsorted(_complex(sibling[at], top[at]))
+        at_bottom = r_keys.searchsorted(_complex(sibling[at], bottom[at]), side="right")
+        violations += drops.sum() + (below_top - at_bottom).sum()
+        width *= 2
+    violations = int(violations)
     if report is not None:
         report.record("monotonicity_violations", violations, 0)
     return violations
+
+
+#: rows per leaf of :func:`verify_left_monotone`, whose pairs are compared at once
+_LEAF = 64
+_LATER = np.triu(np.ones((_LEAF, _LEAF), dtype=bool), 1)
+
+
+def _complex(real, imag) -> np.ndarray:
+    """``real + i imag`` without the NaN that ``1j * inf`` gives.  numpy
+    orders complex numbers by (real, imag), so block + i value keys sort
+    by block and then by value."""
+    out = np.empty(np.broadcast_shapes(np.shape(real), np.shape(imag)), dtype=complex)
+    out.real, out.imag = real, imag
+    return out
 
 
 #: elements per temporary (samples x rows) block of :func:`destination_cdf`
@@ -233,12 +285,14 @@ def verify_shadow_consistency(
     the gaps and overlaps of the rows' levels, the level mass of rows whose
     ``x`` is not ``mu``'s left quantile, the level mass of rows that break
     ``r <= x <= s``, ``TV(S_1, nu)`` from the rows' kernel shares, and the
-    largest straddle mass of a target atom.  Together they are zero exactly
-    when ``S_u`` is the shadow of ``mu_u`` at every level, not only at
-    sampled ones.  Destinations are matched to target atoms by the rule of
+    level mass of the band rows below the highest fill level inside their
+    band.  Together they are zero exactly when ``S_u`` is the shadow of
+    ``mu_u`` at every level, not only at sampled ones.  Destinations are
+    matched to target atoms by the rule of
     :meth:`DiscreteMeasure.atom_weight`, so "strictly inside a band" is an
     integer test on atom indices.  Cost ``O((N + n) log n)`` for ``N`` rows
-    and ``n`` target atoms.
+    and ``n`` target atoms, all of it in array operations: a binary search
+    per destination and a sparse table of range maxima over the atoms.
 
     The rows are ``coupling_obj.intervals`` (the coupling of ``table`` when
     it is ``None``); ``table`` is read only to build that coupling.
@@ -267,14 +321,14 @@ def verify_shadow_consistency(
     got = np.bincount(np.where(k >= 0, k, n)[live], weights=sent[live], minlength=n + 1)
     tv = 0.5 * np.abs(got - np.append(nu.ws, 0.0)).sum()
 
-    # (iii) straddle mass below each atom's fill level
+    # (iii) level mass of band rows below the highest fill level in their band
     tau = np.zeros(n)
     fills = live & (k >= 0)
     np.maximum.at(tau, k[fills], np.broadcast_to(u_hi[:, None], k.shape)[fills])
     first = np.where(k[:, 0] >= 0, k[:, 0] + 1, nu.xs.searchsorted(r, side="right"))
     last = np.where(k[:, 1] >= 0, k[:, 1] - 1, nu.xs.searchsorted(s, side="left") - 1)
     band = live.all(axis=1) & (first <= last)
-    straddle = _straddle_max(first[band], last[band], u_lo[band], u_hi[band], tau)
+    straddle = _straddle_mass(first[band], last[band], u_lo[band], u_hi[band], tau)
 
     worst = float(max(tiling, wrong_x, bad_kernel, tv, straddle))
     if report is not None:
@@ -282,57 +336,29 @@ def verify_shadow_consistency(
     return worst
 
 
-def _straddle_max(first, last, lo, hi, tau: np.ndarray) -> float:
-    """Largest straddle mass over the target atoms.
+def _straddle_mass(first, last, lo, hi, tau: np.ndarray) -> float:
+    """Level mass of the band rows that break (iii).
 
     Band row ``j`` covers the atom indices ``first[j]..last[j]`` and the
-    levels ``(lo[j], hi[j]]``; the straddle mass of atom ``k`` is the level
-    mass below ``tau[k]`` of the rows that cover ``k``.  One sweep takes
-    the row ends in level order and the atoms in order of ``tau``.  A row
-    adds ``(1, lo)`` to a (count, level) pair over its atom range at its
-    lower end and ``(-1, -hi)`` at its upper end, so at level ``t`` an atom
-    reads ``t * count - level``, the sum of ``clip(t - lo, 0, hi - lo)``
-    over its rows.  The range adds and point queries run on a segment tree
-    over the atom indices.  Unlike a Fenwick tree over differences, a row
-    writes only to the nodes that make up its own range, so an atom that
-    no started row covers reads exactly 0.
+    levels ``(lo[j], hi[j]]``.  It breaks (iii) on its levels below
+    ``top_j``, the highest fill level ``tau`` of the atoms it covers, so
+    its share is ``clip(top_j - lo_j, 0, hi_j - lo_j)``.  A sparse table of
+    running maxima of ``tau`` over ``2**k`` atoms gives every ``top_j`` from
+    two overlapping windows.  The sum is zero exactly when no atom inside a
+    band fills above the band's lower level, and it is at least the
+    straddle mass of any one atom, since every row that covers atom ``k``
+    has ``tau_k <= top_j``.  Cost ``O(N + n log n)``.
     """
-    size = 1 << max(tau.size - 1, 0).bit_length()
-    count = [0] * (2 * size)
-    level = [0.0] * (2 * size)
-    times = np.concatenate((lo, hi))
-    order = np.argsort(times, kind="stable")
-    ev_time = times[order].tolist()
-    ev_lo = (np.concatenate((first, first))[order] + size).tolist()
-    ev_hi = (np.concatenate((last, last))[order] + size + 1).tolist()
-    ev_sign = np.repeat((1, -1), first.size)[order].tolist()
-    worst = 0.0
-    e = 0
-    for atom in np.argsort(tau, kind="stable").tolist():
-        t = float(tau[atom])
-        while e < len(ev_time) and ev_time[e] < t:
-            a, b, c = ev_lo[e], ev_hi[e], ev_sign[e]
-            at = c * ev_time[e]
-            while a < b:
-                if a & 1:
-                    count[a] += c
-                    level[a] += at
-                    a += 1
-                if b & 1:
-                    b -= 1
-                    count[b] += c
-                    level[b] += at
-                a >>= 1
-                b >>= 1
-            e += 1
-        j = atom + size
-        c, lv = 0, 0.0
-        while j:
-            c += count[j]
-            lv += level[j]
-            j >>= 1
-        worst = max(worst, t * c - lv)
-    return worst
+    depth = np.frexp(last - first + 1)[1] - 1  # floor(log2(atoms covered))
+    levels = int(depth.max(initial=0)) + 1
+    windows = np.empty((levels, tau.size))
+    windows[0] = tau
+    for k in range(1, levels):
+        h = 1 << (k - 1)
+        windows[k] = windows[k - 1]
+        np.maximum(windows[k, :-h], windows[k - 1, h:], out=windows[k, :-h])
+    top = np.maximum(windows[depth, first], windows[depth, last - (1 << depth) + 1])
+    return float(np.clip(top - lo, 0.0, hi - lo).sum())
 
 
 def verify_all(

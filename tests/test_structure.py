@@ -182,6 +182,24 @@ def test_the_left_monotone_count_reads_one_row_format():
     assert "isinstance" not in called_names(fn)
 
 
+def test_the_verifiers_loop_over_no_rows():
+    # the monotonicity count and the certificate are array code: a Python
+    # loop over rows or atoms made the count quadratic and the certificate
+    # a per-event sweep
+    tree = ast.parse((SRC / "verify.py").read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert not [c for c in calls if isinstance(c.func, ast.Attribute) and c.func.attr == "tolist"]
+    loops = [n.iter for n in ast.walk(tree) if isinstance(n, (ast.For, ast.comprehension))]
+    over_rows = [
+        it
+        for it in loops
+        if isinstance(it, ast.Call)
+        and getattr(it.func, "id", None) == "range"
+        and "len" in {n.id for n in ast.walk(it) if isinstance(n, ast.Name)}
+    ]
+    assert not over_rows
+
+
 def float_constants(path):
     """The names that the module at ``path`` binds to a float literal at top level."""
     names = set()

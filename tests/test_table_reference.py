@@ -13,6 +13,7 @@ from leftcurtain import (
     build_curtain,
     coupling,
     destination_cdf,
+    quantize_density,
     verify_left_monotone,
     verify_marginal_identity,
 )
@@ -48,13 +49,14 @@ def loop_coupling(table):
 
 
 def loop_left_monotone(pi):
-    rows = pi.intervals
+    """Row by row, the later rows whose s drops below the row's, and those
+    whose r falls inside the row's band."""
+    r, s = pi.intervals[:, 3], pi.intervals[:, 4]
     count = 0
-    for i in range(len(rows)):
-        for j in range(i + 1, len(rows)):
-            r_i, s_i, r_j, s_j = rows[i, 3], rows[i, 4], rows[j, 3], rows[j, 4]
-            count += s_j < s_i - POS_EPS
-            count += r_i + POS_EPS < r_j < s_i - POS_EPS
+    for i in range(len(r)):
+        later_r, later_s = r[i + 1 :], s[i + 1 :]
+        count += int(np.count_nonzero(later_s < s[i] - POS_EPS))
+        count += int(np.count_nonzero((r[i] + POS_EPS < later_r) & (later_r < s[i] - POS_EPS)))
     return count
 
 
@@ -151,3 +153,74 @@ def test_violation_count_matches_loop_on_shuffled_rows(seed):
     rows[:, 3:] = rows[np.random.default_rng(seed).permutation(len(rows)), 3:]
     shuffled = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
     assert verify_left_monotone(shuffled) == loop_left_monotone(shuffled)
+
+
+def lifted_rows(r, s):
+    """A coupling whose rows carry the lower values ``r`` and upper values
+    ``s``; the count reads nothing else."""
+    rows = np.zeros((len(r), 5))
+    rows[:, 3], rows[:, 4] = r, s
+    return LiftedCoupling(rows, np.empty(0), np.empty(0), np.empty(0))
+
+
+@pytest.mark.parametrize("kind", ["random", "nan"])
+@pytest.mark.parametrize("n", [0, 1, 2, 63, 64, 65, 127, 128, 129, 1500])
+def test_violation_count_matches_loop_across_leaves(n, kind):
+    # rows are compared 64 at a time, then merged in blocks of 64, 128, ...;
+    # positions on a 0.1 grid make ties and equal band ends common
+    rng = np.random.default_rng(n)
+    r = np.round(rng.normal(size=n), 1)
+    s = r + np.abs(np.round(rng.normal(size=n), 1))
+    if kind == "nan":
+        # a NaN compares false on either side, like in the loop
+        r[rng.random(n) < 0.1] = np.nan
+        s[rng.random(n) < 0.1] = np.nan
+    pi = lifted_rows(r, s)
+    assert verify_left_monotone(pi) == loop_left_monotone(pi)
+
+
+@pytest.mark.parametrize("n", [1000, 4000])
+def test_violation_count_matches_loop_on_a_shuffled_uniform_coupling(n):
+    mu = quantize_density([-1.0, 1.0], [0.5, 0.5], n)
+    nu = quantize_density([-2.0, 2.0], [0.25, 0.25], n)
+    pi = coupling(build_curtain(mu, nu), mu)
+    assert len(pi.intervals) == 3 * n // 2
+    assert verify_left_monotone(pi) == 0
+    rows = pi.intervals.copy()
+    rows[:, 3:] = rows[np.random.default_rng(n).permutation(len(rows)), 3:]
+    shuffled = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+    count = verify_left_monotone(shuffled)
+    assert count > len(rows) ** 2 // 8
+    assert count == loop_left_monotone(shuffled)
+
+
+def _below(x):
+    return float(np.nextafter(x, -np.inf))
+
+
+def _above(x):
+    return float(np.nextafter(x, np.inf))
+
+
+R_I, S_I = 0.3, 1.7
+
+
+@pytest.mark.parametrize(
+    "r_j, s_j, violates",
+    [
+        (R_I, S_I - POS_EPS, False),
+        (R_I, _below(S_I - POS_EPS), True),
+        (R_I + POS_EPS, S_I, False),
+        (_above(R_I + POS_EPS), S_I, True),
+        (S_I - POS_EPS, S_I, False),
+        (_below(S_I - POS_EPS), S_I, True),
+    ],
+)
+def test_violation_count_pins_both_strict_boundaries(r_j, s_j, violates):
+    # row i = (0.3, 1.7) sits between 70 copies of row j before it and 150
+    # after it, so its pairs lie both inside its leaf of 64 rows and across
+    # leaves; only the pairs (i, later j) can violate
+    r = np.array([r_j] * 70 + [R_I] + [r_j] * 150)
+    s = np.array([s_j] * 70 + [S_I] + [s_j] * 150)
+    pi = lifted_rows(r, s)
+    assert verify_left_monotone(pi) == 150 * violates == loop_left_monotone(pi)

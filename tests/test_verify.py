@@ -10,15 +10,18 @@ from leftcurtain import (
     coupling,
     destination_cdf,
     quantize_density,
+    random_cx_pair,
     verify_all,
     verify_coupling,
     verify_left_monotone,
     verify_marginal_identity,
     verify_shadow_consistency,
 )
+from leftcurtain import verify
 from leftcurtain.verify import VerificationReport
 from conftest import dm, phi, random_instance, s_inverse
 from shadow_oracle import restricted_second_marginal, shadow_tv_max
+from straddle_reference import straddle_max
 
 
 class TestVerifyCoupling:
@@ -163,6 +166,32 @@ class TestMarginalIdentity:
             assert destination_cdf(table, y) == pytest.approx(expected, abs=1e-12)
 
 
+def destination_moves(seeds=range(150)):
+    """The certificate's mutation family: one split row's r (or s) moves to
+    another target atom on the same side of x, so the row stays a
+    martingale kernel.  Yields ``(seed, table, mu, nu, moved coupling)``."""
+    for seed in seeds:
+        mu, nu = random_instance(seed)
+        table = build_curtain(mu, nu)
+        pi = coupling(table, mu)
+        rows = pi.intervals.copy()
+        split = np.flatnonzero(rows[:, 4] - rows[:, 3] > 1e-13)
+        if split.size == 0:
+            continue
+        rng = np.random.default_rng(seed)
+        i = int(rng.choice(split))
+        col = int(rng.choice([3, 4]))
+        for col in (col, 7 - col):
+            side = nu.xs < rows[i, 2] if col == 3 else nu.xs > rows[i, 2]
+            others = nu.xs[side & (nu.xs != rows[i, col])]
+            if others.size:
+                break
+        else:
+            continue
+        rows[i, col] = rng.choice(others)
+        yield seed, table, mu, nu, LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+
+
 class TestShadowConsistency:
     def test_full_level_is_target(self, three_atom):
         mu, nu = three_atom
@@ -205,29 +234,8 @@ class TestShadowConsistency:
         assert not rep.passed()
 
     def test_certificate_flags_every_destination_move_the_oracle_flags(self):
-        # one split row's r (or s) moves to another target atom on the same
-        # side of x, so the row stays a martingale kernel
         flagged, missed = 0, []
-        for seed in range(150):
-            mu, nu = random_instance(seed)
-            table = build_curtain(mu, nu)
-            pi = coupling(table, mu)
-            rows = pi.intervals.copy()
-            split = np.flatnonzero(rows[:, 4] - rows[:, 3] > 1e-13)
-            if split.size == 0:
-                continue
-            rng = np.random.default_rng(seed)
-            i = int(rng.choice(split))
-            col = int(rng.choice([3, 4]))
-            for col in (col, 7 - col):
-                side = nu.xs < rows[i, 2] if col == 3 else nu.xs > rows[i, 2]
-                others = nu.xs[side & (nu.xs != rows[i, col])]
-                if others.size:
-                    break
-            else:
-                continue
-            rows[i, col] = rng.choice(others)
-            bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+        for seed, table, mu, nu, bad in destination_moves():
             if shadow_tv_max(table, mu, nu, bad, grid=10) > 1e-9:
                 flagged += 1
                 if verify_shadow_consistency(table, mu, nu, coupling_obj=bad) <= 1e-9:
@@ -274,6 +282,73 @@ class TestShadowConsistency:
         rows[1, 0] += 0.01
         bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
         assert verify_shadow_consistency(table, mu, nu, coupling_obj=bad) >= 0.01 - 1e-12
+
+
+class TestStraddleMass:
+    """Part (iii) of the certificate against the frozen per-atom sweep of
+    ``tests/straddle_reference.py``, on the inputs the certificate hands to
+    its helper: the band rows' level mass ``T`` bounds the largest straddle
+    mass ``S`` of one atom and is zero exactly where ``S`` is.  ``T`` is
+    also summed row by row from its definition."""
+
+    @staticmethod
+    def compare(monkeypatch, cases):
+        """``(T, S, widest band in atoms)`` for the certificate of every
+        ``(table, mu, nu, pi)`` of ``cases``."""
+        seen = []
+        new = verify._straddle_mass
+
+        def both(first, last, lo, hi, tau):
+            got = new(first, last, lo, hi, tau)
+            rows = zip(first, last, lo, hi)
+            by_row = sum(min(max(tau[f : l + 1].max() - a, 0.0), b - a) for f, l, a, b in rows)
+            assert got == pytest.approx(by_row, rel=1e-12, abs=0.0)
+            widest = int((last - first).max(initial=-1)) + 1
+            seen.append((got, straddle_max(first, last, lo, hi, tau), widest))
+            return got
+
+        monkeypatch.setattr(verify, "_straddle_mass", both)
+        for table, mu, nu, pi in cases:
+            verify_shadow_consistency(table, mu, nu, coupling_obj=pi)
+        for got, want, _ in seen:
+            assert got >= want * (1.0 - 1e-12)
+            assert (got == 0.0) == (want == 0.0)
+        return seen
+
+    def test_on_destination_moves(self, monkeypatch):
+        seen = self.compare(monkeypatch, (case[1:] for case in destination_moves()))
+        assert sum(want > 0 for _, want, _ in seen) >= 80
+
+    def test_on_row_swaps_of_the_cx_bank(self, monkeypatch):
+        # the pairs of perfbench's cx-bank; two rows swap their (r, s), so
+        # the levels still tile
+        def swapped():
+            for i in range(336):
+                mu, nu = random_cx_pair(i, 1 + i % 8, (i // 8) % 7)
+                table = build_curtain(mu, nu)
+                pi = coupling(table, mu)
+                rows = pi.intervals.copy()
+                if len(rows) < 2:
+                    continue
+                a, b = np.random.default_rng(i).choice(len(rows), 2, replace=False)
+                rows[[a, b], 3:] = rows[[b, a], 3:]
+                yield table, mu, nu, LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+
+        seen = self.compare(monkeypatch, swapped())
+        assert sum(want > 0 for _, want, _ in seen) >= 180
+
+    def test_on_a_permuted_uniform_coupling(self, monkeypatch):
+        mu = quantize_density([-1.0, 1.0], [0.5, 0.5], 1000)
+        nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 1000)
+        table = build_curtain(mu, nu)
+        pi = coupling(table, mu)
+        rows = pi.intervals.copy()
+        assert len(rows) == 1500
+        rows[:, 3:] = rows[np.random.default_rng(0).permutation(len(rows)), 3:]
+        bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+        ((got, want, widest),) = self.compare(monkeypatch, [(table, mu, nu, bad)])
+        # bands over many atoms read several levels of the range maximum
+        assert want > 0 and widest >= 64
 
 
 class TestVerifyAll:
