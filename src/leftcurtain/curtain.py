@@ -31,7 +31,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .measures import MASS_TOL, POS_EPS, DecomposeError, DiscreteMeasure, check_convex_order
+from .measures import (
+    MASS_TOL,
+    POS_EPS,
+    DecomposeError,
+    DiscreteMeasure,
+    _guide_table,
+    _level_index,
+    check_convex_order,
+)
 
 #: row layout of :attr:`CurtainTable.intervals`: a row's levels, its
 #: kernel ``(g, r, s)`` and phi at its start
@@ -80,6 +88,12 @@ class CurtainTable:
         """:func:`_two_point` of the rows ``(g, r, s)``."""
         t = self.intervals
         return _two_point(t["g"], t["r"], t["s"])
+
+    @cached_property
+    def _guide(self) -> tuple:
+        """:func:`~leftcurtain.measures._guide_table` of the interior row
+        ends ``u_hi[:-1]``."""
+        return _guide_table(self.intervals["u_hi"][:-1])
 
 
 def _phi_hi(table: CurtainTable) -> np.ndarray:
@@ -217,9 +231,12 @@ class LiftedCoupling:
     @staticmethod
     def from_json(obj: dict) -> "LiftedCoupling":
         rows = [[float(r[key]) for key in _COUPLING_ROW_KEYS] for r in obj["intervals"]]
+        rows = np.array(rows, dtype=float).reshape(-1, 5)
         joint = np.array(obj["joint"], dtype=float).reshape(-1, 3)
+        if not (np.isfinite(rows).all() and np.isfinite(joint).all()):
+            raise ValueError("coupling rows and joint entries must be finite")
         return LiftedCoupling(
-            np.array(rows, dtype=float).reshape(-1, 5),
+            rows,
             joint[:, 0].copy(),
             joint[:, 1].copy(),
             joint[:, 2].copy(),
@@ -263,7 +280,7 @@ def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.nda
     """
     t = table.intervals
     lower, share, _ = table._kernels
-    idx = np.minimum(np.searchsorted(t["u_hi"], us, side="left"), len(t) - 1)
+    idx = _level_index(t["u_hi"], us, table)
     return np.where(vs <= share[idx], lower[idx], t["s"][idx])
 
 

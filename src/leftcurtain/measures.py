@@ -28,6 +28,10 @@ POS_TOL = 1e-12
 #: target atom, and by the left-monotone count
 POS_EPS = 1e-11
 
+#: the fewest levels in one lookup that read a guide table (see
+#: :func:`_level_index`); smaller lookups take a binary search
+_GUIDE_MIN_LEVELS = 2**12
+
 
 class DiscreteMeasure:
     """Finite atomic measure: sorted positions ``xs`` and weights ``ws > 0``."""
@@ -84,6 +88,11 @@ class DiscreteMeasure:
         before = np.concatenate(([0.0], sums[:-1]))
         b = sums - before
         return sums + np.cumsum((before - (sums - b)) + (self.ws - b))
+
+    @cached_property
+    def _guide(self) -> tuple:
+        """:func:`_guide_table` of the interior levels ``cum_weights[:-1]``."""
+        return _guide_table(self.cum_weights[:-1])
 
     @property
     def support_left(self) -> float:
@@ -183,6 +192,55 @@ def _merge_atoms(xs, ws, pos_tol):
     return xs[first], np.add.reduceat(ws, first)
 
 
+def _guide_table(breaks: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, list[int]]:
+    """Guide table over the sorted ``breaks`` (Chen and Asau 1974).
+
+    With ``m`` the least power of two at least ``2 * len(breaks)``,
+    ``guide[b]`` counts the breaks below ``b / m`` for ``b <= m``.  A level
+    ``u`` in ``[b / m, (b + 1) / m)`` has ``b = floor(u * m)``, exact for a
+    power of two, and between ``guide[b]`` and ``guide[b + 1]`` breaks
+    below it; the level 1 has ``guide[m]``.  A lower bound among them takes
+    the ``steps``, one power of two per bit of the widest bucket's count,
+    from the highest down to 1, in ``padded``: the breaks followed by
+    ``inf``, as many as the largest step.
+    """
+    m = 1 << (2 * breaks.size - 1).bit_length()
+    guide = np.searchsorted(breaks, np.arange(m + 1) / m, side="left")
+    widest = int(np.diff(guide).max())
+    steps = [1 << i for i in reversed(range(widest.bit_length()))]
+    padded = np.append(breaks, np.full(steps[0] if steps else 0, np.inf))
+    return float(m), guide, padded, steps
+
+
+def _level_index(ends: np.ndarray, u, owner) -> np.ndarray:
+    """Index of the row ``(ends[i - 1], ends[i]]`` of the sorted ``ends``
+    that holds each level ``u``, or of the last row for a level above them
+    all: ``np.searchsorted(ends, u)`` capped at ``len(ends) - 1``.
+
+    A binary search mispredicts a branch at every step on random levels.
+    So a lookup of at least ``_GUIDE_MIN_LEVELS`` levels in ``[0, 1]``,
+    and of no fewer levels than interior ends, reads ``owner._guide``, the
+    cached :func:`_guide_table` of ``ends[:-1]``: one gather and one
+    branchless step per bit of its widest bucket, one step on evenly
+    spread ends.  Any other lookup (a NaN fails the range test) takes the
+    binary search; both give the same index.
+    """
+    size = np.size(u)
+    if size >= _GUIDE_MIN_LEVELS and size >= ends.size - 1:
+        u = np.asarray(u, dtype=float)
+        if 0.0 <= u.min() and u.max() <= 1.0:
+            m, guide, padded, steps = owner._guide
+            # the cast to an integer truncates, so the bucket is floor(u * m)
+            bucket = np.multiply(u, m, out=np.empty(u.shape, dtype=np.intp), casting="unsafe")
+            index = guide.take(bucket)
+            del bucket  # the steps' temporaries take its place
+            for step in steps:
+                below = padded[step - 1 :].take(index) < u
+                index += below * step if step > 1 else below
+            return index
+    return np.minimum(np.searchsorted(ends, u, side="left"), ends.size - 1)
+
+
 def _put_values(xs: np.ndarray, ws: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
     """Put potential ``sum_{x_i < k} w_i (k - x_i)`` of the atoms ``(xs,
     ws)`` at the points ``k``.
@@ -224,8 +282,7 @@ def quantile_left(eta: DiscreteMeasure, u):
     u_arr = np.asarray(u, dtype=float)
     if not np.all((u_arr > 0.0) & (u_arr < 1.0)):
         raise ValueError("quantile level must lie in (0, 1)")
-    idx = np.minimum(np.searchsorted(eta.cum_weights, u_arr, side="left"), eta.n_atoms - 1)
-    out = eta.xs[idx]
+    out = eta.xs[_level_index(eta.cum_weights, u_arr, eta)]
     return float(out) if out.ndim == 0 else out
 
 

@@ -13,6 +13,7 @@ from leftcurtain import (
     sample_y_many,
 )
 from leftcurtain.cli import EXIT_IO, EXIT_OK, EXIT_ORDER, EXIT_VERIFICATION, main
+from leftcurtain.measures import _GUIDE_MIN_LEVELS
 from conftest import dm
 
 
@@ -160,9 +161,12 @@ def test_sample_x_is_left_quantile_of_multi_atom_source(tmp_path):
     assert {float(r["x"]) for r in rows} == {-1.0, 0.5, 2.0}
 
 
-def test_sample_csv_matches_per_row_repr(tmp_path):
+@pytest.mark.parametrize("n", [500, 2 * _GUIDE_MIN_LEVELS])
+def test_sample_csv_matches_per_row_repr(tmp_path, n):
     # mu's atom at -0.0 keeps its sign in x and in the point-kernel draws of
-    # y, while the upper destination 0.0 is nu's atom: both zeros appear in y
+    # y, while the upper destination 0.0 is nu's atom: both zeros appear in
+    # y.  The reference draws one row at a time, by the binary search, so
+    # the larger n also pins the guide table's rows.
     mu = DiscreteMeasure([-1.0, -0.0, 1.0], [0.25, 0.5, 0.25])
     nu = dm((-2.0, 0.2), (0.0, 0.6), (2.0, 0.2))
     mu_path = tmp_path / "mu.json"
@@ -170,14 +174,17 @@ def test_sample_csv_matches_per_row_repr(tmp_path):
     mu_path.write_text(json.dumps(measure_to_json(mu)))
     nu_path.write_text(json.dumps(measure_to_json(nu)))
     out = tmp_path / "s.csv"
-    args = ["sample", "--mu", str(mu_path), "--nu", str(nu_path), "--n", "500", "--seed", "11"]
+    args = ["sample", "--mu", str(mu_path), "--nu", str(nu_path), "--n", str(n), "--seed", "11"]
     assert main(args + ["--out", str(out)]) == EXIT_OK
 
     rng = np.random.default_rng(11)
-    us = np.clip(rng.uniform(0.0, 1.0, size=500), np.finfo(float).tiny, 1.0 - 1e-16)
-    vs = np.clip(rng.uniform(0.0, 1.0, size=500), np.finfo(float).tiny, 1.0 - 1e-16)
+    us = np.clip(rng.uniform(0.0, 1.0, size=n), np.finfo(float).tiny, 1.0 - 1e-16)
+    vs = np.clip(rng.uniform(0.0, 1.0, size=n), np.finfo(float).tiny, 1.0 - 1e-16)
     table = build_curtain(mu, nu)
-    rows = zip(us, vs, quantile_left(mu, us), sample_y_many(table, us, vs))
+    rows = [
+        (u, v, quantile_left(mu, u), sample_y_many(table, [u], [v])[0])
+        for u, v in zip(us.tolist(), vs.tolist())
+    ]
     lines = ["u,v,x,y"] + [",".join(repr(float(v)) for v in row) for row in rows]
     assert out.read_text() == "\n".join(lines) + "\n"
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} >= {"-0.0", "0.0"}
@@ -374,6 +381,32 @@ def test_non_finite_atom_is_an_input_error(tmp_path):
     nu_path.write_text(json.dumps(measure_to_json(dm((-1.0, 0.5), (2.0, 0.5)))))
     rc = main(["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(tmp_path / "x.json")])
     assert rc == EXIT_IO
+
+
+@pytest.mark.parametrize(
+    "where, bad",
+    [("s", float("nan")), ("u_hi", float("inf")), ("joint", -float("inf"))],
+)
+def test_non_finite_coupling_entry_is_an_input_error(tmp_path, capsys, where, bad):
+    # the coupling file of the n = 500 uniform grid densities, one entry
+    # edited: NaN compares false, so a verifier could pass over it
+    for name, (a, b) in (("mu", (-1.0, 1.0)), ("nu", (-2.0, 2.0))):
+        density = {"type": "grid-density", "xs": [a, b], "pdf": [0.5 / b] * 2, "n": 500}
+        (tmp_path / f"{name}.json").write_text(json.dumps(density))
+    pair = ["--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")]
+    good, bad_path = tmp_path / "coupling.json", tmp_path / "bad.json"
+    assert main(["curtain", *pair, "--out", str(good)]) == EXIT_OK
+    obj = json.loads(good.read_text())
+    if where == "joint":
+        obj["joint"][3][2] = bad
+    else:
+        obj["intervals"][len(obj["intervals"]) // 2][where] = bad
+    bad_path.write_text(json.dumps(obj))
+    report = tmp_path / "report.json"
+    assert main(["verify", *pair, "--coupling", str(good), "--out", str(report)]) == EXIT_OK
+    rc = main(["verify", *pair, "--coupling", str(bad_path), "--out", str(report)])
+    assert rc == EXIT_IO
+    assert "finite" in capsys.readouterr().err
 
 
 def test_io_failure_exit_code(tmp_path):

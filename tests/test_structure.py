@@ -200,6 +200,39 @@ def test_the_verifiers_loop_over_no_rows():
     assert not over_rows
 
 
+@pytest.mark.parametrize(
+    "module, name, ends",
+    [("curtain", "sample_y_many", "u_hi"), ("measures", "quantile_left", "cum_weights")],
+)
+def test_both_level_lookups_share_one_search(module, name, ends):
+    # a draw's row is found by _level_index alone, which picks the guide
+    # table or the binary search by one size rule for both lookups
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    assert not called_names(fn) & {"searchsorted", "digitize", "_guide", "_guide_table"}
+    lookups = [
+        n
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_level_index"
+    ]
+    assert len(lookups) == 1
+    inside = {id(n) for n in ast.walk(lookups[0])}
+    reads = [
+        n
+        for n in ast.walk(fn)
+        if (isinstance(n, ast.Constant) and n.value == ends)
+        or (isinstance(n, ast.Attribute) and n.attr == ends)
+    ]
+    assert reads and all(id(n) in inside for n in reads)
+    defined = [
+        m.stem
+        for m in SRC.glob("*.py")
+        for n in ast.walk(ast.parse(m.read_text()))
+        if isinstance(n, ast.FunctionDef) and n.name == "_level_index"
+    ]
+    assert defined == ["measures"]
+
+
 def float_constants(path):
     """The names that the module at ``path`` binds to a float literal at top level."""
     names = set()
