@@ -74,11 +74,8 @@ class CurtainTable:
     ``intervals`` is one structured array of dtype :data:`TABLE_DTYPE`,
     one row per quantile interval ``(u_lo, u_hi]`` in increasing order;
     pointwise queries at exact breakpoints follow the left-limit
-    convention.  Point-kernel rows store exactly ``r = g = s`` and keep phi
-    constant.  On the other rows phi falls at the rate ``(S - G) / (S -
-    R)``, the share of the row's mass that its kernel sends to ``R``
-    (``phi' = -(S - G) / (S - R)``), so ``phi_lo`` fixes phi on the whole
-    row.
+    convention.  Point-kernel rows store exactly ``r = g = s``, and
+    ``phi_lo`` fixes phi on the whole row (:func:`_phi_hi`).
     """
 
     intervals: np.ndarray
@@ -96,11 +93,12 @@ class CurtainTable:
         return _guide_table(self.intervals["u_hi"][:-1])
 
 
-def _phi_hi(table: CurtainTable) -> np.ndarray:
-    """phi at the top ``u_hi`` of every row of ``table``, on the row's line."""
-    t = table.intervals
-    _, share, split = table._kernels
-    return t["phi_lo"] + np.where(split, -share, 0.0) * (t["u_hi"] - t["u_lo"])
+def _phi_hi(phi_lo: np.ndarray, width: np.ndarray, kernels: tuple) -> np.ndarray:
+    """phi at the top of rows of level width ``width`` from ``phi_lo`` at their
+    start: it falls at the rate ``share`` of the rows' ``kernels`` where they
+    split (``phi' = -(S - G) / (S - R)``) and is constant on point rows."""
+    _, share, split = kernels
+    return phi_lo + np.where(split, -share, 0.0) * width
 
 
 def _walk(
@@ -175,6 +173,17 @@ def _walk(
     return rows, left
 
 
+def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+    """The pair check that :func:`build_curtain` runs first."""
+    if abs(mu.mass - 1.0) > MASS_TOL:
+        raise ValueError(f"inputs must be probability measures, mass={mu.mass}")
+    order = check_convex_order(mu, nu)
+    if not order:
+        raise DecomposeError(
+            f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
+        )
+
+
 def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     """Exact curtain table for a pair of probability measures in convex order.
 
@@ -186,13 +195,7 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     :class:`~leftcurtain.measures.DecomposeError` unless the pair is in
     convex order (:func:`~leftcurtain.measures.check_convex_order`).
     """
-    if abs(mu.mass - 1.0) > MASS_TOL:
-        raise ValueError(f"inputs must be probability measures, mass={mu.mass}")
-    order = check_convex_order(mu, nu)
-    if not order:
-        raise DecomposeError(
-            f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
-        )
+    _check_pair(mu, nu)
     rows, _ = _walk(mu, nu, 1.0)
     table = np.array(rows, dtype=TABLE_DTYPE)
     table.flags.writeable = False
@@ -214,6 +217,11 @@ class LiftedCoupling:
     joint_x: np.ndarray
     joint_y: np.ndarray
     joint_w: np.ndarray
+
+    @cached_property
+    def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`_two_point` of the rows ``(x, r, s)``."""
+        return _two_point(*self.intervals[:, 2:].T)
 
     def first_marginal(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.joint_x.copy(), self.joint_w.copy())
@@ -268,7 +276,9 @@ def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
     weights = np.bincount(inverse, weights=ws[live], minlength=len(pairs))
     keep = weights > 0
     rows = np.column_stack([t[name] for name in TABLE_DTYPE.names[:5]])
-    return LiftedCoupling(rows, pairs.real[keep], pairs.imag[keep], weights[keep])
+    pi = LiftedCoupling(rows, pairs.real[keep], pairs.imag[keep], weights[keep])
+    pi.__dict__["_kernels"] = table._kernels  # its rows (x, r, s) are the table's (g, r, s)
+    return pi
 
 
 def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -290,5 +300,6 @@ def curve_rows(table: CurtainTable) -> np.ndarray:
     t = table.intervals
     shape = [t[name] for name in ("g", "r", "r", "s")]
     lo = np.column_stack([t["u_lo"], *shape, t["phi_lo"]])
-    hi = np.column_stack([t["u_hi"], *shape, _phi_hi(table)])
+    phi_hi = _phi_hi(t["phi_lo"], t["u_hi"] - t["u_lo"], table._kernels)
+    hi = np.column_stack([t["u_hi"], *shape, phi_hi])
     return np.stack((lo, hi), axis=1).reshape(-1, 6)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curtain import LiftedCoupling, _two_point
+from .curtain import LiftedCoupling
 from .measures import DiscreteMeasure
 
 
@@ -51,8 +51,8 @@ class Decomposition:
 def decompose(pi: LiftedCoupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> Decomposition:
     """Split ``(mu, nu)`` into irreducible components and a static part,
     given their coupling ``pi = coupling(build_curtain(mu, nu), mu)``."""
-    _, _, x, r, s = pi.intervals.T
-    split = _two_point(x, r, s)[2]
+    _, _, _, r, s = pi.intervals.T
+    split = pi._kernels[2]
     order = np.argsort(r[split], kind="stable")
     r, s = r[split][order], s[split][order]
     # a band opens a new component unless it starts inside the bands before it

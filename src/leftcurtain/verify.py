@@ -1,11 +1,12 @@
 """Executable checks of the construction's guarantees.
 
-Each verifier turns one structural property of the left-curtain coupling
-into a residual with a tolerance: marginal errors, the conditional-mean
-(martingale) residual, left-monotonicity violations of the destination
-functions, the quantile-form identity for the destination law, and a
-certificate that the coupling's lifted rows send every left part ``mu_u``
-of the source onto its shadow in ``nu``.
+Each verifier reads only a coupling and its marginals, and turns one
+structural property of the left-curtain coupling into a residual with a
+tolerance: marginal errors, the conditional-mean (martingale) residual,
+left-monotonicity violations of the destination functions, the
+quantile-form identity for the destination law, with phi read off the
+rows, and a certificate that the coupling's lifted rows send every left
+part ``mu_u`` of the source onto its shadow in ``nu``.
 
 The certificate reads only the rows ``(u_lo, u_hi, x, r, s)`` of the
 coupling.  Let ``S_u`` be the destination mass of the levels up to ``u``.
@@ -42,10 +43,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .curtain import CurtainTable, LiftedCoupling, _phi_hi, _two_point, coupling
+from .curtain import LiftedCoupling, _phi_hi, coupling
 from .measures import POS_EPS, DiscreteMeasure, _run_starts
 
 #: default residual tolerance for exact-arithmetic checks
@@ -178,37 +180,36 @@ def _complex(real, imag) -> np.ndarray:
 _CDF_BLOCK = 1 << 18
 
 
-def _s_inverse(table: CurtainTable, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _s_inverse(pi: LiftedCoupling, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The right-continuous inverse ``S^{-1}(y)`` of the non-decreasing step
-    function S at the points ``y``, with the index ``j`` it is read at: the
-    rows below ``j`` have ``s <= y``, and ``S^{-1}(y)`` is the top of the
-    last of them, 0 when there is none."""
-    t = table.intervals
-    j = t["s"].searchsorted(y, side="right")
-    return np.append(0.0, t["u_hi"])[j], j
+    function S of ``pi``'s rows at the points ``y``, with the index ``j`` it
+    is read at: the rows below ``j`` have ``s <= y``, and ``S^{-1}(y)`` is
+    the top of the last of them, 0 when there is none."""
+    j = pi.intervals[:, 4].searchsorted(y, side="right")
+    return np.append(0.0, pi.intervals[:, 1])[j], j
 
 
-def destination_cdf(table: CurtainTable, y):
+def destination_cdf(pi: LiftedCoupling, y):
     """Probability that the destination lies at or below ``y``;
     elementwise for an array ``y``.
 
-    Exact for a piecewise-constant table: levels up to the inverse of the
-    upper function all land at or below ``y``; above it, the lower branch
-    contributes its kernel weight wherever the lower function stays at or
-    below ``y``.
+    Exact for the piecewise-constant rows of the coupling ``pi``: levels up
+    to the inverse of the upper function all land at or below ``y``; above
+    it, the lower branch contributes its kernel weight wherever the lower
+    function stays at or below ``y``.
     """
     y = np.asarray(y, dtype=float)
     flat = y.ravel()
-    v, _ = _s_inverse(table, flat)
-    t = table.intervals
-    lower, share, _ = table._kernels
-    above = t["u_hi"].searchsorted(v, side="right")  # per y, first row with u_hi > v
-    rows = np.arange(len(t))
+    v, _ = _s_inverse(pi, flat)
+    u_lo, u_hi = pi.intervals[:, :2].T
+    lower, share, _ = pi._kernels
+    above = u_hi.searchsorted(v, side="right")  # per y, first row with u_hi > v
+    rows = np.arange(len(u_hi))
     total = np.empty(flat.size)
-    step = max(1, _CDF_BLOCK // len(t))
+    step = max(1, _CDF_BLOCK // max(len(u_hi), 1))
     for c in range(0, flat.size, step):
         at = slice(c, c + step)
-        frac = t["u_hi"] - np.maximum(t["u_lo"], v[at, None])
+        frac = u_hi - np.maximum(u_lo, v[at, None])
         keep = (rows >= above[at, None]) & (lower <= flat[at, None])
         total[at] = np.where(keep, frac * share, 0.0).sum(axis=1)
     out = (v + total).reshape(y.shape)
@@ -228,8 +229,39 @@ def _sample_points(rng, atoms: np.ndarray, samples: int) -> np.ndarray:
     return ys
 
 
+@lru_cache(maxsize=1)
+def _destinations(pi: LiftedCoupling, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``pi``, the target atoms of its lower and upper destination
+    (-1: none) and the mass sent to each, none to a point kernel's upper
+    one; read-only.  The last result is kept, so the quantile-form identity
+    and the certificate of one coupling share it."""
+    u_lo, u_hi, _, _, s = pi.intervals.T
+    lower, share, _ = pi._kernels
+    sent = (np.maximum(u_hi - u_lo, 0.0) * np.array((share, 1.0 - share))).T
+    k = nu.atom_index(np.array((lower, s)).T)
+    k.flags.writeable = sent.flags.writeable = False
+    return k, sent
+
+
+def _row_phi(pi: LiftedCoupling, nu: DiscreteMeasure) -> np.ndarray:
+    """phi at each row's start, as the walk writes it, ``F_nu(upper) -
+    left(upper) - u_lo``: the target mass below ``upper``, plus what the rows
+    before sent to ``upper``, less ``u_lo``.  ``upper`` is the atom of ``s``
+    on a split row and of ``x`` on a point row (phi is NaN if there is none);
+    the sends are summed once over the destinations, stably sorted by atom."""
+    k, sent = _destinations(pi, nu)
+    order = k.argsort(axis=None, kind="stable")
+    run = k.take(order)
+    total = np.concatenate(([0.0], sent.take(order).cumsum()))
+    before = np.empty(k.size)
+    before.put(order, total[:-1] - total[run.searchsorted(run)])
+    upper = np.arange(0, k.size, 2) + pi._kernels[2]  # flat index of each upper destination
+    below = np.concatenate((nu.cum_weights - nu.ws, [np.nan]))
+    return below[k.take(upper)] + before[upper] - pi.intervals[:, 0]
+
+
 def verify_marginal_identity(
-    table: CurtainTable,
+    pi: LiftedCoupling,
     nu: DiscreteMeasure,
     samples: int = 100,
     seed: int = 0,
@@ -248,20 +280,23 @@ def verify_marginal_identity(
     same quantity: ``phi(S^{-1}(y)) <= F_nu(y) - S^{-1}(y) <=
     phi(S^{-1}(y)+)``; the maximal sandwich violation is recorded
     alongside (the slope itself may sit strictly inside the sandwich at
-    levels where the upper function jumps across ``y``).
+    levels where the upper function jumps across ``y``).  Both read ``pi``'s
+    rows; a row without phi (:func:`_row_phi`) is left to the certificate.
     """
     rng = np.random.default_rng(seed)
     ys = _sample_points(rng, np.union1d(nu.xs, mu.xs), samples)
     target = nu.cdf(ys)
-    worst = float(np.abs(destination_cdf(table, ys) - target).max(initial=0.0))
+    worst = float(np.abs(destination_cdf(pi, ys) - target).max(initial=0.0))
     # S^{-1}(y) is the top of the rows below j, so phi is read at row ends:
     # on row j - 1 from the left (0 below the first row), at the start of
     # row j from the right (0 above the last)
-    v, j = _s_inverse(table, ys)
+    v, j = _s_inverse(pi, ys)
     x = target - v
-    phi_left = np.append(0.0, _phi_hi(table))[j]
-    gaps = np.maximum(phi_left - x, x - np.append(table.intervals["phi_lo"], 0.0)[j])
-    sandwich = float(gaps[ys >= nu.support_left].max(initial=0.0))
+    phi = _row_phi(pi, nu)
+    u_lo, u_hi = pi.intervals[:, :2].T
+    phi_left = np.append(0.0, _phi_hi(phi, u_hi - u_lo, pi._kernels))[j]
+    gaps = np.fmax(phi_left - x, x - np.append(phi, 0.0)[j])
+    sandwich = float(np.fmax.reduce(gaps[ys >= nu.support_left], initial=0.0))
     if report is not None:
         report.record("proby_residual_max", worst, tol)
         report.record("phi_sandwich_violation_max", sandwich, 1e-8)
@@ -269,7 +304,7 @@ def verify_marginal_identity(
 
 
 def verify_shadow_consistency(
-    table: CurtainTable,
+    table,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     grid: int = 20,
@@ -311,12 +346,9 @@ def verify_shadow_consistency(
     wrong_x = (mass - np.where(i >= 0, np.clip(on_atom, 0.0, mass), 0.0)).sum()
     bad_kernel = mass[~((r <= x) & (x <= s))].sum()
 
-    # (ii) the rows' second marginal; the last bin collects unmatched
-    # destinations, and a point kernel sends nothing to its upper one
-    lower, share, _ = _two_point(x, r, s)
-    sent = mass[:, None] * np.column_stack((share, 1.0 - share))
+    # (ii) the rows' second marginal; the last bin collects unmatched destinations
+    k, sent = _destinations(pi, nu)
     live = sent > 0
-    k = nu.atom_index(np.column_stack((lower, s)))
     n = nu.n_atoms
     got = np.bincount(np.where(k >= 0, k, n)[live], weights=sent[live], minlength=n + 1)
     tv = 0.5 * np.abs(got - np.append(nu.ws, 0.0)).sum()
@@ -362,7 +394,7 @@ def _straddle_mass(first, last, lo, hi, tau: np.ndarray) -> float:
 
 
 def verify_all(
-    table: CurtainTable,
+    table,
     pi: LiftedCoupling,
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
@@ -370,15 +402,14 @@ def verify_all(
     samples: int = 100,
     seed: int = 0,
 ) -> VerificationReport:
-    """Run every verifier and collect one report.
+    """Run every verifier on the coupling ``pi`` and collect one report.
 
-    The coupling checks, the left-monotone count and the shadow certificate
-    judge ``pi``; the quantile-form identity judges ``table``, which
-    carries ``phi``.
+    ``table`` is unread: every check judges ``pi`` against ``mu`` and
+    ``nu``, so the report depends on nothing else.
     """
     rep = VerificationReport()
     verify_coupling(pi, mu, nu, tol, report=rep)
     verify_left_monotone(pi, report=rep)
-    verify_marginal_identity(table, nu, samples=samples, seed=seed, mu=mu, report=rep, tol=tol)
-    verify_shadow_consistency(table, mu, nu, coupling_obj=pi, report=rep, tol=tol)
+    verify_marginal_identity(pi, nu, samples=samples, seed=seed, mu=mu, report=rep, tol=tol)
+    verify_shadow_consistency(None, mu, nu, coupling_obj=pi, report=rep, tol=tol)
     return rep

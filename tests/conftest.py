@@ -111,9 +111,9 @@ def phi(table, u):
     return float(t["phi_lo"][0] if u <= 0.0 else phi_at(t[locate(table, u)], u))
 
 
-def s_inverse(table, y):
-    """``S^{-1}(y)`` of ``table`` at one point, as the verifiers read it."""
-    return float(_s_inverse(table, np.array([y], dtype=float))[0][0])
+def s_inverse(pi, y):
+    """``S^{-1}(y)`` of the coupling ``pi`` at one point, as the verifiers read it."""
+    return float(_s_inverse(pi, np.array([y], dtype=float))[0][0])
 
 
 @dataclass(frozen=True)

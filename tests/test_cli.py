@@ -7,6 +7,7 @@ import pytest
 from leftcurtain import (
     DiscreteMeasure,
     build_curtain,
+    check_convex_order,
     decompose,
     measure_to_json,
     quantile_left,
@@ -190,6 +191,25 @@ def test_sample_csv_matches_per_row_repr(tmp_path, n):
     assert {line.rsplit(",", 1)[1] for line in lines[1:]} >= {"-0.0", "0.0"}
 
 
+def test_verify_reads_the_destinations_of_the_coupling_file(three_atom, tmp_path):
+    # the first row sends its upper share to 3 in place of 0; the joint is
+    # untouched, and the destination law read off the rows sees the move
+    mu, nu = three_atom
+    pair = []
+    for name, eta in (("mu", mu), ("nu", nu)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(measure_to_json(eta)))
+        pair += [f"--{name}", str(tmp_path / f"{name}.json")]
+    out, report = tmp_path / "coupling.json", tmp_path / "report.json"
+    assert main(["curtain", *pair, "--out", str(out)]) == EXIT_OK
+    obj = json.loads(out.read_text())
+    assert obj["intervals"][0]["s"] == 0.0
+    obj["intervals"][0]["s"] = 3.0
+    out.write_text(json.dumps(obj))
+    rc = main(["verify", *pair, "--coupling", str(out), "--out", str(report)])
+    assert rc == EXIT_VERIFICATION
+    assert json.loads(report.read_text())["checks"]["proby_residual_max"]["pass"] is False
+
+
 def test_verify_counts_monotonicity_on_the_coupling_file(tmp_path):
     mu = dm((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))
     nu = dm((-2.0, 0.125), (0.0, 0.125), (0.5, 0.5), (1.0, 0.125), (3.0, 0.125))
@@ -348,6 +368,34 @@ def test_source_atom_outside_the_target_by_rounding_is_an_order_failure(
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: inputs not in convex order")
     assert not (tmp_path / "out").exists()
+
+
+def test_verify_judges_the_file_of_a_pair_the_walk_rejects(tmp_path, monkeypatch):
+    # the pair above passes the order check with gap 0.0, so verify reads the
+    # file without the walk.  Hand-written rows send mu's upper atom to
+    # itself, no target atom: only the certificate fails, by that row's mass.
+    # With no rows at all, every check that reads the rows fails.
+    w = (0.7922671063943849, 0.20773289360561503)
+    a, b, below_b = 999999.9421465949, 999999.9730576744, 999999.9730576742
+    mu, nu = DiscreteMeasure([a, b], w), DiscreteMeasure([a, below_b], w)
+    assert check_convex_order(mu, nu).gap == 0.0
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(mu)))
+    (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(nu)))
+    rows = [[0.0, w[0], a, a, a], [w[0], 1.0, b, below_b, below_b]]
+    joint = [[a, a, w[0]], [b, below_b, w[1]]]
+    argv = ["verify", "--mu", "mu.json", "--nu", "nu.json", "--coupling", "c.json", "--out", "out"]
+    by_rows = {}
+    for name, intervals in (("hand", rows), ("none", [])):
+        keyed = [dict(zip(("u_lo", "u_hi", "x", "r", "s"), row)) for row in intervals]
+        (tmp_path / "c.json").write_text(json.dumps({"intervals": keyed, "joint": joint}))
+        assert main(argv) == EXIT_VERIFICATION
+        by_rows[name] = json.loads((tmp_path / "out").read_text())
+    failed = [k for k, check in by_rows["hand"]["checks"].items() if not check["pass"]]
+    assert failed == ["shadow_certificate_max"]
+    assert by_rows["hand"]["shadow_certificate_max"] == pytest.approx(w[1], rel=1e-12)
+    failed = [k for k, check in by_rows["none"]["checks"].items() if not check["pass"]]
+    assert failed == ["proby_residual_max", "phi_sandwich_violation_max", "shadow_certificate_max"]
 
 
 @pytest.mark.parametrize(

@@ -174,6 +174,23 @@ def test_the_table_keeps_what_the_sweep_decides():
     assert np.array_equal(coupling(table, mu).intervals, rows)
 
 
+def test_the_verifiers_read_no_table():
+    # every residual judges the coupling it is given: phi comes from its rows
+    tree = ast.parse((SRC / "verify.py").read_text())
+    strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert "CurtainTable" not in imported_or_used_names("verify")
+    assert "phi_lo" not in called_names(tree) | strings
+
+
+def test_the_verify_command_builds_no_table():
+    # the command checks the pair as the build does, then reads only the file
+    tree = ast.parse((SRC / "cli.py").read_text())
+    (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_cmd_verify")
+    names = called_names(fn)
+    assert "build_curtain" not in names
+    assert "_check_pair" in names
+
+
 def test_the_left_monotone_count_reads_one_row_format():
     tree = ast.parse((SRC / "verify.py").read_text())
     (fn,) = (

@@ -2,8 +2,8 @@
 
 Each reference walks the rows one at a time, the way the definitions
 read.  Where the arithmetic is the same the results must be equal; the
-destination law sums in another order, so it gets a tolerance of a few
-float64 ulps of its [0, 1] range.
+destination law and phi sum in another order, so they get a tolerance of
+a few float64 ulps of their [0, 1] range.
 """
 
 import numpy as np
@@ -19,7 +19,7 @@ from leftcurtain import (
 )
 from leftcurtain.curtain import LiftedCoupling
 from leftcurtain.measures import POS_EPS
-from leftcurtain.verify import VerificationReport, _s_inverse, _sample_points
+from leftcurtain.verify import VerificationReport, _row_phi, _s_inverse, _sample_points
 from conftest import nontrivial_runs, random_instance
 
 
@@ -60,25 +60,25 @@ def loop_left_monotone(pi):
     return count
 
 
-def loop_destination_cdf(table, y):
-    v = loop_s_inverse(table, y)
+def loop_destination_cdf(pi, y):
+    v = loop_s_inverse(pi, y)
     total = v
-    for row in table.intervals:
-        frac = row["u_hi"] - max(row["u_lo"], v)
-        if row["u_hi"] <= v or frac <= 0:
+    for u_lo, u_hi, x, r, s in pi.intervals:
+        frac = u_hi - max(u_lo, v)
+        if u_hi <= v or frac <= 0:
             continue
-        if not _split(row):
-            total += frac if row["g"] <= y else 0.0
-        elif row["r"] <= y:
-            total += frac * (row["s"] - row["g"]) / (row["s"] - row["r"])
+        if not s > r:
+            total += frac if x <= y else 0.0
+        elif r <= y:
+            total += frac * (s - x) / (s - r)
     return total
 
 
-def loop_s_inverse(table, y):
+def loop_s_inverse(pi, y):
     value = 0.0
-    for row in table.intervals:
-        if row["s"] <= y:
-            value = float(row["u_hi"])
+    for _, u_hi, _, _, s in pi.intervals:
+        if s <= y:
+            value = float(u_hi)
     return value
 
 
@@ -97,6 +97,23 @@ def loop_phi(table, u, right_limit=False):
     row = rows[i]
     slope = -(row["s"] - row["g"]) / (row["s"] - row["r"]) if _split(row) else 0.0
     return float(row["phi_lo"] + slope * (u - row["u_lo"]))
+
+
+def loop_row_phi(pi, nu):
+    """phi at the start of every row of ``pi``, row by row as the walk
+    keeps it: the target mass up to the row's upper atom, less what is
+    left of that atom, less the row's start level."""
+    left = nu.ws.copy()
+    out = []
+    for u_lo, u_hi, x, r, s in pi.intervals:
+        share = (s - x) / (s - r) if s > r else 1.0
+        upper = nu.atom_index(s if s > r else x)
+        out.append(nu.cum_weights[upper] - left[upper] - u_lo if upper >= 0 else np.nan)
+        for y, w in ((r if s > r else x, share), (s, 1.0 - share)):
+            k = nu.atom_index(y)
+            if k >= 0:
+                left[k] -= max(u_hi - u_lo, 0.0) * w
+    return np.array(out)
 
 
 def loop_runs(table):
@@ -126,23 +143,29 @@ def test_columns_match_row_loops(seed):
     assert verify_left_monotone(pi) == loop_left_monotone(pi)
     assert nontrivial_runs(table) == loop_runs(table)
     ys = np.linspace(nu.xs[0] - 1.0, nu.xs[-1] + 1.0, 41)
-    for y, got in zip(ys, destination_cdf(table, ys)):
-        assert destination_cdf(table, y) == pytest.approx(
-            loop_destination_cdf(table, y), abs=4 * np.finfo(float).eps
+    for y, got in zip(ys, destination_cdf(pi, ys)):
+        assert destination_cdf(pi, y) == pytest.approx(
+            loop_destination_cdf(pi, y), abs=4 * np.finfo(float).eps
         )
-        assert got == destination_cdf(table, y)
+        assert got == destination_cdf(pi, y)
     ys = np.concatenate((ys, nu.xs, table.intervals["s"]))
-    assert _s_inverse(table, ys)[0].tolist() == [loop_s_inverse(table, y) for y in ys]
+    assert _s_inverse(pi, ys)[0].tolist() == [loop_s_inverse(pi, y) for y in ys]
+    # phi from the rows sums each atom's earlier sends in another order
+    # than the walk, within one float64 ulp of 1
+    phi = _row_phi(pi, nu)
+    assert phi == pytest.approx(loop_row_phi(pi, nu), rel=0.0, abs=np.finfo(float).eps)
+    assert phi == pytest.approx(table.intervals["phi_lo"], rel=0.0, abs=np.finfo(float).eps)
     report = VerificationReport()
-    verify_marginal_identity(table, nu, samples=60, seed=seed, mu=mu, report=report)
+    verify_marginal_identity(pi, nu, samples=60, seed=seed, mu=mu, report=report)
     ys = _sample_points(np.random.default_rng(seed), np.union1d(nu.xs, mu.xs), 60)
     worst = 0.0
     for y in ys[ys >= nu.support_left]:
-        v = loop_s_inverse(table, y)
+        v = loop_s_inverse(pi, y)
         x = nu.cdf(y) - v
         left = loop_phi(table, v) if v > 0 else 0.0
         worst = max(worst, left - x, x - loop_phi(table, v, right_limit=True))
-    assert report.phi_sandwich_violation_max == worst
+    eps = np.finfo(float).eps
+    assert report.phi_sandwich_violation_max == pytest.approx(worst, rel=0.0, abs=eps)
 
 
 @pytest.mark.parametrize("seed", range(10))

@@ -130,30 +130,43 @@ class TestMarginalIdentity:
         # envelope slope there is 1/2, matching the target distribution
         mu, nu = two_point
         table = build_curtain(mu, nu)
-        assert s_inverse(table, 0.0) == 0.0
+        pi = coupling(table, mu)
+        assert s_inverse(pi, 0.0) == 0.0
         assert phi(table, 0.0) == pytest.approx(0.5)
-        assert destination_cdf(table, 0.0) == pytest.approx(0.5)
+        assert destination_cdf(pi, 0.0) == pytest.approx(0.5)
 
     def test_outside_support(self, two_point):
         mu, nu = two_point
         table = build_curtain(mu, nu)
-        assert destination_cdf(table, -2.0) == 0.0
-        assert destination_cdf(table, 2.0) == pytest.approx(1.0)
+        pi = coupling(table, mu)
+        assert destination_cdf(pi, -2.0) == 0.0
+        assert destination_cdf(pi, 2.0) == pytest.approx(1.0)
         # quantile form right of the support: inverse is 1 and the slope
         # vanishes there, so the identity reads 1 + 0 = 1
-        assert s_inverse(table, 2.0) == 1.0
+        assert s_inverse(pi, 2.0) == 1.0
         assert phi(table, 1.0) == pytest.approx(0.0, abs=1e-12)
 
     @pytest.mark.parametrize("seed", range(15))
     def test_residual_small_on_random_instances(self, seed):
         mu, nu = random_instance(seed)
-        table = build_curtain(mu, nu)
+        pi = coupling(build_curtain(mu, nu), mu)
         rep = VerificationReport()
-        res = verify_marginal_identity(
-            table, nu, samples=60, seed=seed, mu=mu, report=rep
-        )
+        res = verify_marginal_identity(pi, nu, samples=60, seed=seed, mu=mu, report=rep)
         assert res <= 1e-9
         assert rep.phi_sandwich_violation_max <= 1e-8
+
+    def test_destination_moves_fail_the_identity(self):
+        # the moved rows send mass to other target atoms than the joint does;
+        # read off the rows, the destination law sees every move and phi most
+        moves = proby = sandwich = 0
+        for _, _, mu, nu, bad in destination_moves():
+            rep = VerificationReport()
+            verify_marginal_identity(bad, nu, mu=mu, report=rep)
+            moves += 1
+            proby += not rep.checks["proby_residual_max"]["pass"]
+            sandwich += not rep.checks["phi_sandwich_violation_max"]["pass"]
+        assert moves == proby == 132
+        assert sandwich == 104
 
     def test_lower_branch_only_region(self):
         """Destination law below the whole upper-function range: multiple
@@ -161,9 +174,35 @@ class TestMarginalIdentity:
         branch and the quantile-form identity still holds."""
         mu = dm((0.0, 1.0))
         nu = dm((-3.0, 0.25), (-2.0, 0.25), (2.5, 0.5))
-        table = build_curtain(mu, nu)
+        pi = coupling(build_curtain(mu, nu), mu)
         for y, expected in [(-2.5, 0.25), (-1.0, 0.5), (0.7, 0.5), (3.0, 1.0)]:
-            assert destination_cdf(table, y) == pytest.approx(expected, abs=1e-12)
+            assert destination_cdf(pi, y) == pytest.approx(expected, abs=1e-12)
+
+
+class TestRowPhi:
+    """phi at the rows' starts, read off a coupling, against the walk's."""
+
+    def test_matches_the_walk(self):
+        pairs = [random_cx_pair(i, 1 + i % 8, (i // 8) % 7) for i in range(336)]
+        for n in (40, 500, 1000, 4000):
+            mu = quantize_density([-1.0, 1.0], [0.5, 0.5], n)
+            pairs.append((mu, quantize_density([-2.0, 2.0], [0.25, 0.25], n)))
+        for mu, nu in pairs:
+            table = build_curtain(mu, nu)
+            got = verify._row_phi(coupling(table, mu), nu)
+            assert np.abs(got - table.intervals["phi_lo"]).max() <= np.finfo(float).eps
+
+    def test_an_upper_destination_off_the_target_has_no_phi(self):
+        # the second row is a point row at b, 2.3e-10 right of nu's last atom
+        # and no target atom; read at that last atom by the index -1, its phi
+        # would be 0
+        w = (0.7922671063943849, 0.20773289360561503)
+        a, b, below_b = 999999.9421465949, 999999.9730576744, 999999.9730576742
+        nu = DiscreteMeasure([a, below_b], w)
+        rows = np.array([[0.0, w[0], a, a, a], [w[0], 1.0, b, below_b, below_b]])
+        pi = LiftedCoupling(rows, np.array([a, b]), np.array([a, below_b]), np.array(w))
+        phi = verify._row_phi(pi, nu)
+        assert phi[0] == 0.0 and np.isnan(phi[1])
 
 
 def destination_moves(seeds=range(150)):
@@ -362,6 +401,20 @@ class TestVerifyAll:
         rep2 = verify_all(table, pi, mu, nu, samples=40, seed=1)
         assert json.loads(rep1.to_json()) == json.loads(rep2.to_json())
         assert rep1.passed()
+
+    def test_the_report_reads_no_table(self, three_atom, two_point):
+        # every check judges the coupling: another pair's table, or none,
+        # gives the same report, on the program's coupling and on a moved one
+        mu, nu = three_atom
+        table = build_curtain(mu, nu)
+        pi = coupling(table, mu)
+        rows = pi.intervals.copy()
+        rows[0, 4] = 3.0
+        moved = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+        for c in (pi, moved):
+            want = verify_all(table, c, mu, nu).to_json()
+            assert verify_all(build_curtain(*two_point), c, mu, nu).to_json() == want
+            assert verify_all(None, c, mu, nu).to_json() == want
 
     def test_mutation_is_caught_by_some_check(self, three_atom):
         mu, nu = three_atom
