@@ -210,7 +210,9 @@ class LiftedCoupling:
     """Curtain kernels integrated over the quantile level.
 
     ``intervals`` is an ``(N, 5)`` float array of ``(u_lo, u_hi, x, r, s)``
-    rows; the flattened joint measure lives on source/destination pairs.
+    rows.  The flattened joint measure on pairs ``(joint_x, joint_y)`` with
+    weights ``joint_w`` is the rows' integral: each pair carries what the
+    rows send from its source atom to its target atom.
     """
 
     intervals: np.ndarray
@@ -222,12 +224,6 @@ class LiftedCoupling:
     def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`_two_point` of the rows ``(x, r, s)``."""
         return _two_point(*self.intervals[:, 2:].T)
-
-    def first_marginal(self) -> DiscreteMeasure:
-        return DiscreteMeasure(self.joint_x.copy(), self.joint_w.copy())
-
-    def second_marginal(self) -> DiscreteMeasure:
-        return DiscreteMeasure(self.joint_y.copy(), self.joint_w.copy())
 
     def to_json(self, components=None) -> dict:
         return {
@@ -241,8 +237,8 @@ class LiftedCoupling:
         rows = [[float(r[key]) for key in _COUPLING_ROW_KEYS] for r in obj["intervals"]]
         rows = np.array(rows, dtype=float).reshape(-1, 5)
         joint = np.array(obj["joint"], dtype=float).reshape(-1, 3)
-        if not (np.isfinite(rows).all() and np.isfinite(joint).all()):
-            raise ValueError("coupling rows and joint entries must be finite")
+        if not (np.isfinite(rows).all() and np.isfinite(joint).all() and (joint[:, 2] >= 0).all()):
+            raise ValueError("coupling entries must be finite and joint weights non-negative")
         return LiftedCoupling(
             rows,
             joint[:, 0].copy(),

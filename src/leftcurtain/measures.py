@@ -23,9 +23,9 @@ MASS_TOL = 1e-12
 POS_TOL = 1e-12
 
 #: positions closer than this are the same point of the line when atoms are
-#: matched: by :meth:`DiscreteMeasure.atom_index`, in total variation, in
-#: the martingale residual, by the curtain walk between a source atom and a
-#: target atom, and by the left-monotone count
+#: matched: by :meth:`DiscreteMeasure.atom_index`, which the verifiers read,
+#: by the curtain walk between a source atom and a target atom, and by the
+#: left-monotone count
 POS_EPS = 1e-11
 
 #: the fewest levels in one lookup that read a guide table (see
@@ -127,22 +127,6 @@ class DiscreteMeasure:
         if there is none; elementwise for an array ``x``."""
         out = np.append(self.ws, 0.0)[self.atom_index(x)]
         return float(out) if out.ndim == 0 else out
-
-    def tv_distance(self, other: "DiscreteMeasure") -> float:
-        """Total-variation distance (half the L1 weight difference).
-
-        Atoms of the two measures within ``POS_EPS`` of the first atom of
-        their run are identified (the rule of the constructor's merge),
-        absorbing float noise in positions.
-        """
-        xs = np.concatenate([self.xs, other.xs])
-        ws = np.concatenate([self.ws, -other.ws])
-        order = np.argsort(xs, kind="stable")
-        xs, ws = xs[order], ws[order]
-        if xs.size == 0:
-            return 0.0
-        _, mw = _merge_atoms(xs, ws, POS_EPS)
-        return 0.5 * float(np.abs(mw).sum())
 
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")

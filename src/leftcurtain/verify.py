@@ -2,11 +2,13 @@
 
 Each verifier reads only a coupling and its marginals, and turns one
 structural property of the left-curtain coupling into a residual with a
-tolerance: marginal errors, the conditional-mean (martingale) residual,
-left-monotonicity violations of the destination functions, the
-quantile-form identity for the destination law, with phi read off the
-rows, and a certificate that the coupling's lifted rows send every left
-part ``mu_u`` of the source onto its shadow in ``nu``.
+tolerance.  Points are matched to atoms by one rule,
+:meth:`DiscreteMeasure.atom_index`.  Per atom, the joint gives the
+marginal errors and the conditional-mean (martingale) residual, and per
+pair of atoms ``joint_rows_tv`` checks that it is the rows' integral.  The
+rows give the left-monotonicity violations, the quantile-form identity for
+the destination law, with phi read off them, and a certificate that they
+send every left part ``mu_u`` of the source onto its shadow in ``nu``.
 
 The certificate reads only the rows ``(u_lo, u_hi, x, r, s)`` of the
 coupling.  Let ``S_u`` be the destination mass of the levels up to ``u``.
@@ -48,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curtain import LiftedCoupling, _phi_hi, coupling
-from .measures import POS_EPS, DiscreteMeasure, _run_starts
+from .measures import POS_EPS, DiscreteMeasure
 
 #: default residual tolerance for exact-arithmetic checks
 DEFAULT_TOL = 1e-9
@@ -61,6 +63,7 @@ class VerificationReport:
     marginal_mu_tv: float | None = None
     marginal_nu_tv: float | None = None
     martingale_residual_max: float | None = None
+    joint_rows_tv: float | None = None
     monotonicity_violations: int | None = None
     proby_residual_max: float | None = None
     phi_sandwich_violation_max: float | None = None
@@ -86,21 +89,36 @@ def verify_coupling(
     tol: float = DEFAULT_TOL,
     report: VerificationReport | None = None,
 ) -> VerificationReport:
-    """Marginal and martingale checks of a flattened coupling."""
+    """Marginal and martingale checks of the joint, and ``joint_rows_tv``:
+    the total variation between the joint and the rows' sends, both summed
+    per (source atom, target atom) pair, so the joint must be the rows'
+    integral.  Points are matched to atoms by
+    :meth:`DiscreteMeasure.atom_index`, as the rows are (:func:`_destinations`)."""
     rep = report or VerificationReport()
-    rep.record("marginal_mu_tv", pi.first_marginal().tv_distance(mu), tol)
-    rep.record("marginal_nu_tv", pi.second_marginal().tv_distance(nu), tol)
-
-    # sources within POS_EPS of the first of their run are one atom; bincount
-    # adds each run's moments in order
-    order = np.argsort(pi.joint_x, kind="stable")
-    xs = pi.joint_x[order]
-    starts = _run_starts(xs, POS_EPS)
-    run = np.cumsum(starts) - 1
-    moments = (pi.joint_y[order] - xs[starts][run]) * pi.joint_w[order]
-    residual = float(np.abs(np.bincount(run, weights=moments)).max(initial=0.0))
-    rep.record("martingale_residual_max", residual, tol)
+    i, k, w = mu.atom_index(pi.joint_x), nu.atom_index(pi.joint_y), pi.joint_w
+    for name, index, eta in (("marginal_mu_tv", i, mu), ("marginal_nu_tv", k, nu)):
+        gap = _per_atom(index, w, eta.n_atoms) - np.append(eta.ws, 0.0)
+        rep.record(name, 0.5 * float(np.abs(gap).sum()), tol)
+    moments = _per_atom(i, (pi.joint_y - pi.joint_x) * w, mu.n_atoms)
+    rep.record("martingale_residual_max", float(np.abs(moments).max()), tol)
+    # one key per (source atom, target atom), no atom (-1) the last of its
+    # side; a stable sort uses the runs the keys come in.  A pair's joint
+    # weights and its sends are each summed in order, as coupling() adds them
+    src, dst, sent = _destinations(pi, mu, nu)
+    m, n = mu.n_atoms + 1, nu.n_atoms + 1
+    keys = np.concatenate((i % m * n + k % n, (src % m * n)[:, None] + dst % n), axis=None)
+    pair = np.sort(keys, kind="stable").searchsorted(keys)
+    rows = np.bincount(pair[w.size :], sent.ravel(), keys.size)
+    tie = np.abs(np.bincount(pair[: w.size], w, keys.size) - rows).sum()
+    rep.record("joint_rows_tv", 0.5 * float(tie), tol)
     return rep
+
+
+def _per_atom(index: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """Sums of ``weights`` per atom ``index`` below ``n``, then as entry
+    ``n`` the sum of those of no atom (-1) in absolute value, so that they
+    cannot cancel."""
+    return np.bincount(index % (n + 1), np.where(index < 0, np.abs(weights), weights), n + 1)
 
 
 def verify_left_monotone(pi: LiftedCoupling, report: VerificationReport | None = None) -> int:
@@ -199,21 +217,25 @@ def destination_cdf(pi: LiftedCoupling, y):
     function stays at or below ``y``.
     """
     y = np.asarray(y, dtype=float)
-    flat = y.ravel()
-    v, _ = _s_inverse(pi, flat)
+    out = _destination_cdf(pi, y.ravel(), _s_inverse(pi, y.ravel())[0]).reshape(y.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _destination_cdf(pi: LiftedCoupling, y: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """:func:`destination_cdf` at the points of a flat ``y``, given
+    ``v = S^{-1}(y)``."""
     u_lo, u_hi = pi.intervals[:, :2].T
     lower, share, _ = pi._kernels
     above = u_hi.searchsorted(v, side="right")  # per y, first row with u_hi > v
     rows = np.arange(len(u_hi))
-    total = np.empty(flat.size)
+    total = np.empty(y.size)
     step = max(1, _CDF_BLOCK // max(len(u_hi), 1))
-    for c in range(0, flat.size, step):
+    for c in range(0, y.size, step):
         at = slice(c, c + step)
         frac = u_hi - np.maximum(u_lo, v[at, None])
-        keep = (rows >= above[at, None]) & (lower <= flat[at, None])
+        keep = (rows >= above[at, None]) & (lower <= y[at, None])
         total[at] = np.where(keep, frac * share, 0.0).sum(axis=1)
-    out = (v + total).reshape(y.shape)
-    return float(out) if out.ndim == 0 else out
+    return v + total
 
 
 def _sample_points(rng, atoms: np.ndarray, samples: int) -> np.ndarray:
@@ -230,26 +252,26 @@ def _sample_points(rng, atoms: np.ndarray, samples: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1)
-def _destinations(pi: LiftedCoupling, nu: DiscreteMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Per row of ``pi``, the target atoms of its lower and upper destination
-    (-1: none) and the mass sent to each, none to a point kernel's upper
-    one; read-only.  The last result is kept, so the quantile-form identity
-    and the certificate of one coupling share it."""
-    u_lo, u_hi, _, _, s = pi.intervals.T
+def _destinations(pi: LiftedCoupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> tuple:
+    """Per row of ``pi``, the atom of ``mu`` at its source ``x``, the target
+    atoms of its lower and upper destination (-1: none) and the mass sent
+    to each, none to a point kernel's upper one; read-only.  The last
+    result is kept, so the verifiers of one coupling share it."""
+    u_lo, u_hi, x, _, s = pi.intervals.T
     lower, share, _ = pi._kernels
     sent = (np.maximum(u_hi - u_lo, 0.0) * np.array((share, 1.0 - share))).T
-    k = nu.atom_index(np.array((lower, s)).T)
-    k.flags.writeable = sent.flags.writeable = False
-    return k, sent
+    i, k = mu.atom_index(x), nu.atom_index(np.array((lower, s)).T)
+    i.flags.writeable = k.flags.writeable = sent.flags.writeable = False
+    return i, k, sent
 
 
-def _row_phi(pi: LiftedCoupling, nu: DiscreteMeasure) -> np.ndarray:
+def _row_phi(pi: LiftedCoupling, mu: DiscreteMeasure, nu: DiscreteMeasure) -> np.ndarray:
     """phi at each row's start, as the walk writes it, ``F_nu(upper) -
     left(upper) - u_lo``: the target mass below ``upper``, plus what the rows
     before sent to ``upper``, less ``u_lo``.  ``upper`` is the atom of ``s``
     on a split row and of ``x`` on a point row (phi is NaN if there is none);
     the sends are summed once over the destinations, stably sorted by atom."""
-    k, sent = _destinations(pi, nu)
+    _, k, sent = _destinations(pi, mu, nu)
     order = k.argsort(axis=None, kind="stable")
     run = k.take(order)
     total = np.concatenate(([0.0], sent.take(order).cumsum()))
@@ -286,13 +308,13 @@ def verify_marginal_identity(
     rng = np.random.default_rng(seed)
     ys = _sample_points(rng, np.union1d(nu.xs, mu.xs), samples)
     target = nu.cdf(ys)
-    worst = float(np.abs(destination_cdf(pi, ys) - target).max(initial=0.0))
+    v, j = _s_inverse(pi, ys)
+    worst = float(np.abs(_destination_cdf(pi, ys, v) - target).max(initial=0.0))
     # S^{-1}(y) is the top of the rows below j, so phi is read at row ends:
     # on row j - 1 from the left (0 below the first row), at the start of
     # row j from the right (0 above the last)
-    v, j = _s_inverse(pi, ys)
     x = target - v
-    phi = _row_phi(pi, nu)
+    phi = _row_phi(pi, mu, nu)
     u_lo, u_hi = pi.intervals[:, :2].T
     phi_left = np.append(0.0, _phi_hi(phi, u_hi - u_lo, pi._kernels))[j]
     gaps = np.fmax(phi_left - x, x - np.append(phi, 0.0)[j])
@@ -340,18 +362,15 @@ def verify_shadow_consistency(
 
     # (i) tiling, left quantile and martingale kernels
     tiling = np.abs(np.append(u_lo, 1.0) - np.append(0.0, u_hi)).sum() + (mass - width).sum()
-    i = mu.atom_index(x)
+    i, k, sent = _destinations(pi, mu, nu)
     cum = np.append(0.0, mu.cum_weights)
     on_atom = np.minimum(u_hi, cum[i + 1]) - np.maximum(u_lo, cum[i])
     wrong_x = (mass - np.where(i >= 0, np.clip(on_atom, 0.0, mass), 0.0)).sum()
     bad_kernel = mass[~((r <= x) & (x <= s))].sum()
 
-    # (ii) the rows' second marginal; the last bin collects unmatched destinations
-    k, sent = _destinations(pi, nu)
-    live = sent > 0
-    n = nu.n_atoms
-    got = np.bincount(np.where(k >= 0, k, n)[live], weights=sent[live], minlength=n + 1)
-    tv = 0.5 * np.abs(got - np.append(nu.ws, 0.0)).sum()
+    # (ii) the rows' second marginal
+    live, n = sent > 0, nu.n_atoms
+    tv = 0.5 * np.abs(_per_atom(k[live], sent[live], n) - np.append(nu.ws, 0.0)).sum()
 
     # (iii) level mass of band rows below the highest fill level in their band
     tau = np.zeros(n)

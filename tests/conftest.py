@@ -12,13 +12,25 @@ from leftcurtain import (
     sample_y_many,
 )
 from leftcurtain.curtain import _two_point
-from leftcurtain.measures import POS_EPS
+from leftcurtain.measures import POS_EPS, _merge_atoms
 from leftcurtain.verify import _s_inverse
 
 
 def dm(*pairs):
     """Shorthand measure constructor from (position, weight) pairs."""
     return DiscreteMeasure.from_atoms(pairs)
+
+
+def tv_distance(a, b):
+    """Total-variation distance between two measures, half the L1 weight
+    difference.  Atoms of the two within ``POS_EPS`` of the first atom of
+    their run are identified (the rule of the constructor's merge),
+    absorbing float noise in positions."""
+    xs = np.concatenate([a.xs, b.xs])
+    ws = np.concatenate([a.ws, -b.ws])
+    order = np.argsort(xs, kind="stable")
+    _, merged = _merge_atoms(xs[order], ws[order], POS_EPS)
+    return 0.5 * float(np.abs(merged).sum())
 
 
 def scaled(eta, factor):

@@ -11,7 +11,7 @@ runs the walk that builds the rows.  It shares no code with the certificate.
 import numpy as np
 
 from leftcurtain import DiscreteMeasure, restricted_measure
-from conftest import breakpoints
+from conftest import breakpoints, tv_distance
 from shadow_hull_reference import hull_shadow
 
 
@@ -40,6 +40,6 @@ def shadow_tv_max(table, mu, nu, pi, grid=20, seed=0):
     levels = set(float(b) for b in breakpoints(table) if 0.0 < b <= 1.0)
     levels.update(float(u) for u in rng.uniform(1e-6, 1.0, size=grid))
     return max(
-        restricted_second_marginal(pi, u).tv_distance(shadow_of_restriction(mu, nu, u))
+        tv_distance(restricted_second_marginal(pi, u), shadow_of_restriction(mu, nu, u))
         for u in sorted(levels)
     )

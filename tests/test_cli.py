@@ -210,6 +210,26 @@ def test_verify_reads_the_destinations_of_the_coupling_file(three_atom, tmp_path
     assert json.loads(report.read_text())["checks"]["proby_residual_max"]["pass"] is False
 
 
+def test_verify_ties_the_joint_of_the_coupling_file_to_its_rows(tmp_path, monkeypatch):
+    # the README pair with the right curtain's joint in place of the left
+    # one: a martingale coupling of (mu, nu), but not the rows' integral
+    monkeypatch.chdir(tmp_path)
+    mu, nu = dm((-1.0, 0.5), (1.0, 0.5)), dm((-3.0, 1 / 3), (0.0, 1 / 3), (3.0, 1 / 3))
+    pair = ["--mu", "mu.json", "--nu", "nu.json"]
+    for name, eta in (("mu", mu), ("nu", nu)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(measure_to_json(eta)))
+    assert main(["curtain", *pair, "--out", "coupling.json"]) == EXIT_OK
+    obj = json.loads((tmp_path / "coupling.json").read_text())
+    obj["joint"] = [[1.0, 3.0, 1 / 6], [1.0, 0.0, 1 / 3], [-1.0, 3.0, 1 / 6], [-1.0, -3.0, 1 / 3]]
+    (tmp_path / "coupling.json").write_text(json.dumps(obj))
+    assert main(["verify", *pair, "--coupling", "coupling.json", "--out", "report.json"]) == (
+        EXIT_VERIFICATION
+    )
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert [k for k, check in report["checks"].items() if not check["pass"]] == ["joint_rows_tv"]
+    assert report["joint_rows_tv"] == pytest.approx(2 / 3, rel=1e-12)
+
+
 def test_verify_counts_monotonicity_on_the_coupling_file(tmp_path):
     mu = dm((-1.0, 0.25), (0.5, 0.5), (2.0, 0.25))
     nu = dm((-2.0, 0.125), (0.0, 0.125), (0.5, 0.5), (1.0, 0.125), (3.0, 0.125))
@@ -373,7 +393,8 @@ def test_source_atom_outside_the_target_by_rounding_is_an_order_failure(
 def test_verify_judges_the_file_of_a_pair_the_walk_rejects(tmp_path, monkeypatch):
     # the pair above passes the order check with gap 0.0, so verify reads the
     # file without the walk.  Hand-written rows send mu's upper atom to
-    # itself, no target atom: only the certificate fails, by that row's mass.
+    # itself, no target atom: the certificate fails by that row's mass, and
+    # the joint, which sends it to a target atom, is not the rows' integral.
     # With no rows at all, every check that reads the rows fails.
     w = (0.7922671063943849, 0.20773289360561503)
     a, b, below_b = 999999.9421465949, 999999.9730576744, 999999.9730576742
@@ -392,10 +413,13 @@ def test_verify_judges_the_file_of_a_pair_the_walk_rejects(tmp_path, monkeypatch
         assert main(argv) == EXIT_VERIFICATION
         by_rows[name] = json.loads((tmp_path / "out").read_text())
     failed = [k for k, check in by_rows["hand"]["checks"].items() if not check["pass"]]
-    assert failed == ["shadow_certificate_max"]
+    assert failed == ["joint_rows_tv", "shadow_certificate_max"]
     assert by_rows["hand"]["shadow_certificate_max"] == pytest.approx(w[1], rel=1e-12)
+    assert by_rows["hand"]["joint_rows_tv"] == pytest.approx(w[1], rel=1e-12)
     failed = [k for k, check in by_rows["none"]["checks"].items() if not check["pass"]]
-    assert failed == ["proby_residual_max", "phi_sandwich_violation_max", "shadow_certificate_max"]
+    assert failed == [
+        "joint_rows_tv", "proby_residual_max", "phi_sandwich_violation_max", "shadow_certificate_max"
+    ]
 
 
 @pytest.mark.parametrize(
@@ -433,11 +457,12 @@ def test_non_finite_atom_is_an_input_error(tmp_path):
 
 @pytest.mark.parametrize(
     "where, bad",
-    [("s", float("nan")), ("u_hi", float("inf")), ("joint", -float("inf"))],
+    [("s", float("nan")), ("u_hi", float("inf")), ("joint", -float("inf")), ("joint", -1e-3)],
 )
 def test_non_finite_coupling_entry_is_an_input_error(tmp_path, capsys, where, bad):
     # the coupling file of the n = 500 uniform grid densities, one entry
-    # edited: NaN compares false, so a verifier could pass over it
+    # edited: NaN compares false, so a verifier could pass over it, and
+    # negative weights of points that match no atom could cancel
     for name, (a, b) in (("mu", (-1.0, 1.0)), ("nu", (-2.0, 2.0))):
         density = {"type": "grid-density", "xs": [a, b], "pdf": [0.5 / b] * 2, "n": 500}
         (tmp_path / f"{name}.json").write_text(json.dumps(density))

@@ -3,6 +3,7 @@ import pytest
 
 from leftcurtain import (
     DecomposeError,
+    DiscreteMeasure,
     build_curtain,
     coupling,
     decompose,
@@ -20,6 +21,7 @@ from conftest import (
     reassemble,
     scaled,
     straddle_mass,
+    tv_distance,
 )
 from decompose_reference import decompose_reference
 from shadow_oracle import restricted_second_marginal
@@ -40,16 +42,16 @@ class TestDecomposeExamples:
         left, right = dec.components
         assert (left.a, left.b) == (-2.0, 0.0)
         assert (right.a, right.b) == (0.0, 2.0)
-        assert left.mu_part.tv_distance(dm((-1.0, 0.5))) == 0.0
-        assert left.nu_part.tv_distance(dm((-2.0, 0.25), (0.0, 0.25))) == 0.0
-        assert right.nu_part.tv_distance(dm((0.0, 0.25), (2.0, 0.25))) == 0.0
+        assert tv_distance(left.mu_part, dm((-1.0, 0.5))) == 0.0
+        assert tv_distance(left.nu_part, dm((-2.0, 0.25), (0.0, 0.25))) == 0.0
+        assert tv_distance(right.nu_part, dm((0.0, 0.25), (2.0, 0.25))) == 0.0
         assert left.includes_b and right.includes_a
 
     def test_equal_laws_are_fully_static(self):
         eta = dm((-1.0, 0.5), (1.0, 0.5))
         dec = decompose_pair(eta, eta)
         assert dec.components == ()
-        assert dec.static.tv_distance(eta) == 0.0
+        assert tv_distance(dec.static, eta) == 0.0
 
     def test_source_atom_on_zero_stays_static(self):
         # target carries enough mass at the interior zero for the source
@@ -72,8 +74,8 @@ class TestDecomposeProperties:
         mu, nu = barrier_instance(seed, with_shared_atom=shared)
         dec = decompose_pair(mu, nu)
         got_mu, got_nu = reassemble(dec)
-        assert got_mu.tv_distance(mu) <= 1e-12
-        assert got_nu.tv_distance(nu) <= 1e-12
+        assert tv_distance(got_mu, mu) <= 1e-12
+        assert tv_distance(got_nu, nu) <= 1e-12
         for comp in dec.components:
             assert comp.mu_part.mass == pytest.approx(comp.nu_part.mass, abs=1e-12)
             assert comp.mu_part.mean == pytest.approx(comp.nu_part.mean, abs=1e-10)
@@ -99,12 +101,12 @@ class TestDecomposeProperties:
             local_pi = coupling(local, scaled(comp.mu_part, 1 / comp.mass))
             sub = restricted_second_marginal(pi, offset + comp.mass)
             prev = restricted_second_marginal(pi, offset) if offset else None
-            local_scaled = scaled(local_pi.second_marginal(), comp.mass)
+            local_scaled = scaled(DiscreteMeasure(local_pi.joint_y, local_pi.joint_w), comp.mass)
             if prev is not None:
                 merged = measure_sum(prev, local_scaled)
-                assert sub.tv_distance(merged) <= 1e-12
+                assert tv_distance(sub, merged) <= 1e-12
             else:
-                assert sub.tv_distance(local_scaled) <= 1e-12
+                assert tv_distance(sub, local_scaled) <= 1e-12
             offset += comp.mass
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from leftcurtain import DiscreteMeasure, put_potential
 from leftcurtain.oracle import contact_points
 from leftcurtain.pwl import convex_hull, evaluate
+from conftest import tv_distance
 
 TENT = (np.array([-1.0, 0.0, 1.0]), np.array([0.0, 1.0, 0.0]), 0.0, 0.0)
 
@@ -218,6 +219,6 @@ def test_potential_measure_round_trip(eta):
     ks = np.append(xs, xs[-1] + 1.0)
     slopes = np.concatenate(([0.0], np.diff(put_potential(eta, ks)) / np.diff(ks)))
     back = DiscreteMeasure(xs, np.diff(slopes))
-    assert back.tv_distance(eta) <= 1e-12
+    assert tv_distance(back, eta) <= 1e-12
     assert abs(back.mass - eta.mass) <= 1e-12
     assert abs(back.mean - eta.mean) <= 1e-12

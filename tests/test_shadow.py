@@ -11,7 +11,7 @@ from leftcurtain import (
 )
 from leftcurtain.oracle import shadow_lp
 from leftcurtain.shadow import ShadowInvalid, _validate
-from conftest import bank_instance, dm, random_instance
+from conftest import bank_instance, dm, random_instance, tv_distance
 from exact_reference import exact_shadow
 from shadow_hull_reference import hull_shadow
 
@@ -19,12 +19,12 @@ from shadow_hull_reference import hull_shadow
 class TestShadowExamples:
     def test_equal_measures_shadow_to_target(self):
         nu = dm((-1.0, 0.5), (1.0, 0.5))
-        assert shadow(nu, nu).tv_distance(nu) == 0.0
+        assert tv_distance(shadow(nu, nu), nu) == 0.0
 
     def test_half_point_mass_into_two_points(self):
         # unique feasible measure on {-1, 1} with mass 1/2 and mean 0
         s = shadow(dm((0.0, 0.5)), dm((-1.0, 0.5), (1.0, 0.5)))
-        assert s.tv_distance(dm((-1.0, 0.25), (1.0, 0.25))) <= 1e-12
+        assert tv_distance(s, dm((-1.0, 0.25), (1.0, 0.25))) <= 1e-12
 
     def test_half_point_mass_into_three_points(self):
         # frozen from the LP oracle (vertex enumeration of the 3-variable
@@ -32,8 +32,8 @@ class TestShadowExamples:
         mu = dm((0.0, 0.5))
         nu = dm((-1.0, 1 / 3), (0.0, 1 / 3), (1.0, 1 / 3))
         expected = dm((-1.0, 1 / 12), (0.0, 1 / 3), (1.0, 1 / 12))
-        assert shadow(mu, nu).tv_distance(expected) <= 1e-12
-        assert shadow_lp(mu, nu).tv_distance(expected) <= 1e-9
+        assert tv_distance(shadow(mu, nu), expected) <= 1e-12
+        assert tv_distance(shadow_lp(mu, nu), expected) <= 1e-9
 
     def test_mass_excess_rejected(self):
         with pytest.raises(ShadowInvalid):
@@ -186,7 +186,7 @@ def test_shadow_matches_the_frozen_hull_route():
                 rejected += 1
             else:
                 accepted += 1
-                worst = max(worst, got.tv_distance(want))
+                worst = max(worst, tv_distance(got, want))
     assert accepted > 1000 and rejected > 100
     assert worst <= 1e-14
 
@@ -215,7 +215,7 @@ class TestRoundedSources:
         assert shadow(self.HAND_MU, self.HAND_NU) is self.HAND_NU
         # below the upper atom's levels the source sits on nu's lower atom
         part = restricted_measure(self.HAND_MU, 0.5)
-        assert shadow(part, self.HAND_NU).tv_distance(hull_shadow(part, self.HAND_NU)) == 0.0
+        assert tv_distance(shadow(part, self.HAND_NU), hull_shadow(part, self.HAND_NU)) == 0.0
         for u in (0.9, 0.99999, 1.0 - 1e-9):
             part = restricted_measure(self.HAND_MU, u)
             with pytest.raises(ShadowInvalid, match="one side"):
@@ -259,6 +259,6 @@ class TestRoundedSources:
                 if got is None:
                     assert "exceeds target weight" in why, (seed, u, why)
                 elif want is not None:
-                    worst = max(worst, got.tv_distance(want))
+                    worst = max(worst, tv_distance(got, want))
         assert verdicts == {(True, True): 306, (False, True): 32, (False, False): 19, (True, False): 3}
         assert worst <= 2e-10

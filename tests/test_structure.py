@@ -182,6 +182,23 @@ def test_the_verifiers_read_no_table():
     assert "phi_lo" not in called_names(tree) | strings
 
 
+def test_one_atom_binning_reads_the_coupling_file():
+    # verify matches the joint's points and the rows' sends to atoms by
+    # atom_index alone, the rows once per coupling through the cached
+    # _destinations, and builds no measure to compare marginals
+    tree = ast.parse((SRC / "verify.py").read_text())
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert not [c for c in calls if getattr(c.func, "id", None) == "DiscreteMeasure"]
+    assert not called_names(tree) & {"_run_starts", "_merge_atoms", "tv_distance"}
+    assert not hasattr(leftcurtain.LiftedCoupling, "first_marginal")
+    assert not hasattr(leftcurtain.LiftedCoupling, "second_marginal")
+    fns = {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for name in ("verify_coupling", "verify_shadow_consistency"):
+        assert "_destinations" in called_names(fns[name])
+    matching = {name for name, fn in fns.items() if "atom_index" in called_names(fn)}
+    assert matching == {"_destinations", "verify_coupling"}
+
+
 def test_the_verify_command_builds_no_table():
     # the command checks the pair as the build does, then reads only the file
     tree = ast.parse((SRC / "cli.py").read_text())

@@ -152,7 +152,7 @@ def test_columns_match_row_loops(seed):
     assert _s_inverse(pi, ys)[0].tolist() == [loop_s_inverse(pi, y) for y in ys]
     # phi from the rows sums each atom's earlier sends in another order
     # than the walk, within one float64 ulp of 1
-    phi = _row_phi(pi, nu)
+    phi = _row_phi(pi, mu, nu)
     assert phi == pytest.approx(loop_row_phi(pi, nu), rel=0.0, abs=np.finfo(float).eps)
     assert phi == pytest.approx(table.intervals["phi_lo"], rel=0.0, abs=np.finfo(float).eps)
     report = VerificationReport()

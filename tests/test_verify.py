@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from leftcurtain import (
     build_curtain,
     coupling,
     destination_cdf,
+    joint_tv,
     quantize_density,
     random_cx_pair,
     verify_all,
@@ -19,7 +22,7 @@ from leftcurtain import (
 )
 from leftcurtain import verify
 from leftcurtain.verify import VerificationReport
-from conftest import dm, phi, random_instance, s_inverse
+from conftest import dm, phi, random_instance, s_inverse, tv_distance
 from shadow_oracle import restricted_second_marginal, shadow_tv_max
 from straddle_reference import straddle_max
 
@@ -65,24 +68,63 @@ class TestVerifyCoupling:
         st.sampled_from([0.0, 1.0, -37.5]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_martingale_residual_matches_the_run_loop(self, atoms, offset):
-        # chains of x gaps below 1e-11 make runs wider than the tolerance,
-        # which split again at the first atom beyond the run's first atom
+    def test_martingale_residual_matches_a_per_atom_loop(self, atoms, offset):
+        # chains of x gaps below 1e-11 put points within POS_EPS of several
+        # atoms of mu; each point's moment goes to its nearest atom, the
+        # left one of two equally near, as DiscreteMeasure.atom_index matches
         xs = offset + np.cumsum([gap for gap, _, _ in atoms])
         ys = xs + np.array([dy for _, dy, _ in atoms])
         ws = np.array([w for _, _, w in atoms])
         order = np.random.default_rng(len(atoms)).permutation(xs.size)
         pi = LiftedCoupling(np.empty((0, 5)), xs[order], ys[order], ws[order])
-        expected, i = 0.0, 0
-        while i < xs.size:
-            j = i
-            while j < xs.size and xs[j] - xs[i] <= 1e-11:
-                j += 1
-            expected = max(expected, abs(float(((ys[i:j] - xs[i]) * ws[i:j]).sum())))
-            i = j
         mu = DiscreteMeasure(xs, ws)
+        per_atom, unmatched = [0.0] * mu.n_atoms, 0.0
+        for x, y, w in zip(xs[order].tolist(), ys[order].tolist(), ws[order].tolist()):
+            gap, a = min((abs(float(a_x) - x), a) for a, a_x in enumerate(mu.xs))
+            if gap <= 1e-11:
+                per_atom[a] += (y - x) * w
+            else:
+                unmatched += abs((y - x) * w)
+        expected = max(max(map(abs, per_atom)), unmatched)
         got = verify_coupling(pi, mu, mu).martingale_residual_max
         assert abs(got - expected) <= 1e-14
+
+    def test_moments_of_two_atoms_within_pos_eps_do_not_cancel(self):
+        # 5e-12 apart, more than POS_TOL, these are two atoms of mu; the
+        # first sends its mass up and the second down, so neither is a
+        # martingale, though their moments add to almost 0
+        mu, nu = dm((0.0, 0.5), (5e-12, 0.5)), dm((-1.0, 0.5), (1.0, 0.5))
+        assert mu.n_atoms == 2
+        joint = np.array([0.0, 5e-12]), np.array([1.0, -1.0]), np.array([0.5, 0.5])
+        rep = verify_coupling(LiftedCoupling(np.empty((0, 5)), *joint), mu, nu)
+        assert rep.martingale_residual_max == pytest.approx(0.5, rel=1e-9)
+        assert not rep.checks["martingale_residual_max"]["pass"]
+        assert rep.checks["marginal_mu_tv"]["pass"] and rep.checks["marginal_nu_tv"]["pass"]
+
+
+class TestJointRowsTie:
+    """``joint_rows_tv``: the joint of a coupling file against its rows."""
+
+    def test_spliced_right_curtain_joints_of_the_cx_bank(self, monkeypatch):
+        # the left curtain's rows with the right curtain's joint, on the pairs
+        # of perfbench's cx-bank: both joints are martingale couplings of
+        # (mu, nu), so the tie alone fails, and exactly where they differ
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        differ = flagged = 0
+        for mu, nu in workloads.Bank().setup(0):
+            pi, right = coupling(build_curtain(mu, nu), mu), right_curtain(mu, nu)
+            assert verify_coupling(pi, mu, nu).joint_rows_tv == 0.0
+            joint = right.joint_x, right.joint_y, right.joint_w
+            rep = verify_coupling(LiftedCoupling(pi.intervals, *joint), mu, nu)
+            gap = joint_tv((pi.joint_x, pi.joint_y, pi.joint_w), joint)
+            assert (rep.joint_rows_tv > 0.0) == (gap > 0.0)
+            failed = [name for name, c in rep.checks.items() if not c["pass"]]
+            assert failed == (["joint_rows_tv"] if gap > 1e-9 else [])
+            differ += gap > 0.0
+            flagged += gap > 1e-9
+        assert (differ, flagged) == (300, 254)
 
 
 class TestVerifyLeftMonotone:
@@ -189,7 +231,7 @@ class TestRowPhi:
             pairs.append((mu, quantize_density([-2.0, 2.0], [0.25, 0.25], n)))
         for mu, nu in pairs:
             table = build_curtain(mu, nu)
-            got = verify._row_phi(coupling(table, mu), nu)
+            got = verify._row_phi(coupling(table, mu), mu, nu)
             assert np.abs(got - table.intervals["phi_lo"]).max() <= np.finfo(float).eps
 
     def test_an_upper_destination_off_the_target_has_no_phi(self):
@@ -201,8 +243,18 @@ class TestRowPhi:
         nu = DiscreteMeasure([a, below_b], w)
         rows = np.array([[0.0, w[0], a, a, a], [w[0], 1.0, b, below_b, below_b]])
         pi = LiftedCoupling(rows, np.array([a, b]), np.array([a, below_b]), np.array(w))
-        phi = verify._row_phi(pi, nu)
+        phi = verify._row_phi(pi, DiscreteMeasure([a, b], w), nu)
         assert phi[0] == 0.0 and np.isnan(phi[1])
+
+
+def right_curtain(mu, nu):
+    """The right-curtain coupling of ``(mu, nu)``: the left curtain of the
+    mirrored pair, mirrored back."""
+    mirror_mu = DiscreteMeasure(-mu.xs, mu.ws)
+    mirror = coupling(build_curtain(mirror_mu, DiscreteMeasure(-nu.xs, nu.ws)), mirror_mu)
+    u_lo, u_hi, x, r, s = mirror.intervals[::-1].T
+    rows = np.column_stack((1.0 - u_hi, 1.0 - u_lo, -x, -s, -r))
+    return LiftedCoupling(rows, -mirror.joint_x, -mirror.joint_y, mirror.joint_w)
 
 
 def destination_moves(seeds=range(150)):
@@ -236,14 +288,14 @@ class TestShadowConsistency:
         mu, nu = three_atom
         table = build_curtain(mu, nu)
         pi = coupling(table, mu)
-        assert restricted_second_marginal(pi, 1.0).tv_distance(nu) <= 1e-9
+        assert tv_distance(restricted_second_marginal(pi, 1.0), nu) <= 1e-9
 
     def test_first_boundary_shadow(self, three_atom):
         # shadow of the first source atom: frozen from the LP oracle
         mu, nu = three_atom
         pi = coupling(build_curtain(mu, nu), mu)
         got = restricted_second_marginal(pi, 0.5)
-        assert got.tv_distance(dm((-3.0, 1 / 6), (0.0, 1 / 3))) <= 1e-10
+        assert tv_distance(got, dm((-3.0, 1 / 6), (0.0, 1 / 3))) <= 1e-10
 
     def test_vanishing_level(self, three_atom):
         mu, nu = three_atom
@@ -259,7 +311,8 @@ class TestShadowConsistency:
 
     def test_moved_upper_destination_is_caught(self, three_atom):
         # the lifted rows send the first source atom to 3 in place of 0; the
-        # joint arrays, which are all verify_coupling reads, stay as they were
+        # joint arrays stay as they were, so they are no longer the rows'
+        # integral, and of the joint's checks only that tie fails
         mu, nu = three_atom
         table = build_curtain(mu, nu)
         pi = coupling(table, mu)
@@ -267,7 +320,8 @@ class TestShadowConsistency:
         assert rows[0, 4] == 0.0
         rows[0, 4] = 3.0
         bad = LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
-        assert verify_coupling(bad, mu, nu).passed()
+        checks = verify_coupling(bad, mu, nu).checks
+        assert [name for name, c in checks.items() if not c["pass"]] == ["joint_rows_tv"]
         rep = VerificationReport()
         assert verify_shadow_consistency(table, mu, nu, coupling_obj=bad, report=rep) > 1e-9
         assert not rep.passed()
@@ -283,16 +337,11 @@ class TestShadowConsistency:
         assert missed == []
 
     def test_certificate_agrees_with_oracle_on_reflected_right_curtains(self):
-        # the left curtain of the mirrored pair, mirrored back, is the right
-        # curtain of (mu, nu); it is left-curtain only when the two coincide
+        # the right curtain is left-curtain only when the two coincide
         flagged = 0
         for seed in range(150):
             mu, nu = random_instance(seed)
-            mirror_mu = DiscreteMeasure(-mu.xs, mu.ws)
-            mirror = coupling(build_curtain(mirror_mu, DiscreteMeasure(-nu.xs, nu.ws)), mirror_mu)
-            u_lo, u_hi, x, r, s = mirror.intervals[::-1].T
-            rows = np.column_stack((1.0 - u_hi, 1.0 - u_lo, -x, -s, -r))
-            pi = LiftedCoupling(rows, -mirror.joint_x, -mirror.joint_y, mirror.joint_w)
+            pi = right_curtain(mu, nu)
             table = build_curtain(mu, nu)
             oracle = shadow_tv_max(table, mu, nu, pi, grid=10) > 1e-9
             assert (verify_shadow_consistency(table, mu, nu, coupling_obj=pi) > 1e-9) == oracle
@@ -430,7 +479,8 @@ class TestVerifyAll:
         mu, nu = three_atom
         table = build_curtain(mu, nu)
         rep = verify_all(table, coupling(table, mu), mu, nu, tol=1e-3, samples=20)
-        for name in ("marginal_nu_tv", "proby_residual_max", "shadow_certificate_max"):
+        names = ("marginal_nu_tv", "joint_rows_tv", "proby_residual_max", "shadow_certificate_max")
+        for name in names:
             assert rep.checks[name]["tol"] == 1e-3
         assert rep.checks["phi_sandwich_violation_max"]["tol"] == 1e-8
 
@@ -459,3 +509,5 @@ class TestVerifyAll:
         # target marginal keeps no drift of the levels from i / n
         assert rep.checks["marginal_nu_tv"]["value"] <= 2e-11
         assert rep.checks["shadow_certificate_max"]["value"] <= 2e-11
+        # the joint is the rows' integral, summed per pair in the same order
+        assert rep.joint_rows_tv == 0.0
