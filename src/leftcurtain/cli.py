@@ -115,6 +115,8 @@ def _cmd_curtain(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not 0.0 <= args.tol < np.inf:  # NaN fails too
+        raise ValueError(f"--tol must be finite and non-negative, got {args.tol}")
     mu, nu = _load_pair(args)
     _check_pair(mu, nu)  # an unordered pair exits before the file is read
     pi = LiftedCoupling.from_json(_read_json(args.coupling))

@@ -323,7 +323,7 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
         return OrderResult(False, witness=None, gap=abs(mu.mean - nu.mean))
     if mu.n_atoms == 0:
         raise ValueError("convex order requires non-empty measures")
-    kinks = np.union1d(mu.xs, nu.xs)
+    kinks = _union(mu.xs, nu.xs)
     f_mu = np.append(0.0, mu.cum_weights)[mu.xs.searchsorted(kinks[:-1], side="right")]
     f_nu = np.append(0.0, nu.cum_weights)[nu.xs.searchsorted(kinks[:-1], side="right")]
     d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * np.diff(kinks))))
@@ -332,6 +332,18 @@ def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
     if d[worst] < -MASS_TOL * max(1.0, c - float(kinks[0]), float(kinks[-1]) - c):
         return OrderResult(False, witness=float(kinks[worst]), gap=float(-d[worst]))
     return OrderResult(True)
+
+
+def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a`` and ``b`` in order, sorted and thinned as
+    ``np.unique`` does, so bitwise ``np.union1d(a, b)`` for finite values,
+    without the ``numpy.ma`` import that ``np.unique`` makes."""
+    values = np.concatenate((a, b), axis=None)
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:

@@ -17,7 +17,14 @@ from __future__ import annotations
 import numpy as np
 
 from .curtain import _walk
-from .measures import MASS_TOL, DecomposeError, DiscreteMeasure, _put_values, check_convex_order
+from .measures import (
+    MASS_TOL,
+    DecomposeError,
+    DiscreteMeasure,
+    _put_values,
+    _union,
+    check_convex_order,
+)
 
 #: slack allowed when checking atomwise domination by ``nu`` (absorbs
 #: the float error of the walk's rates)
@@ -79,7 +86,7 @@ def _validate(mu: DiscreteMeasure, nu: DiscreteMeasure, s: DiscreteMeasure) -> N
         raise ShadowInvalid(f"shadow atom ({x}, {w}) exceeds target weight {target}")
     # mu below the shadow in convex order: equal mass and mean make the
     # potential gap vanish on both tails, so its values at the kinks suffice
-    grid = np.union1d(s.xs, mu.xs)
+    grid = _union(s.xs, mu.xs)
     c = mu.mean / mu.mass
     gap = _put_values(s.xs, s.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
     if gap.min() < -1e-9:

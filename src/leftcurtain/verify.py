@@ -50,7 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curtain import LiftedCoupling, _phi_hi, coupling
-from .measures import POS_EPS, DiscreteMeasure
+from .measures import POS_EPS, DiscreteMeasure, _union
 
 #: default residual tolerance for exact-arithmetic checks
 DEFAULT_TOL = 1e-9
@@ -194,10 +194,6 @@ def _complex(real, imag) -> np.ndarray:
     return out
 
 
-#: elements per temporary (samples x rows) block of :func:`destination_cdf`
-_CDF_BLOCK = 1 << 18
-
-
 def _s_inverse(pi: LiftedCoupling, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The right-continuous inverse ``S^{-1}(y)`` of the non-decreasing step
     function S of ``pi``'s rows at the points ``y``, with the index ``j`` it
@@ -223,19 +219,57 @@ def destination_cdf(pi: LiftedCoupling, y):
 
 def _destination_cdf(pi: LiftedCoupling, y: np.ndarray, v: np.ndarray) -> np.ndarray:
     """:func:`destination_cdf` at the points of a flat ``y``, given
-    ``v = S^{-1}(y)``."""
+    ``v = S^{-1}(y)``.
+
+    A point keeps the mass ``(u_hi - max(u_lo, v)) * share`` of each row
+    from ``above``, the first row with ``u_hi > v``, whose lower value is at
+    most ``y``.  The rows of ``above``'s leaf of ``_LEAF`` rows (the whole
+    table when it is one leaf) are summed in one block.  A later leaf lies
+    above ``v``, so its rows keep their whole width: sorted by lower value
+    once, with prefix sums of ``width * share``, a leaf gives a point its
+    kept mass from the number of its rows at or below ``y``.  Those counts
+    are exact integers, from the ranks of the lower values among the
+    sorted points, so each point's value depends on that point alone.
+    Cost ``O(N log(_LEAF S) + S (_LEAF + N / _LEAF))`` for ``N`` rows and
+    ``S`` points.
+    """
     u_lo, u_hi = pi.intervals[:, :2].T
     lower, share, _ = pi._kernels
     above = u_hi.searchsorted(v, side="right")  # per y, first row with u_hi > v
-    rows = np.arange(len(u_hi))
-    total = np.empty(y.size)
-    step = max(1, _CDF_BLOCK // max(len(u_hi), 1))
-    for c in range(0, y.size, step):
-        at = slice(c, c + step)
-        frac = u_hi - np.maximum(u_lo, v[at, None])
-        keep = (rows >= above[at, None]) & (lower <= y[at, None])
-        total[at] = np.where(keep, frac * share, 0.0).sum(axis=1)
-    return v + total
+    n = len(u_hi)
+    if n <= _LEAF:
+        return v + _kept_mass(np.arange(n), above, y, v, u_lo, u_hi, lower, share)
+    # rows padded to whole leaves; a pad row has no mass and lower value inf
+    leaves = -(-n // _LEAF)
+    cols = np.zeros((4, leaves * _LEAF))
+    cols[:, :n] = u_lo, u_hi, lower, share
+    cols[2, n:] = np.inf
+    lo, hi, low, part = blocks = cols.reshape(4, leaves, _LEAF)
+    home = np.minimum(above // _LEAF, leaves - 1)  # above's leaf
+    rows = home[:, None] * _LEAF + np.arange(_LEAF)
+    own = _kept_mass(rows, above, y, v, *blocks.take(home, axis=1))
+    # every leaf's rows stably sorted by lower value (a NaN one last), with
+    # the prefix sums of their mass
+    order = low.argsort(axis=1, kind="stable")
+    prefix = np.zeros((leaves, _LEAF + 1))
+    np.cumsum(np.take_along_axis((hi - lo) * part, order, axis=1), axis=1, out=prefix[:, 1:])
+    # a row counts for the points of rank at least its lower value's rank
+    # among the sorted points, so a leaf's counts are a cumulative histogram
+    points = np.sort(y)
+    leaf = np.arange(leaves)
+    bins = points.searchsorted(low, side="left") + leaf[:, None] * (y.size + 1)
+    counts = np.bincount(bins.ravel(), minlength=leaves * (y.size + 1)).reshape(leaves, -1)
+    kept = counts.cumsum(axis=1).T[points.searchsorted(y, side="left")]
+    later = np.where(leaf > home[:, None], prefix[leaf, kept], 0.0).sum(axis=1)
+    return v + (own + later)
+
+
+def _kept_mass(rows, above, y, v, u_lo, u_hi, lower, share) -> np.ndarray:
+    """Per point, the mass of the ``rows`` from ``above`` on whose lower value
+    is at most ``y``, past ``v``: one block of points x rows."""
+    frac = u_hi - np.maximum(u_lo, v[:, None])
+    keep = (rows >= above[:, None]) & (lower <= y[:, None])
+    return np.where(keep, frac * share, 0.0).sum(axis=1)
 
 
 def _sample_points(rng, atoms: np.ndarray, samples: int) -> np.ndarray:
@@ -304,9 +338,13 @@ def verify_marginal_identity(
     alongside (the slope itself may sit strictly inside the sandwich at
     levels where the upper function jumps across ``y``).  Both read ``pi``'s
     rows; a row without phi (:func:`_row_phi`) is left to the certificate.
+    The points ``y`` are ``samples`` draws of :func:`_sample_points`; with
+    fewer than one nothing would be checked, which is a ``ValueError``.
     """
+    if samples < 1:
+        raise ValueError(f"the identity needs at least one sample point, got {samples}")
     rng = np.random.default_rng(seed)
-    ys = _sample_points(rng, np.union1d(nu.xs, mu.xs), samples)
+    ys = _sample_points(rng, _union(nu.xs, mu.xs), samples)
     target = nu.cdf(ys)
     v, j = _s_inverse(pi, ys)
     worst = float(np.abs(_destination_cdf(pi, ys, v) - target).max(initial=0.0))

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import leftcurtain
 from leftcurtain import (
     DiscreteMeasure,
     build_curtain,
@@ -485,3 +490,50 @@ def test_non_finite_coupling_entry_is_an_input_error(tmp_path, capsys, where, ba
 def test_io_failure_exit_code(tmp_path):
     rc = main(["shadow", "--mu", str(tmp_path / "missing.json"), "--nu", str(tmp_path / "missing.json")])
     assert rc == EXIT_IO
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf", "-0.5e-9"])
+def test_verify_rejects_a_bad_tolerance(pair_files, tmp_path, capsys, tol):
+    # a NaN tolerance would fail every check and write "tol": NaN, which is
+    # not JSON; inf would pass every check
+    mu_path, nu_path = pair_files
+    pair = ["--mu", str(mu_path), "--nu", str(nu_path)]
+    coupling_path, report = tmp_path / "coupling.json", tmp_path / "report.json"
+    assert main(["curtain", *pair, "--out", str(coupling_path)]) == EXIT_OK
+    verify_args = ["verify", *pair, "--coupling", str(coupling_path), "--out", str(report)]
+    assert main([*verify_args, f"--tol={tol}"]) == EXIT_IO
+    assert "error: --tol" in capsys.readouterr().err
+    assert not report.exists()
+    assert main([*verify_args, "--tol=0"]) == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["curtain"],
+        ["verify", "--coupling", "coupling.json"],
+        ["sample", "--n", "50", "--seed", "1"],
+        ["decompose"],
+        ["shadow"],
+    ],
+)
+def test_no_command_imports_numpy_ma(tmp_path, monkeypatch, command):
+    # np.unique, and so np.union1d, imports numpy.ma on first use, which
+    # costs 10-17 ms in every fresh process
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(dm((0.0, 0.5), (0.2, 0.5)))))
+    nu = dm((-1.0, 0.3), (0.1, 0.4), (1.2, 0.3))
+    (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(nu)))
+    pair = ["--mu", "mu.json", "--nu", "nu.json"]
+    assert main(["curtain", *pair, "--out", "coupling.json"]) == EXIT_OK
+    src = str(Path(leftcurtain.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    code = "import sys; from leftcurtain.cli import main; print(main(sys.argv[1:]), 'numpy.ma' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command[0], *pair, *command[1:], "--out", "out"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(EXIT_OK), "False"]

@@ -15,7 +15,7 @@ from leftcurtain import (
     random_cx_pair,
     restricted_measure,
 )
-from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values
+from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values, _union
 from leftcurtain.pwl import evaluate
 from conftest import dm, tv_distance
 from quantize_reference import quantize_reference
@@ -377,3 +377,13 @@ def test_quantile_cdf_galois(eta, u):
         f = float(eta.cdf(x))
         if 0.0 < f < 1.0:
             assert quantile_left(eta, f) <= x + 1e-12
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_union_is_bitwise_union1d(seed):
+    # repeats, both signed zeros in either order, and empty sides
+    rng = np.random.default_rng(seed)
+    grid = np.array([-1.5, -0.0, 0.0, 0.25, 3.0, 1e-300, -1e300])
+    a, b = (rng.choice(grid, size=rng.integers(0, 12)) for _ in range(2))
+    got, want = _union(a, b), np.union1d(a, b)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

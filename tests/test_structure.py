@@ -234,6 +234,16 @@ def test_the_verifiers_loop_over_no_rows():
     assert not over_rows
 
 
+def test_the_destination_law_builds_no_points_by_rows_block():
+    # the quantile-form identity sums one leaf of rows per point as a block
+    # and every later leaf from prefix sums over its sorted lower values
+    tree = ast.parse((SRC / "verify.py").read_text())
+    assert "_CDF_BLOCK" not in called_names(tree)
+    (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_destination_cdf")
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [n for n in ast.walk(fn) if isinstance(n, loops)]
+
+
 @pytest.mark.parametrize(
     "module, name, ends",
     [("curtain", "sample_y_many", "u_hi"), ("measures", "quantile_left", "cum_weights")],

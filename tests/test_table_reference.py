@@ -63,7 +63,7 @@ def loop_left_monotone(pi):
 def loop_destination_cdf(pi, y):
     v = loop_s_inverse(pi, y)
     total = v
-    for u_lo, u_hi, x, r, s in pi.intervals:
+    for u_lo, u_hi, x, r, s in pi.intervals.tolist():
         frac = u_hi - max(u_lo, v)
         if u_hi <= v or frac <= 0:
             continue
@@ -76,7 +76,7 @@ def loop_destination_cdf(pi, y):
 
 def loop_s_inverse(pi, y):
     value = 0.0
-    for _, u_hi, _, _, s in pi.intervals:
+    for _, u_hi, _, _, s in pi.intervals.tolist():
         if s <= y:
             value = float(u_hi)
     return value
@@ -247,3 +247,48 @@ def test_violation_count_pins_both_strict_boundaries(r_j, s_j, violates):
     s = np.array([s_j] * 70 + [S_I] + [s_j] * 150)
     pi = lifted_rows(r, s)
     assert verify_left_monotone(pi) == 150 * violates == loop_left_monotone(pi)
+
+
+def moved_lower_destinations(pi, nu, seed):
+    """``pi`` with the lower destination of every split row moved to a
+    random target atom below its source, so the rows stay martingale
+    kernels and the lower values are no longer monotone."""
+    rng = np.random.default_rng(seed)
+    rows = pi.intervals.copy()
+    for row in rows[rows[:, 4] > rows[:, 3]]:
+        below = nu.xs[nu.xs < row[2]]
+        if below.size:
+            row[3] = rng.choice(below)
+    return LiftedCoupling(rows, pi.joint_x, pi.joint_y, pi.joint_w)
+
+
+def assert_destination_cdf_matches_loop(pi, ys):
+    # each point's value depends on that point alone: the vector call
+    # equals the scalar call bit for bit
+    for y, got in zip(ys, destination_cdf(pi, ys)):
+        assert got == destination_cdf(pi, y)
+        assert got == pytest.approx(loop_destination_cdf(pi, y), rel=0.0, abs=4 * np.finfo(float).eps)
+
+
+@pytest.mark.parametrize("moved", [False, True])
+@pytest.mark.parametrize("n, leaves", [(100, 3), (500, 12)])
+def test_destination_cdf_matches_loop_across_leaves(n, leaves, moved):
+    # the rows of a point's own leaf of 64 are summed as a block, every
+    # later leaf from prefix sums over its rows sorted by lower value
+    mu = quantize_density([-1.0, 1.0], [0.5, 0.5], n)
+    nu = quantize_density([-2.0, 2.0], [0.25, 0.25], n)
+    pi = coupling(build_curtain(mu, nu), mu)
+    assert -(-len(pi.intervals) // 64) == leaves
+    if moved:
+        pi = moved_lower_destinations(pi, nu, n)
+        lower = pi._kernels[0]
+        assert (np.diff(lower) > 0).any() and (np.diff(lower) < 0).any()
+    # a row's lower value is a point where it starts to count
+    ys = np.unique(np.concatenate((nu.xs - 1e-7, nu.xs + 1e-7, pi.intervals[:, 4], pi._kernels[0])))
+    assert_destination_cdf_matches_loop(pi, ys)
+
+
+@pytest.mark.parametrize("rows", [np.empty((0, 5)), np.array([[0.0, 1.0, 0.5, -1.0, 2.0]])])
+def test_destination_cdf_matches_loop_on_zero_and_one_row(rows):
+    pi = LiftedCoupling(rows, np.empty(0), np.empty(0), np.empty(0))
+    assert_destination_cdf_matches_loop(pi, np.array([-2.0, -1.0, 0.0, 0.5, 2.0, 3.0]))

@@ -484,6 +484,16 @@ class TestVerifyAll:
             assert rep.checks[name]["tol"] == 1e-3
         assert rep.checks["phi_sandwich_violation_max"]["tol"] == 1e-8
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_sample_point_is_an_error(self, three_atom, samples):
+        # with no point the identity would pass without checking anything
+        mu, nu = three_atom
+        pi = coupling(build_curtain(mu, nu), mu)
+        with pytest.raises(ValueError, match="sample"):
+            verify_marginal_identity(pi, nu, samples=samples, mu=mu)
+        with pytest.raises(ValueError, match="sample"):
+            verify_all(None, pi, mu, nu, samples=samples)
+
     def test_target_atoms_closer_than_pos_eps_pass(self):
         # two target atoms 5e-12 apart are distinct atoms, and each of the
         # coupling's destinations is matched to itself, not to its neighbour
