@@ -3,18 +3,19 @@
 Builds the lifted left-curtain coupling of two atomic measures in convex
 order by using up the target's atoms, one shadow after another: the
 destination functions with their quantile table, the shadow measure from
-the same walk, the convex-order check from piecewise-linear potentials,
-the irreducible decomposition, and theorem-level verifiers.  The
-independent references that tests check against live in
-:mod:`leftcurtain.oracle`; of them only ``curtain_incremental`` and
-``joint_tv`` are exported here.
+the same walk, the convex-order check as that walk's verdict, the
+irreducible decomposition, and theorem-level verifiers.  The independent
+references that tests check against live in :mod:`leftcurtain.oracle`; of
+them only ``curtain_incremental`` and ``joint_tv`` are exported here.
 """
 
 from .curtain import (
     CurtainTable,
     LiftedCoupling,
+    OrderResult,
     TABLE_DTYPE,
     build_curtain,
+    check_convex_order,
     coupling,
     curve_rows,
     sample_y_many,
@@ -23,8 +24,6 @@ from .decompose import Decomposition, IrreducibleComponent, decompose
 from .measures import (
     DecomposeError,
     DiscreteMeasure,
-    OrderResult,
-    check_convex_order,
     measure_from_json,
     measure_to_json,
     put_potential,

@@ -32,13 +32,13 @@ from functools import cached_property
 import numpy as np
 
 from .measures import (
+    DEFAULT_TOL,
     MASS_TOL,
     POS_EPS,
     DecomposeError,
     DiscreteMeasure,
     _guide_table,
     _level_index,
-    check_convex_order,
 )
 
 #: row layout of :attr:`CurtainTable.intervals`: a row's levels, its
@@ -123,10 +123,9 @@ def _walk(
     sub-probability source, whose shadow is the mass used up.  Rows are
     :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g, r, s, phi_lo)``.  A source
     atom with no target atom with mass left on one side of it raises
-    :class:`~leftcurtain.measures.DecomposeError`: the source does not lie
-    below ``nu`` in convex order, which a pair that passes the order check
-    can do only by rounding (a source atom more than ``POS_EPS`` outside
-    ``nu``'s support).
+    :class:`~leftcurtain.measures.DecomposeError` with the atom as witness
+    and its levels not yet sent as gap: the source does not lie below
+    ``nu`` in convex order.
     """
     # scalars are read as Python floats, which is faster than numpy's
     ys, f_nu, left = nu.xs.tolist(), nu.cum_weights.tolist(), nu.ws.tolist()
@@ -144,7 +143,10 @@ def _walk(
                 y_r, y_s, w_r, w_s, upper = x, x, 1.0, 0.0, r
             elif r < 0 or s == len(ys):
                 raise DecomposeError(
-                    f"inputs not in convex order: no target atom with mass left on one side of {x}"
+                    "inputs not in convex order: no target atom with mass left on one side"
+                    f" of {x} for its last {hi - u:.3e} of mass",
+                    x,
+                    hi - u,
                 )
             else:
                 y_r, y_s, upper = ys[r], ys[s], s
@@ -173,15 +175,55 @@ def _walk(
     return rows, left
 
 
-def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
-    """The pair check that :func:`build_curtain` runs first."""
+@dataclass(frozen=True)
+class OrderResult:
+    ordered: bool
+    witness: float | None = None
+    gap: float = 0.0
+
+    def __bool__(self) -> bool:
+        return self.ordered
+
+
+def _ordered_walk(mu: DiscreteMeasure, nu: DiscreteMeasure, end: float) -> list[tuple]:
+    """The rows of :func:`_walk` to level ``end``: the one convex-order
+    verdict.  A pair of equal mass and mean is in convex order exactly when
+    it has a martingale coupling, which the walk builds or fails to build
+    (Beiglboeck and Juillet 2016, section 4).  So after the mass and mean
+    tests it raises :class:`~leftcurtain.measures.DecomposeError` where a
+    source atom has no target atom on one side, or where it overdraws
+    ``nu``'s atoms by more than ``DEFAULT_TOL`` in total, as ``marginal_nu_tv``
+    of its coupling would read: the witness is an atom and the gap a mass."""
+    d_mass, d_mean = abs(mu.mass - nu.mass), abs(mu.mean - nu.mean)
+    if d_mass > MASS_TOL or d_mean > MASS_TOL * max(1.0, abs(mu.mean)):
+        gap = d_mass if d_mass > MASS_TOL else d_mean
+        raise DecomposeError(f"inputs not in convex order: mass or mean off by {gap:.3e}", gap=gap)
+    rows, left = _walk(mu, nu, end)
+    over = -sum(w for w in left if w < 0.0)
+    if over > DEFAULT_TOL:
+        x = float(nu.xs[left.index(min(left))])
+        raise DecomposeError(
+            f"inputs not in convex order: the walk overdraws nu by {over:.3e}, most at {x}", x, over
+        )
+    return rows
+
+
+def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
+    """Convex-order test by the curtain walk to ``mu``'s mass
+    (:func:`_ordered_walk`), with its witness and gap."""
+    try:
+        _ordered_walk(mu, nu, mu.mass)
+    except DecomposeError as exc:
+        return OrderResult(False, exc.witness, exc.gap)
+    return OrderResult(True)
+
+
+def _check_pair(mu: DiscreteMeasure, nu: DiscreteMeasure) -> list[tuple]:
+    """The pair check of :func:`build_curtain`: unit mass, then the order
+    verdict, whose rows it returns."""
     if abs(mu.mass - 1.0) > MASS_TOL:
         raise ValueError(f"inputs must be probability measures, mass={mu.mass}")
-    order = check_convex_order(mu, nu)
-    if not order:
-        raise DecomposeError(
-            f"inputs not in convex order (witness {order.witness}, gap {order.gap:.3e})"
-        )
+    return _ordered_walk(mu, nu, 1.0)
 
 
 def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
@@ -192,12 +234,10 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     atom, the walk passes through point kernels, so irreducible components
     and static atoms need no separate treatment.  Raises ``ValueError``
     unless ``mu`` has unit mass and
-    :class:`~leftcurtain.measures.DecomposeError` unless the pair is in
-    convex order (:func:`~leftcurtain.measures.check_convex_order`).
+    :class:`~leftcurtain.measures.DecomposeError` unless the walk finds the
+    pair in convex order (:func:`_ordered_walk`).
     """
-    _check_pair(mu, nu)
-    rows, _ = _walk(mu, nu, 1.0)
-    table = np.array(rows, dtype=TABLE_DTYPE)
+    table = np.array(_check_pair(mu, nu), dtype=TABLE_DTYPE)
     table.flags.writeable = False
     return CurtainTable(table)
 

@@ -1,4 +1,4 @@
-"""Finite measures with atoms: potentials, quantiles, restriction, ordering.
+"""Finite measures with atoms: potentials, quantiles and restriction.
 
 Measures are unnormalised throughout (restrictions and shadows have mass
 below one), with weights strictly positive and positions strictly
@@ -9,7 +9,6 @@ is ``sum(x * w)`` and ``mean / mass`` is the barycentre.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -18,6 +17,10 @@ import numpy as np
 #: equality, the walk's levels (cumulative masses) and the slopes of
 #: potentials (differences of cumulative weights)
 MASS_TOL = 1e-12
+
+#: residual tolerance in mass units: the verifiers' default, and the most that
+#: the curtain walk of a pair in convex order overdraws the target's atoms
+DEFAULT_TOL = 1e-9
 
 #: positions closer than this are merged into one atom on construction
 POS_TOL = 1e-12
@@ -286,52 +289,14 @@ def restricted_measure(mu: DiscreteMeasure, u: float) -> DiscreteMeasure:
     return DiscreteMeasure(xs, ws)
 
 
-@dataclass(frozen=True)
-class OrderResult:
-    ordered: bool
-    witness: float | None = None
-    gap: float = 0.0
-
-    def __bool__(self) -> bool:
-        return self.ordered
-
-
 class DecomposeError(ValueError):
     """The pair is not in convex order, so it has no martingale coupling and
-    no irreducible decomposition."""
+    no irreducible decomposition: the curtain walk fails at ``witness`` (an
+    atom, or None for unequal masses or means) by ``gap``."""
 
-
-def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:
-    """Convex-order test via potential domination.
-
-    Equal mass and mean plus ``P_mu <= P_nu`` at every breakpoint of both
-    potentials is sufficient for piecewise-linear potentials, because the
-    difference is then non-negative at all of its kinks and vanishes at
-    both tails.  The gap ``D = P_nu - P_mu`` is read at the kinks, the
-    union of both supports, as the prefix sums of its rises ``(F_nu -
-    F_mu) h`` over the segments between neighbouring kinks, from 0 at the
-    left end, where both potentials vanish; ``F_mu`` and ``F_nu`` are read
-    from the measures' :attr:`~DiscreteMeasure.cum_weights`.  The witness
-    is the kink with the most negative gap; a gap fails below
-    ``-MASS_TOL`` times the largest distance of a kink from ``mu``'s
-    barycentre (at least 1), since potential values, and their rounding,
-    grow with the spread of the positions.  Equal laws are ordered.
-    """
-    if abs(mu.mass - nu.mass) > MASS_TOL:
-        return OrderResult(False, witness=None, gap=abs(mu.mass - nu.mass))
-    if abs(mu.mean - nu.mean) > MASS_TOL * max(1.0, abs(mu.mean)):
-        return OrderResult(False, witness=None, gap=abs(mu.mean - nu.mean))
-    if mu.n_atoms == 0:
-        raise ValueError("convex order requires non-empty measures")
-    kinks = _union(mu.xs, nu.xs)
-    f_mu = np.append(0.0, mu.cum_weights)[mu.xs.searchsorted(kinks[:-1], side="right")]
-    f_nu = np.append(0.0, nu.cum_weights)[nu.xs.searchsorted(kinks[:-1], side="right")]
-    d = np.concatenate(([0.0], np.cumsum((f_nu - f_mu) * np.diff(kinks))))
-    c = mu.mean / mu.mass
-    worst = int(np.argmin(d))
-    if d[worst] < -MASS_TOL * max(1.0, c - float(kinks[0]), float(kinks[-1]) - c):
-        return OrderResult(False, witness=float(kinks[worst]), gap=float(-d[worst]))
-    return OrderResult(True)
+    def __init__(self, message: str, witness: float | None = None, gap: float = 0.0):
+        super().__init__(message)
+        self.witness, self.gap = witness, gap
 
 
 def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:

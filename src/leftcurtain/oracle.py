@@ -36,7 +36,6 @@ from .measures import (
     POS_EPS,
     DiscreteMeasure,
     _put_values,
-    check_convex_order,
     put_potential,
     restricted_measure,
 )
@@ -346,9 +345,6 @@ class PairReference:
     """
 
     def __init__(self, mu: DiscreteMeasure, nu: DiscreteMeasure):
-        order = check_convex_order(mu, nu)
-        if not order:
-            raise ValueError(f"inputs not in convex order (witness {order.witness})")
         self.mu = mu
         self.nu = nu
         c = mu.mean / mu.mass
@@ -358,6 +354,12 @@ class PairReference:
         self._p_nu = _put_values(nu.xs, nu.ws, c, grid)
         self._p_mu = _put_values(mu.xs, mu.ws, c, grid)
         self._d_grid = self._p_nu - self._p_mu
+        # D vanishes on both tails exactly when the masses and means agree,
+        # and is then >= 0 at the kinks, up to rounding of the spread's size
+        d, tol = self._d_grid, MASS_TOL * max(1.0, c - grid[0], grid[-1] - c)
+        worst = int(np.argmin(d))
+        if abs(mu.mass - nu.mass) > MASS_TOL or abs(d[-1]) > tol or d[worst] < -tol:
+            raise ValueError(f"inputs not in convex order (witness {grid[worst]})")
         self._d_slope_right = nu.mass - mu.mass
         self._d = _drop_collinear(grid, self._d_grid, 0.0, self._d_slope_right)
 

@@ -50,10 +50,7 @@ from functools import lru_cache
 import numpy as np
 
 from .curtain import LiftedCoupling, _phi_hi, coupling
-from .measures import POS_EPS, DiscreteMeasure, _union
-
-#: default residual tolerance for exact-arithmetic checks
-DEFAULT_TOL = 1e-9
+from .measures import DEFAULT_TOL, POS_EPS, DiscreteMeasure, _union
 
 
 @dataclass
@@ -72,6 +69,8 @@ class VerificationReport:
 
     def record(self, name: str, value: float, tol: float) -> None:
         """Set the residual ``name`` to ``value`` and judge it against ``tol``."""
+        if not 0.0 <= tol < np.inf:  # NaN fails too
+            raise ValueError(f"tol must be finite and non-negative, got {tol}")
         setattr(self, name, value)
         self.checks[name] = {"value": float(value), "tol": float(tol), "pass": bool(value <= tol)}
 

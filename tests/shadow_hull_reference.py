@@ -8,8 +8,10 @@ its own gap evaluation, so the two can be compared: they must accept and
 reject the same sources and agree in total variation.  The per-level
 shadow check of ``tests/shadow_oracle.py`` takes its shadows from here, so
 it reads no code of the walk it checks.  It takes its hull scan from
-:mod:`leftcurtain.pwl` and validates its result with the same
-:func:`leftcurtain.shadow._validate` that ``shadow`` applies.
+:mod:`leftcurtain.pwl`, and keeps frozen copies of the convex-order check
+by potential domination (:func:`_check_order`) and of the validation
+(:func:`_validate`, with its potential test) that the package applied
+before the walk became its convex-order verdict.
 
 ``hull_shadow(mu, nu)`` returns the shadow of ``mu`` in ``nu`` and raises
 :class:`~leftcurtain.shadow.ShadowInvalid` where the hull route did.
@@ -17,9 +19,9 @@ it reads no code of the walk it checks.  It takes its hull scan from
 
 import numpy as np
 
-from leftcurtain.measures import MASS_TOL, DiscreteMeasure, check_convex_order
+from leftcurtain.measures import MASS_TOL, DiscreteMeasure, _put_values
 from leftcurtain.pwl import convex_hull
-from leftcurtain.shadow import ShadowInvalid, _validate
+from leftcurtain.shadow import DOMINATION_SLACK, ShadowInvalid
 
 
 def _pair_gap(mu, nu):
@@ -36,6 +38,48 @@ def _pair_gap(mu, nu):
     return kinks, f_mu, f_nu, d
 
 
+def _check_order(mu, nu):
+    """Raise unless ``mu`` lies below ``nu`` in convex order by potential
+    domination: equal mass and mean, and the gap of :func:`_pair_gap` at its
+    kinks at least ``-MASS_TOL`` times the largest distance of a kink from
+    ``mu``'s barycentre (at least 1), since potential values, and their
+    rounding, grow with the spread of the positions."""
+    if abs(mu.mass - nu.mass) > MASS_TOL or abs(mu.mean - nu.mean) > MASS_TOL * max(
+        1.0, abs(mu.mean)
+    ):
+        raise ShadowInvalid("source not below target in convex order: masses or means differ")
+    kinks, _, _, d = _pair_gap(mu, nu)
+    c = mu.mean / mu.mass
+    worst = int(np.argmin(d))
+    if d[worst] < -MASS_TOL * max(1.0, c - float(kinks[0]), float(kinks[-1]) - c):
+        raise ShadowInvalid(
+            f"source not below target in convex order (witness {kinks[worst]}, "
+            f"gap {-d[worst]:.3e})"
+        )
+
+
+def _validate(mu, nu, s):
+    """The shadow's mass, mean, atomwise domination by ``nu`` within
+    ``DOMINATION_SLACK``, and ``mu`` below it in convex order by potential
+    domination at the kinks."""
+    if abs(s.mass - mu.mass) > 1e-10:
+        raise ShadowInvalid(f"shadow mass {s.mass} != source mass {mu.mass}")
+    if abs(s.mean - mu.mean) > 1e-9 * max(1.0, abs(mu.mean)):
+        raise ShadowInvalid(f"shadow mean {s.mean} != source mean {mu.mean}")
+    cap = nu.atom_weight(s.xs)
+    over = np.flatnonzero(s.ws > cap + DOMINATION_SLACK)
+    if over.size:
+        x, w, target = (float(a[over[0]]) for a in (s.xs, s.ws, cap))
+        raise ShadowInvalid(f"shadow atom ({x}, {w}) exceeds target weight {target}")
+    # equal mass and mean make the potential gap vanish on both tails, so
+    # its values at the kinks suffice
+    grid = np.union1d(s.xs, mu.xs)
+    c = mu.mean / mu.mass
+    gap = _put_values(s.xs, s.ws, c, grid) - _put_values(mu.xs, mu.ws, c, grid)
+    if gap.min() < -1e-9:
+        raise ShadowInvalid(f"source not dominated by shadow (gap {gap.min():.3e})")
+
+
 def hull_shadow(mu, nu):
     """Shadow of ``mu`` in ``nu`` as ``nu`` minus the slope jumps of the
     envelope of ``P_nu - P_mu``.
@@ -50,12 +94,7 @@ def hull_shadow(mu, nu):
     if mu.mass > nu.mass + MASS_TOL:
         raise ShadowInvalid(f"source mass {mu.mass} exceeds target mass {nu.mass}")
     if mu.mass >= nu.mass - MASS_TOL:
-        order = check_convex_order(mu, nu)
-        if not order:
-            raise ShadowInvalid(
-                f"source not below target in convex order (witness {order.witness}, "
-                f"gap {order.gap:.3e})"
-            )
+        _check_order(mu, nu)
         return nu
     grid, f_mu, f_nu, d = _pair_gap(mu, nu)
     ws = np.zeros(grid.size)  # nu's weights on the grid; the envelope's jumps come off below

@@ -12,7 +12,6 @@ import leftcurtain
 from leftcurtain import (
     DiscreteMeasure,
     build_curtain,
-    check_convex_order,
     decompose,
     measure_to_json,
     quantile_left,
@@ -292,22 +291,20 @@ def test_verify_passes_a_source_atom_within_pos_eps_of_a_target_atom(near_atom, 
 def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypatch):
     import leftcurtain.cli as cli
     import leftcurtain.curtain as curtain
-    import leftcurtain.measures as measures
 
-    calls = {"decompose": 0, "order": 0}
+    calls = {"decompose": 0, "walk": 0}
 
     def counted_decompose(pi, mu, nu):
         calls["decompose"] += 1
         return decompose(pi, mu, nu)
 
-    def counted_order(*args):
-        calls["order"] += 1
-        return order_check(*args)
+    def counted_walk(*args):
+        calls["walk"] += 1
+        return walk(*args)
 
-    order_check = measures.check_convex_order
+    walk = curtain._walk
     monkeypatch.setattr(cli, "decompose", counted_decompose)
-    for module in (measures, curtain):
-        monkeypatch.setattr(module, "check_convex_order", counted_order)
+    monkeypatch.setattr(curtain, "_walk", counted_walk)
     mu, nu = split_pair
     mu_path = tmp_path / "mu.json"
     nu_path = tmp_path / "nu.json"
@@ -316,8 +313,8 @@ def test_curtain_with_components_decomposes_once(split_pair, tmp_path, monkeypat
     out = tmp_path / "coupling.json"
     args = ["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]
     assert main(args + ["--components"]) == EXIT_OK
-    # one decomposition, and one order check: the build's
-    assert calls == {"decompose": 1, "order": 1}
+    # one decomposition, and one walk: the build's, which is its order check
+    assert calls == {"decompose": 1, "walk": 1}
     obj = json.loads(out.read_text())
     assert [c["interval"] for c in obj["components"]] == [[-2.0, 0.0], [0.0, 2.0]]
     plain = tmp_path / "plain.json"
@@ -373,43 +370,48 @@ def test_order_failure_exit_code_of_every_pair_command(tmp_path, monkeypatch, ca
 
 @pytest.mark.parametrize(
     "extra",
-    [["curtain"], ["decompose"], ["sample", "--n", "10", "--seed", "0"]],
-    ids=["curtain", "decompose", "sample"],
+    [
+        ["curtain"],
+        ["decompose"],
+        ["sample", "--n", "10", "--seed", "0"],
+        # the pair is checked before the coupling file is read, which is not JSON
+        ["verify", "--coupling", "bad.json"],
+        ["shadow"],
+    ],
+    ids=["curtain", "decompose", "sample", "verify", "shadow"],
 )
 def test_source_atom_outside_the_target_by_rounding_is_an_order_failure(
     tmp_path, monkeypatch, capsys, extra
 ):
-    # the order check accepts this pair with gap 0, but mu's upper atom lies
-    # 2.3e-10 right of nu's, beyond POS_EPS: the walk finds no target atom
-    # right of it, and the pair is not in convex order
+    # mu's upper atom lies 2.3e-10 right of nu's, beyond POS_EPS: the walk
+    # finds no target atom right of it, and the pair is not in convex order
     w = (0.7922671063943849, 0.20773289360561503)
     mu = DiscreteMeasure([999999.9421465949, 999999.9730576744], w)
     nu = DiscreteMeasure([999999.9421465949, 999999.9730576742], w)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(mu)))
     (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(nu)))
+    (tmp_path / "bad.json").write_text("{not json")
     rc = main([extra[0], "--mu", "mu.json", "--nu", "nu.json", *extra[1:], "--out", "out"])
     assert rc == EXIT_ORDER
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error: inputs not in convex order")
+    # the message names the atom and the mass it could not send
+    assert "999999.9730576744 for its last 2.077e-01 of mass" in line
     assert not (tmp_path / "out").exists()
 
 
-def test_verify_judges_the_file_of_a_pair_the_walk_rejects(tmp_path, monkeypatch):
-    # the pair above passes the order check with gap 0.0, so verify reads the
-    # file without the walk.  Hand-written rows send mu's upper atom to
-    # itself, no target atom: the certificate fails by that row's mass, and
-    # the joint, which sends it to a target atom, is not the rows' integral.
-    # With no rows at all, every check that reads the rows fails.
-    w = (0.7922671063943849, 0.20773289360561503)
-    a, b, below_b = 999999.9421465949, 999999.9730576744, 999999.9730576742
-    mu, nu = DiscreteMeasure([a, b], w), DiscreteMeasure([a, below_b], w)
-    assert check_convex_order(mu, nu).gap == 0.0
+def test_verify_judges_rows_that_send_mass_to_no_target_atom(tmp_path, monkeypatch):
+    # hand-written rows send mu's upper atom to itself, no target atom: the
+    # certificate fails by that row's mass, the joint, which sends it to
+    # nu's atoms, is not the rows' integral, and the rows' destination law
+    # misses nu.  With no rows at all, every check that reads the rows fails.
+    mu, nu = dm((0.0, 0.5), (1.0, 0.5)), dm((0.0, 0.5), (0.5, 0.25), (1.5, 0.25))
     monkeypatch.chdir(tmp_path)
     (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(mu)))
     (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(nu)))
-    rows = [[0.0, w[0], a, a, a], [w[0], 1.0, b, below_b, below_b]]
-    joint = [[a, a, w[0]], [b, below_b, w[1]]]
+    rows = [[0.0, 0.5, 0.0, 0.0, 0.0], [0.5, 1.0, 1.0, 1.0, 1.0]]
+    joint = [[0.0, 0.0, 0.5], [1.0, 0.5, 0.25], [1.0, 1.5, 0.25]]
     argv = ["verify", "--mu", "mu.json", "--nu", "nu.json", "--coupling", "c.json", "--out", "out"]
     by_rows = {}
     for name, intervals in (("hand", rows), ("none", [])):
@@ -418,9 +420,9 @@ def test_verify_judges_the_file_of_a_pair_the_walk_rejects(tmp_path, monkeypatch
         assert main(argv) == EXIT_VERIFICATION
         by_rows[name] = json.loads((tmp_path / "out").read_text())
     failed = [k for k, check in by_rows["hand"]["checks"].items() if not check["pass"]]
-    assert failed == ["joint_rows_tv", "shadow_certificate_max"]
-    assert by_rows["hand"]["shadow_certificate_max"] == pytest.approx(w[1], rel=1e-12)
-    assert by_rows["hand"]["joint_rows_tv"] == pytest.approx(w[1], rel=1e-12)
+    assert failed == ["joint_rows_tv", "proby_residual_max", "shadow_certificate_max"]
+    assert by_rows["hand"]["shadow_certificate_max"] == 0.5
+    assert by_rows["hand"]["joint_rows_tv"] == 0.5
     failed = [k for k, check in by_rows["none"]["checks"].items() if not check["pass"]]
     assert failed == [
         "joint_rows_tv", "proby_residual_max", "phi_sandwich_violation_max", "shadow_certificate_max"

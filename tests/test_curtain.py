@@ -167,8 +167,16 @@ class TestBuildCurtain:
                     assert pc.r == pytest.approx(iv["r"], abs=1e-10)
 
     def test_breakpoints_cover_unit_interval(self):
-        for seed in range(12):
-            mu, nu = random_instance(seed)
+        # the quantised uniform pairs at n = 500 and 1000 have mass
+        # 1.0000000000000004: the levels still end at exactly 1
+        uniform = [
+            (
+                quantize_density([-1.0, 1.0], [0.5, 0.5], n),
+                quantize_density([-2.0, 2.0], [0.25, 0.25], n),
+            )
+            for n in (500, 1000)
+        ]
+        for mu, nu in [random_instance(seed) for seed in range(12)] + uniform:
             table = build_curtain(mu, nu)
             t = table.intervals
             assert t["u_lo"][0] == 0.0
@@ -301,7 +309,7 @@ class TestWalk:
 
     @pytest.mark.parametrize("x, y", [(0.0, 1.0), (1.0, 0.0)])
     def test_a_side_with_no_atom_raises_decompose_error(self, x, y):
-        # the walk on its own, without the order check: delta_x -> delta_y
+        # the walk on its own, without the mass and mean tests: delta_x -> delta_y
         # has no target atom on one side of x, so it is not in convex order
         with pytest.raises(DecomposeError, match="one side"):
             _walk(dm((x, 1.0)), dm((y, 1.0)), 1.0)

@@ -1,5 +1,6 @@
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from leftcurtain import (
 from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values, _union
 from leftcurtain.pwl import evaluate
 from conftest import dm, tv_distance
+from exact_reference import exact_order
 from quantize_reference import quantize_reference
 
 
@@ -212,14 +214,34 @@ class TestConvexOrder:
         assert res and res.ordered
 
     def test_reversed_pair_fails_with_witness(self):
+        # the walk finds no target atom left of the source atom at -1, whose
+        # whole mass is the gap
         res = check_convex_order(dm((-1.0, 0.5), (1.0, 0.5)), dm((0.0, 1.0)))
         assert not res.ordered
-        assert res.witness == 0.0
-        assert res.gap == pytest.approx(0.5)
+        assert res.witness == -1.0
+        assert res.gap == 0.5
 
     def test_mass_mismatch_fails(self):
         res = check_convex_order(dm((0.0, 0.5)), dm((0.0, 1.0)))
         assert not res.ordered
+
+    def test_matches_the_exact_order(self, monkeypatch):
+        # the cx-bank pairs, the nested pairs (nu_k, nu_{k+2}) of the same
+        # seeds, which share their first k spread steps and so are ordered,
+        # and the barrier pairs of perfbench's cx-bank, in both directions
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import workloads
+
+        bank = [(i, 1 + i % 8, (i // 8) % 7) for i in range(336)]
+        pairs = [random_cx_pair(*args) for args in bank]
+        pairs += [
+            (random_cx_pair(i, m, k)[1], random_cx_pair(i, m, k + 2)[1]) for i, m, k in bank
+        ]
+        pairs += workloads.Bank().setup(0)[336:]
+        pairs += [(nu, mu) for mu, nu in pairs]
+        verdicts = [bool(check_convex_order(mu, nu)) for mu, nu in pairs]
+        assert verdicts == [exact_order(mu, nu) for mu, nu in pairs]
+        assert (len(pairs), sum(verdicts)) == (1440, 768)
 
 
 class TestQuantizeDensity:

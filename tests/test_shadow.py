@@ -2,13 +2,20 @@ import numpy as np
 import pytest
 
 from leftcurtain import (
+    TABLE_DTYPE,
+    CurtainTable,
+    DecomposeError,
     DiscreteMeasure,
+    build_curtain,
+    coupling,
     put_potential,
     quantize_density,
     random_cx_pair,
     restricted_measure,
     shadow,
+    verify_all,
 )
+from leftcurtain.curtain import _walk
 from leftcurtain.oracle import shadow_lp
 from leftcurtain.shadow import ShadowInvalid, _validate
 from conftest import bank_instance, dm, random_instance, tv_distance
@@ -198,12 +205,12 @@ class TestRoundedSources:
     or a shadow weight above its target atom's by more than
     ``DOMINATION_SLACK``, which is the walk's overdraw.  The retired hull
     route judged them in potential units and accepted some of them.  The
-    full-mass branch returns ``nu`` on the order check's verdict, so it
-    can accept a source whose parts the walk rejects.  Tolerances derived
-    from the instance should bring these verdicts together."""
+    full-mass branch takes the walk's verdict too, so it rejects a source
+    whose parts the walk rejects.  Tolerances derived from the instance
+    should bring these verdicts together."""
 
     #: positions rounded 2.3e-10 apart at 1e6: mu's upper atom lies right
-    #: of nu's support, which the order check accepts with gap 0
+    #: of nu's support, which the potential check accepts with gap 0
     HAND_MU = DiscreteMeasure(
         [999999.9421465949, 999999.9730576744], [0.7922671063943849, 0.20773289360561503]
     )
@@ -211,18 +218,19 @@ class TestRoundedSources:
         [999999.9421465949, 999999.9730576742], [0.7922671063943849, 0.20773289360561503]
     )
 
-    def test_hand_pair_shadows_whole_but_not_in_part(self):
-        assert shadow(self.HAND_MU, self.HAND_NU) is self.HAND_NU
+    def test_hand_pair_shadows_only_below_the_upper_atom(self):
         # below the upper atom's levels the source sits on nu's lower atom
         part = restricted_measure(self.HAND_MU, 0.5)
         assert tv_distance(shadow(part, self.HAND_NU), hull_shadow(part, self.HAND_NU)) == 0.0
-        for u in (0.9, 0.99999, 1.0 - 1e-9):
-            part = restricted_measure(self.HAND_MU, u)
+        parts = [restricted_measure(self.HAND_MU, u) for u in (0.9, 0.99999, 1.0 - 1e-9)]
+        for part in (*parts, self.HAND_MU):
             with pytest.raises(ShadowInvalid, match="one side"):
                 shadow(part, self.HAND_NU)
-        # the hull route accepted the two parts nearest to full mass
+        # the hull route accepted the two parts nearest to full mass, and the
+        # whole source on the potential check's verdict
         for u in (0.99999, 1.0 - 1e-9):
             hull_shadow(restricted_measure(self.HAND_MU, u), self.HAND_NU)
+        assert hull_shadow(self.HAND_MU, self.HAND_NU) is self.HAND_NU
 
     @staticmethod
     def shifted_barycentre_pair(seed):
@@ -241,6 +249,27 @@ class TestRoundedSources:
         shift = [1e6, -1e6, 1e8][seed % 3]
         mu = DiscreteMeasure(np.array(xs) + shift, [float(w[g].sum()) for g in groups])
         return mu, DiscreteMeasure(ys + shift, w)
+
+    def test_the_build_rejects_exactly_the_pairs_whose_walk_coupling_fails(self):
+        # the walk's coupling passes verify_all exactly when the build, whose
+        # order verdict is that walk, accepts the pair: 216 of 300
+        built = 0
+        for seed in range(300):
+            mu, nu = self.shifted_barycentre_pair(seed)
+            try:
+                rows, _ = _walk(mu, nu, 1.0)
+                table = CurtainTable(np.array(rows, dtype=TABLE_DTYPE))
+                passes = verify_all(None, coupling(table, mu), mu, nu).passed()
+            except DecomposeError:
+                passes = False
+            try:
+                build_curtain(mu, nu)
+            except DecomposeError:
+                assert not passes, seed
+            else:
+                assert passes, seed
+                built += 1
+        assert built == 216
 
     def test_shifted_barycentre_pairs_pin_the_verdicts(self):
         # 360 left restrictions: the walk rejects 51, all by overdraw, 32 of

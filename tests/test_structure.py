@@ -4,8 +4,8 @@ and which module binds which tolerance.
 The solver modules never import the test references in ``oracle``, and
 only ``oracle`` takes convex envelopes through ``pwl``: the curtain walk
 gives both the table and the shadow, and the verifiers work without an
-envelope.  The potential gap ``P_nu - P_mu`` is read by the convex-order
-check alone.
+envelope.  The curtain walk is the one convex-order verdict, and only
+``oracle`` evaluates the potential gap ``P_nu - P_mu``.
 """
 
 import ast
@@ -136,23 +136,69 @@ def called_names(node):
     }
 
 
+def function_defs(module):
+    """The top-level functions of ``module``, by name."""
+    tree = ast.parse((SRC / f"{module}.py").read_text())
+    return {n.name: n for n in tree.body if isinstance(n, ast.FunctionDef)}
+
+
 def test_the_curtain_reads_no_potential():
-    # the walk uses up the target's atoms; the build checks the order
-    # through the public check and reads nothing of the gap it evaluates
+    # the walk uses up the target's atoms, and its outcome is the order
+    # check: the build reads no potential and walks the pair once
     tree = ast.parse((SRC / "curtain.py").read_text())
     names = imported_or_used_names("curtain") | called_names(tree)
     assert not names & {
         "_pair_gap", "_order_and_gap", "_PairGap", "_rise", "_put_values", "put_potential"
     }
-    assert "check_convex_order" in names
+    fns = function_defs("curtain")
+    assert "check_convex_order" in fns
+    walkers = {name for name, fn in fns.items() if "_walk" in called_names(fn) - {name}}
+    assert walkers == {"_ordered_walk"}
     import leftcurtain.measures as measures
 
     assert not hasattr(measures, "_rise")
 
 
+def test_the_walk_is_the_one_order_verdict():
+    # the build, the verify command, the shadow's full-mass branch and the
+    # public check all take the verdict of one helper beside the walk
+    callers = {
+        (module, name)
+        for module in SOLVER_MODULES
+        for name, fn in function_defs(module).items()
+        if "_ordered_walk" in called_names(fn)
+    }
+    assert callers == {
+        ("curtain", "_check_pair"), ("curtain", "check_convex_order"), ("shadow", "shadow")
+    }
+    import leftcurtain.measures as measures
+
+    assert not hasattr(measures, "check_convex_order")
+    assert not hasattr(measures, "OrderResult")
+
+
+def test_only_the_oracle_evaluates_a_potential_gap():
+    # put_potential evaluates one potential; a gap is a difference of two,
+    # by _put_values or by prefix sums over the union of both supports
+    readers = {
+        (module, name)
+        for module in SOLVER_MODULES
+        for name, fn in function_defs(module).items()
+        if called_names(fn) & {"_put_values", "put_potential"}
+    }
+    assert readers == {("measures", "put_potential")}
+    gap_sums = {
+        (module, name)
+        for module in SOLVER_MODULES
+        for name, fn in function_defs(module).items()
+        if {"cumsum", "_union"} <= called_names(fn) or {"cumsum", "union1d"} <= called_names(fn)
+    }
+    assert not gap_sums
+    assert not {"_put_values", "_union"} & imported_or_used_names("shadow")
+
+
 def test_the_shadow_reads_the_walk():
-    # the shadow is the mass the curtain walk uses up; the convex-order
-    # check is the one reader of the potential gap
+    # the shadow is the mass the curtain walk uses up, and reads no potential
     tree = ast.parse((SRC / "shadow.py").read_text())
     (fn,) = (n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "shadow")
     names = called_names(fn)
@@ -295,14 +341,15 @@ def float_constants(path):
 
 
 def test_one_tolerance_policy():
-    # a point and a level are compared with the tolerances of measures; the
-    # others are the verifiers' residual tolerance, the shadow's safety
-    # slack and the references' own
+    # a point, a level and a residual mass are compared with the tolerances
+    # of measures (DEFAULT_TOL judges the verifiers' residuals and the walk's
+    # overdraw alike); the others are the shadow's safety slack and the
+    # references' own
     found = {path.stem: float_constants(path) for path in SRC.glob("*.py")}
     assert found == {
         "__init__": set(),
-        "measures": {"MASS_TOL", "POS_TOL", "POS_EPS"},
-        "verify": {"DEFAULT_TOL"},
+        "measures": {"MASS_TOL", "POS_TOL", "POS_EPS", "DEFAULT_TOL"},
+        "verify": set(),
         "shadow": {"DOMINATION_SLACK"},
         "oracle": {"CONTACT_EPS", "_PIVOT_EPS"},
         "curtain": set(),

@@ -484,6 +484,18 @@ class TestVerifyAll:
             assert rep.checks[name]["tol"] == 1e-3
         assert rep.checks["phi_sandwich_violation_max"]["tol"] == 1e-8
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_a_bad_tolerance_is_an_error(self, two_point, tol):
+        # a NaN tolerance would fail every check and write "tol": NaN, which
+        # is not JSON; inf would pass every check
+        mu, nu = two_point
+        pi = coupling(build_curtain(mu, nu), mu)
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            verify_all(None, pi, mu, nu, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and non-negative"):
+            verify_coupling(pi, mu, nu, tol=tol)
+        assert verify_all(None, pi, mu, nu, tol=0.0).passed()
+
     @pytest.mark.parametrize("samples", [0, -1])
     def test_no_sample_point_is_an_error(self, three_atom, samples):
         # with no point the identity would pass without checking anything
