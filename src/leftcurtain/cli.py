@@ -17,7 +17,9 @@ or a density to be quantised::
     {"type": "grid-density", "xs": [...], "pdf": [...], "n": 1000}
 
 ``-`` stands for stdin/stdout.  Exit codes: 0 success, 1 verification
-failure, 2 I/O or format error, 3 convex-order failure.  Sampling uses
+failure, 2 I/O, format or input error (an array too large for memory
+included), 3 convex-order failure.  CSV output is formatted and written in
+blocks of ``CSV_BLOCK_ROWS`` rows.  Sampling uses
 NumPy's PCG64 generator (``numpy.random.default_rng``) seeded from
 ``--seed``, so runs reproduce bit for bit across platforms.
 """
@@ -25,8 +27,10 @@ NumPy's PCG64 generator (``numpy.random.default_rng``) seeded from
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
+from collections.abc import Callable, Iterable
 
 import numpy as np
 
@@ -47,6 +51,9 @@ EXIT_VERIFICATION = 1
 EXIT_IO = 2
 EXIT_ORDER = 3
 
+#: rows of CSV output formatted and written at a time
+CSV_BLOCK_ROWS = 8192
+
 
 def _read_json(path: str) -> dict:
     if path == "-":
@@ -55,16 +62,42 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _open_out(path: str):
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8")
+
+
 def _write_text(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(path) as fh:
         fh.write(text)
         if not text.endswith("\n"):
             fh.write("\n")
+
+
+def _write_csv(
+    path: str, header: str, n: int, columns: list[Callable[[slice], Iterable[str]]]
+) -> None:
+    """Write ``header`` and ``n`` rows in blocks of ``CSV_BLOCK_ROWS``, each
+    formatted and written before the next is built; ``columns`` give the
+    texts of a block of rows, one per column."""
+    with _open_out(path) as fh:
+        fh.write(header + "\n")
+        for lo in range(0, n, CSV_BLOCK_ROWS):
+            block = slice(lo, lo + CSV_BLOCK_ROWS)
+            fh.write("\n".join(map(",".join, zip(*(column(block) for column in columns)))) + "\n")
+
+
+def _floats(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
+    """The texts of a block of ``column``: ``repr`` of each value."""
+    return lambda block: map(repr, column[block].tolist())
+
+
+def _reprs(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
+    """The texts of a block of ``column``, which has few distinct values:
+    ``repr`` of each distinct bit pattern once (so ``-0.0`` keeps its sign),
+    which a block indexes."""
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return lambda block: texts[inverse[block]].tolist()
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
@@ -107,10 +140,8 @@ def _cmd_curtain(args) -> int:
     components = _components_payload(decompose(pi, mu, nu)) if args.components else []
     _write_text(args.out, json.dumps(pi.to_json(components=components), indent=2))
     if args.curves:
-        lines = ["u,G,R,Q,S,phi"]
-        for row in curve_rows(table):
-            lines.append(",".join(repr(float(v)) for v in row))
-        _write_text(args.curves, "\n".join(lines))
+        rows = curve_rows(table)
+        _write_csv(args.curves, "u,G,R,Q,S,phi", len(rows), [_floats(c) for c in rows.T])
     return EXIT_OK
 
 
@@ -126,6 +157,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.n < 0:
+        raise ValueError(f"--n must be non-negative, got {args.n}")
     mu, nu = _load_pair(args)
     table = build_curtain(mu, nu)
     rng = np.random.default_rng(args.seed)
@@ -137,16 +170,10 @@ def _cmd_sample(args) -> int:
     vs = np.clip(vs, eps, 1.0 - 1e-16)
     ys = sample_y_many(table, us, vs)
     xs = quantile_left(mu, us)
-    columns = (map(repr, us.tolist()), map(repr, vs.tolist()), _reprs(xs), _reprs(ys))
-    _write_text(args.out, "\n".join(["u,v,x,y", *map(",".join, zip(*columns))]))
+    # the columns are whole arrays, drawn and mapped before the file opens;
+    # only their text is built in blocks
+    _write_csv(args.out, "u,v,x,y", args.n, [_floats(us), _floats(vs), _reprs(xs), _reprs(ys)])
     return EXIT_OK
-
-
-def _reprs(column: np.ndarray) -> list[str]:
-    """``repr`` of every value of a column with few distinct values, each
-    distinct bit pattern formatted once (so ``-0.0`` keeps its sign)."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    return np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)[inverse].tolist()
 
 
 def _cmd_decompose(args) -> int:
@@ -220,7 +247,7 @@ def main(argv=None) -> int:
     except (DecomposeError, ShadowInvalid) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORDER
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (OSError, MemoryError, json.JSONDecodeError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
 

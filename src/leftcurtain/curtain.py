@@ -192,20 +192,28 @@ def _ordered_walk(mu: DiscreteMeasure, nu: DiscreteMeasure, end: float) -> list[
     (Beiglboeck and Juillet 2016, section 4).  So after the mass and mean
     tests it raises :class:`~leftcurtain.measures.DecomposeError` where a
     source atom has no target atom on one side, or where it overdraws
-    ``nu``'s atoms by more than ``DEFAULT_TOL`` in total, as ``marginal_nu_tv``
-    of its coupling would read: the witness is an atom and the gap a mass."""
+    ``nu``'s atoms by more than ``DEFAULT_TOL`` in total
+    (:func:`_check_overdraw`), as ``marginal_nu_tv`` of its coupling would
+    read: the witness is an atom and the gap a mass."""
     d_mass, d_mean = abs(mu.mass - nu.mass), abs(mu.mean - nu.mean)
     if d_mass > MASS_TOL or d_mean > MASS_TOL * max(1.0, abs(mu.mean)):
         gap = d_mass if d_mass > MASS_TOL else d_mean
         raise DecomposeError(f"inputs not in convex order: mass or mean off by {gap:.3e}", gap=gap)
     rows, left = _walk(mu, nu, end)
+    _check_overdraw(nu, left)
+    return rows
+
+
+def _check_overdraw(nu: DiscreteMeasure, left: list[float]) -> None:
+    """Raise :class:`~leftcurtain.measures.DecomposeError` where the mass
+    ``left`` in ``nu``'s atoms after a walk overdraws them by more than
+    ``DEFAULT_TOL`` in total, with the most overdrawn atom as witness."""
     over = -sum(w for w in left if w < 0.0)
     if over > DEFAULT_TOL:
         x = float(nu.xs[left.index(min(left))])
         raise DecomposeError(
             f"inputs not in convex order: the walk overdraws nu by {over:.3e}, most at {x}", x, over
         )
-    return rows
 
 
 def check_convex_order(mu: DiscreteMeasure, nu: DiscreteMeasure) -> OrderResult:

@@ -21,7 +21,10 @@ import numpy as np
 
 from leftcurtain.measures import MASS_TOL, DiscreteMeasure, _put_values
 from leftcurtain.pwl import convex_hull
-from leftcurtain.shadow import DOMINATION_SLACK, ShadowInvalid
+from leftcurtain.shadow import ShadowInvalid
+
+#: slack the hull route allowed when checking atomwise domination by ``nu``
+DOMINATION_SLACK = 1e-10
 
 
 def _pair_gap(mu, nu):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from leftcurtain import (
     quantile_left,
     sample_y_many,
 )
-from leftcurtain.cli import EXIT_IO, EXIT_OK, EXIT_ORDER, EXIT_VERIFICATION, main
+from leftcurtain.cli import CSV_BLOCK_ROWS, EXIT_IO, EXIT_OK, EXIT_ORDER, EXIT_VERIFICATION, main
 from leftcurtain.measures import _GUIDE_MIN_LEVELS
 from conftest import dm
 
@@ -166,12 +167,24 @@ def test_sample_x_is_left_quantile_of_multi_atom_source(tmp_path):
     assert {float(r["x"]) for r in rows} == {-1.0, 0.5, 2.0}
 
 
-@pytest.mark.parametrize("n", [500, 2 * _GUIDE_MIN_LEVELS])
-def test_sample_csv_matches_per_row_repr(tmp_path, n):
+@pytest.mark.parametrize(
+    "n, stdout",
+    [
+        *(
+            pytest.param(n, False, id=str(n))
+            for n in sorted(
+                {0, 500, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * _GUIDE_MIN_LEVELS}
+            )
+        ),
+        pytest.param(CSV_BLOCK_ROWS + 1, True, id=f"{CSV_BLOCK_ROWS + 1}-stdout"),
+    ],
+)
+def test_sample_csv_matches_per_row_repr(tmp_path, capsys, n, stdout):
     # mu's atom at -0.0 keeps its sign in x and in the point-kernel draws of
     # y, while the upper destination 0.0 is nu's atom: both zeros appear in
     # y.  The reference draws one row at a time, by the binary search, so
-    # the larger n also pins the guide table's rows.
+    # the larger values of n also pin the guide table's rows, and the writer's blocks
+    # of CSV_BLOCK_ROWS rows end on either side of n.
     mu = DiscreteMeasure([-1.0, -0.0, 1.0], [0.25, 0.5, 0.25])
     nu = dm((-2.0, 0.2), (0.0, 0.6), (2.0, 0.2))
     mu_path = tmp_path / "mu.json"
@@ -180,7 +193,8 @@ def test_sample_csv_matches_per_row_repr(tmp_path, n):
     nu_path.write_text(json.dumps(measure_to_json(nu)))
     out = tmp_path / "s.csv"
     args = ["sample", "--mu", str(mu_path), "--nu", str(nu_path), "--n", str(n), "--seed", "11"]
-    assert main(args + ["--out", str(out)]) == EXIT_OK
+    assert main(args + ["--out", "-" if stdout else str(out)]) == EXIT_OK
+    text = capsys.readouterr().out if stdout else out.read_text()
 
     rng = np.random.default_rng(11)
     us = np.clip(rng.uniform(0.0, 1.0, size=n), np.finfo(float).tiny, 1.0 - 1e-16)
@@ -191,8 +205,48 @@ def test_sample_csv_matches_per_row_repr(tmp_path, n):
         for u, v in zip(us.tolist(), vs.tolist())
     ]
     lines = ["u,v,x,y"] + [",".join(repr(float(v)) for v in row) for row in rows]
-    assert out.read_text() == "\n".join(lines) + "\n"
-    assert {line.rsplit(",", 1)[1] for line in lines[1:]} >= {"-0.0", "0.0"}
+    assert text == "\n".join(lines) + "\n"
+    if n:
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} >= {"-0.0", "0.0"}
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    [
+        ("-1", "error: --n must be non-negative, got -1"),
+        ("100000000000000", "error: Unable to allocate"),
+    ],
+    ids=["negative", "beyond-memory"],
+)
+def test_sample_count_out_of_range_is_an_input_error(pair_files, tmp_path, capsys, n, message):
+    # 1e14 draws ask for more than the user address space, so the allocation
+    # fails at once and touches no memory: the draws are never made in blocks
+    mu_path, nu_path = pair_files
+    out = tmp_path / "s.csv"
+    args = ["sample", "--mu", str(mu_path), "--nu", str(nu_path), "--n", n, "--seed", "0"]
+    assert main(args + ["--out", str(out)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith(message)
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_sample_memory_is_the_columns_not_their_text(tmp_path):
+    # 2e5 draws on the benchmark's grid densities: the text of all rows
+    # (about 16 MB, held as Python strings several times over) is never held
+    # at once; the tracemalloc peak read 56.8 MB with it and 16.6 MB without
+    for name, lo, hi in (("mu", -1.0, 1.0), ("nu", -2.0, 2.0)):
+        spec = {"type": "grid-density", "xs": [lo, hi], "pdf": [1 / (hi - lo)] * 2, "n": 500}
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    pair = ["--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")]
+    args = ["sample", *pair, "--n", "200000", "--seed", "1", "--out", str(tmp_path / "s.csv")]
+    tracemalloc.start()
+    try:
+        assert main(args) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_verify_reads_the_destinations_of_the_coupling_file(three_atom, tmp_path):

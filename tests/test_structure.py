@@ -171,6 +171,14 @@ def test_the_walk_is_the_one_order_verdict():
     assert callers == {
         ("curtain", "_check_pair"), ("curtain", "check_convex_order"), ("shadow", "shadow")
     }
+    # the walk's overdraw has one rule, whatever the source's mass
+    judges = {
+        (module, name)
+        for module in SOLVER_MODULES
+        for name, fn in function_defs(module).items()
+        if "_check_overdraw" in called_names(fn)
+    }
+    assert judges == {("curtain", "_ordered_walk"), ("shadow", "shadow")}
     import leftcurtain.measures as measures
 
     assert not hasattr(measures, "check_convex_order")
@@ -252,6 +260,21 @@ def test_the_verify_command_builds_no_table():
     names = called_names(fn)
     assert "build_curtain" not in names
     assert "_check_pair" in names
+
+
+def test_the_csv_commands_write_their_rows_in_blocks():
+    # sample and curtain --curves hand their columns to one writer, which
+    # joins the rows of one block at a time inside its loop over blocks:
+    # no function joins all the rows into one string
+    fns = function_defs("cli")
+    for name in ("_cmd_sample", "_cmd_curtain"):
+        assert "_write_csv" in called_names(fns[name])
+        assert "join" not in called_names(fns[name])
+    assert "_write_text" not in called_names(fns["_cmd_sample"])
+    assert {name for name, fn in fns.items() if "join" in called_names(fn)} == {"_write_csv"}
+    (loop,) = (n for n in ast.walk(fns["_write_csv"]) if isinstance(n, ast.For))
+    joins = [n for n in ast.walk(fns["_write_csv"]) if getattr(n, "attr", None) == "join"]
+    assert joins and all(n in set(ast.walk(loop)) for n in joins)
 
 
 def test_the_left_monotone_count_reads_one_row_format():
@@ -343,14 +366,14 @@ def float_constants(path):
 def test_one_tolerance_policy():
     # a point, a level and a residual mass are compared with the tolerances
     # of measures (DEFAULT_TOL judges the verifiers' residuals and the walk's
-    # overdraw alike); the others are the shadow's safety slack and the
+    # overdraw alike, whatever the source's mass); the others are the
     # references' own
     found = {path.stem: float_constants(path) for path in SRC.glob("*.py")}
     assert found == {
         "__init__": set(),
         "measures": {"MASS_TOL", "POS_TOL", "POS_EPS", "DEFAULT_TOL"},
         "verify": set(),
-        "shadow": {"DOMINATION_SLACK"},
+        "shadow": set(),
         "oracle": {"CONTACT_EPS", "_PIVOT_EPS"},
         "curtain": set(),
         "pwl": set(),
