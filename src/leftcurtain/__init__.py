@@ -33,7 +33,7 @@ from .measures import (
     restricted_measure,
 )
 from .oracle import curtain_incremental, joint_tv
-from .shadow import ShadowInvalid, shadow
+from .shadow import shadow
 from .verify import (
     VerificationReport,
     destination_cdf,
@@ -54,7 +54,6 @@ __all__ = [
     "IrreducibleComponent",
     "LiftedCoupling",
     "OrderResult",
-    "ShadowInvalid",
     "TABLE_DTYPE",
     "VerificationReport",
     "build_curtain",

@@ -43,7 +43,7 @@ from .measures import (
     measure_to_json,
     quantile_left,
 )
-from .shadow import ShadowInvalid, shadow
+from .shadow import shadow
 from .verify import DEFAULT_TOL, verify_all
 
 EXIT_OK = 0
@@ -244,7 +244,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DecomposeError, ShadowInvalid) as exc:
+    except DecomposeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ORDER
     except (OSError, MemoryError, json.JSONDecodeError, KeyError, ValueError) as exc:

@@ -39,6 +39,7 @@ from .measures import (
     DiscreteMeasure,
     _guide_table,
     _level_index,
+    _reach,
 )
 
 #: row layout of :attr:`CurtainTable.intervals`: a row's levels, its
@@ -121,11 +122,12 @@ def _walk(
     less ``u``.  The levels are ``mu``'s cumulative weights, from exactly 0
     to exactly ``end``: 1 for a probability pair, ``mu.mass`` for a
     sub-probability source, whose shadow is the mass used up.  Rows are
-    :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g, r, s, phi_lo)``.  A source
-    atom with no target atom with mass left on one side of it raises
-    :class:`~leftcurtain.measures.DecomposeError` with the atom as witness
-    and its levels not yet sent as gap: the source does not lie below
-    ``nu`` in convex order.
+    :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g, r, s, phi_lo)``.  The walk
+    judges itself, so ``mu`` does not lie below ``nu`` in convex order where
+    it raises :class:`~leftcurtain.measures.DecomposeError`: at a source atom
+    with no target atom with mass left on one side of it (the atom is the
+    witness, its levels not yet sent the gap), or at an overdraw of ``nu``'s
+    atoms (:func:`_check_overdraw`).
     """
     # scalars are read as Python floats, which is faster than numpy's
     ys, f_nu, left = nu.xs.tolist(), nu.cum_weights.tolist(), nu.ws.tolist()
@@ -172,6 +174,7 @@ def _walk(
                 left[r], r = 0.0, prv[r]
             if end_s <= nxt + MASS_TOL:
                 left[s], s = 0.0, s + 1
+    _check_overdraw(nu, left)
     return rows, left
 
 
@@ -190,18 +193,14 @@ def _ordered_walk(mu: DiscreteMeasure, nu: DiscreteMeasure, end: float) -> list[
     verdict.  A pair of equal mass and mean is in convex order exactly when
     it has a martingale coupling, which the walk builds or fails to build
     (Beiglboeck and Juillet 2016, section 4).  So after the mass and mean
-    tests it raises :class:`~leftcurtain.measures.DecomposeError` where a
-    source atom has no target atom on one side, or where it overdraws
-    ``nu``'s atoms by more than ``DEFAULT_TOL`` in total
-    (:func:`_check_overdraw`), as ``marginal_nu_tv`` of its coupling would
-    read: the witness is an atom and the gap a mass."""
+    tests it takes the walk's own verdict, as ``marginal_nu_tv`` of its
+    coupling would read: the witness is an atom and the gap a mass.  The
+    mean gap is judged relative to :func:`~leftcurtain.measures._reach`."""
     d_mass, d_mean = abs(mu.mass - nu.mass), abs(mu.mean - nu.mean)
-    if d_mass > MASS_TOL or d_mean > MASS_TOL * max(1.0, abs(mu.mean)):
+    if d_mass > MASS_TOL or d_mean > MASS_TOL * _reach(nu):
         gap = d_mass if d_mass > MASS_TOL else d_mean
         raise DecomposeError(f"inputs not in convex order: mass or mean off by {gap:.3e}", gap=gap)
-    rows, left = _walk(mu, nu, end)
-    _check_overdraw(nu, left)
-    return rows
+    return _walk(mu, nu, end)[0]
 
 
 def _check_overdraw(nu: DiscreteMeasure, left: list[float]) -> None:

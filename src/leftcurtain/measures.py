@@ -299,16 +299,10 @@ class DecomposeError(ValueError):
         self.witness, self.gap = witness, gap
 
 
-def _union(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The distinct values of ``a`` and ``b`` in order, sorted and thinned as
-    ``np.unique`` does, so bitwise ``np.union1d(a, b)`` for finite values,
-    without the ``numpy.ma`` import that ``np.unique`` makes."""
-    values = np.concatenate((a, b), axis=None)
-    values.sort()
-    keep = np.empty(values.size, dtype=bool)
-    keep[:1] = True
-    np.not_equal(values[1:], values[:-1], out=keep[1:])
-    return values[keep]
+def _reach(eta: DiscreteMeasure) -> float:
+    """The largest ``|x|`` of ``eta``'s atoms (0 for none), the scale at which
+    its first moment is rounded: mean gaps are judged relative to it."""
+    return max(abs(float(eta.xs[0])), abs(float(eta.xs[-1]))) if eta.n_atoms else 0.0
 
 
 def quantize_density(xs, pdf, n: int) -> DiscreteMeasure:

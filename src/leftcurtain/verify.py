@@ -49,8 +49,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .curtain import LiftedCoupling, _phi_hi, coupling
-from .measures import DEFAULT_TOL, POS_EPS, DiscreteMeasure, _union
+from .curtain import LiftedCoupling, _phi_hi
+from .measures import DEFAULT_TOL, POS_EPS, DiscreteMeasure
 
 
 @dataclass
@@ -272,8 +272,8 @@ def _kept_mass(rows, above, y, v, u_lo, u_hi, lower, share) -> np.ndarray:
 
 
 def _sample_points(rng, atoms: np.ndarray, samples: int) -> np.ndarray:
-    """``samples`` uniform draws on the atoms' range widened by 1, in the
-    generator's order, skipping draws within 1e-7 of an atom."""
+    """``samples`` uniform draws on the sorted ``atoms``' range widened by 1,
+    in the generator's order, skipping draws within 1e-7 of an atom."""
     fenced = np.concatenate(([-np.inf], atoms, [np.inf]))
     ys = np.empty(0)
     while ys.size < samples:
@@ -343,7 +343,7 @@ def verify_marginal_identity(
     if samples < 1:
         raise ValueError(f"the identity needs at least one sample point, got {samples}")
     rng = np.random.default_rng(seed)
-    ys = _sample_points(rng, _union(nu.xs, mu.xs), samples)
+    ys = _sample_points(rng, np.sort(np.concatenate((nu.xs, mu.xs))), samples)
     target = nu.cdf(ys)
     v, j = _s_inverse(pi, ys)
     worst = float(np.abs(_destination_cdf(pi, ys, v) - target).max(initial=0.0))
@@ -368,7 +368,8 @@ def verify_shadow_consistency(
     nu: DiscreteMeasure,
     grid: int = 20,
     seed: int = 0,
-    coupling_obj: LiftedCoupling | None = None,
+    *,
+    coupling_obj: LiftedCoupling,
     report: VerificationReport | None = None,
     tol: float = DEFAULT_TOL,
 ) -> float:
@@ -388,18 +389,16 @@ def verify_shadow_consistency(
     and ``n`` target atoms, all of it in array operations: a binary search
     per destination and a sparse table of range maxima over the atoms.
 
-    The rows are ``coupling_obj.intervals`` (the coupling of ``table`` when
-    it is ``None``); ``table`` is read only to build that coupling.
-    ``grid`` and ``seed`` are unused: every level is checked.
+    The rows are those of ``coupling_obj``, which is required: the verifier
+    builds nothing.  ``table``, ``grid`` and ``seed`` are unused.
     """
-    pi = coupling_obj or coupling(table, mu)
-    u_lo, u_hi, x, r, s = pi.intervals.T
+    u_lo, u_hi, x, r, s = coupling_obj.intervals.T
     width = u_hi - u_lo
     mass = np.maximum(width, 0.0)
 
     # (i) tiling, left quantile and martingale kernels
     tiling = np.abs(np.append(u_lo, 1.0) - np.append(0.0, u_hi)).sum() + (mass - width).sum()
-    i, k, sent = _destinations(pi, mu, nu)
+    i, k, sent = _destinations(coupling_obj, mu, nu)
     cum = np.append(0.0, mu.cum_weights)
     on_atom = np.minimum(u_hi, cum[i + 1]) - np.maximum(u_lo, cum[i])
     wrong_x = (mass - np.where(i >= 0, np.clip(on_atom, 0.0, mass), 0.0)).sum()

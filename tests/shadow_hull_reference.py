@@ -19,9 +19,9 @@ before the walk became its convex-order verdict.
 
 import numpy as np
 
+from leftcurtain import DecomposeError as ShadowInvalid
 from leftcurtain.measures import MASS_TOL, DiscreteMeasure, _put_values
 from leftcurtain.pwl import convex_hull
-from leftcurtain.shadow import ShadowInvalid
 
 #: slack the hull route allowed when checking atomwise domination by ``nu``
 DOMINATION_SLACK = 1e-10

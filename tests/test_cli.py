@@ -543,6 +543,42 @@ def test_non_finite_coupling_entry_is_an_input_error(tmp_path, capsys, where, ba
     assert "finite" in capsys.readouterr().err
 
 
+def grid(xs, pdf, n=4):
+    return {"type": "grid-density", "xs": xs, "pdf": pdf, "n": n}
+
+
+@pytest.mark.parametrize(
+    "measure, message",
+    [
+        ({"type": "atoms", "atoms": [[0.0, 1.5], [1.0, -0.5]]}, "atom weights must be non-negative"),
+        (grid([0.0], [1.0]), "need at least two grid points"),
+        (grid([0.0, 1.0, 1.0], [1.0, 1.0, 1.0]), "grid must be strictly increasing"),
+        (grid([0.0, 1.0], [1.0, -1.0]), "density must be non-negative"),
+        (grid([0.0, 1.0], [1.0, 1.0], n=0), "need at least one cell"),
+        ({"type": "dirac", "at": 0.0}, "unknown measure type: 'dirac'"),
+    ],
+    ids=["negative-weight", "one-point-grid", "flat-grid", "negative-pdf", "no-cells", "unknown-type"],
+)
+def test_a_bad_measure_file_is_an_input_error(tmp_path, monkeypatch, capsys, measure, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(json.dumps(measure))
+    (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(dm((0.0, 1.0)))))
+    rc = main(["curtain", "--mu", "mu.json", "--nu", "nu.json", "--out", "out"])
+    assert rc == EXIT_IO
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_source_heavier_than_its_target_is_an_order_failure(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mu.json").write_text(json.dumps(measure_to_json(dm((0.0, 1.0)))))
+    (tmp_path / "nu.json").write_text(json.dumps(measure_to_json(dm((0.0, 0.5)))))
+    rc = main(["shadow", "--mu", "mu.json", "--nu", "nu.json", "--out", "out"])
+    assert rc == EXIT_ORDER
+    assert capsys.readouterr().err.splitlines() == ["error: source mass 1.0 exceeds target mass 0.5"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_io_failure_exit_code(tmp_path):
     rc = main(["shadow", "--mu", str(tmp_path / "missing.json"), "--nu", str(tmp_path / "missing.json")])
     assert rc == EXIT_IO

@@ -16,7 +16,7 @@ from leftcurtain import (
     random_cx_pair,
     restricted_measure,
 )
-from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values, _union
+from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values
 from leftcurtain.pwl import evaluate
 from conftest import dm, tv_distance
 from exact_reference import exact_order
@@ -30,6 +30,12 @@ class TestDiscreteMeasure:
             DiscreteMeasure([bad, 1.0], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
             DiscreteMeasure([0.0, 1.0], [bad, 0.5])
+
+    def test_rejects_unequal_lengths_and_negative_weights(self):
+        with pytest.raises(ValueError, match="equal length"):
+            DiscreteMeasure([0.0, 1.0], [1.0])
+        with pytest.raises(ValueError, match="non-negative"):
+            DiscreteMeasure([0.0, 1.0], [1.5, -0.5])
 
     def test_atom_merges_only_within_pos_tol_of_its_run_start(self):
         # consecutive gaps of 0.6 pos_tol: the second atom joins the first,
@@ -207,6 +213,13 @@ class TestConvexOrder:
         res = check_convex_order(dm((0.0, 1.0)), dm((-1.0, 0.5), (1.0, 0.5)))
         assert res.ordered
 
+    def test_empty_measures_are_judged_without_an_atom(self):
+        # the mean test's scale is 0 for no atoms, and no atom is read
+        empty = DiscreteMeasure([], [])
+        assert check_convex_order(empty, empty)
+        res = check_convex_order(dm((0.5, 1e-13)), empty)
+        assert (res.ordered, res.witness, res.gap) == (False, None, 5e-14)
+
     def test_equal_law(self):
         # equal laws are ordered; their gap vanishes at every kink
         eta = dm((-1.0, 0.5), (1.0, 0.5))
@@ -360,6 +373,13 @@ def test_quantisation_cells(density):
 
 
 class TestRandomCxPair:
+    @pytest.mark.parametrize(
+        "args, message", [((0, 0, 1), "at least one atom"), ((0, 1, -1), "non-negative")]
+    )
+    def test_rejects_bad_arguments(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            random_cx_pair(*args)
+
     def test_no_steps_returns_equal_laws(self):
         mu, nu = random_cx_pair(5, 4, 0)
         assert tv_distance(mu, nu) == 0.0
@@ -399,13 +419,3 @@ def test_quantile_cdf_galois(eta, u):
         f = float(eta.cdf(x))
         if 0.0 < f < 1.0:
             assert quantile_left(eta, f) <= x + 1e-12
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_union_is_bitwise_union1d(seed):
-    # repeats, both signed zeros in either order, and empty sides
-    rng = np.random.default_rng(seed)
-    grid = np.array([-1.5, -0.0, 0.0, 0.25, 3.0, 1e-300, -1e300])
-    a, b = (rng.choice(grid, size=rng.integers(0, 12)) for _ in range(2))
-    got, want = _union(a, b), np.union1d(a, b)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -49,6 +49,15 @@ def test_scaling_positions_scales_the_table(pair, log_lam):
     assert np.array_equal(components, base_components)
 
 
+def test_a_mean_rounded_near_the_origin_scales_with_the_positions():
+    # scaled by 10**5.5 the pair's means round 1.455e-11 apart around 0,
+    # which a mean test absolute near the origin rejected; judged relative
+    # to the positions' size the pair builds, with the unscaled rows
+    mu, nu = random_cx_pair(11154, 1, 2)
+    t, _ = scaled_table(mu, nu, 10.0**5.5)
+    assert len(t) == len(build_curtain(mu, nu).intervals)
+
+
 @given(pairs, st.integers(-20, 20))
 @settings(max_examples=40, deadline=None)
 def test_scaling_by_a_power_of_two_is_exact(pair, exponent):

@@ -16,10 +16,11 @@ from leftcurtain import (
     shadow,
     verify_all,
 )
+import leftcurtain.curtain as curtain
 from leftcurtain.curtain import _check_overdraw, _walk
 from leftcurtain.measures import DEFAULT_TOL
 from leftcurtain.oracle import shadow_lp
-from leftcurtain.shadow import ShadowInvalid
+from leftcurtain.shadow import _validate
 from conftest import bank_instance, dm, random_instance, tv_distance
 from exact_reference import exact_shadow
 from shadow_hull_reference import hull_shadow
@@ -45,8 +46,9 @@ class TestShadowExamples:
         assert tv_distance(shadow_lp(mu, nu), expected) <= 1e-9
 
     def test_mass_excess_rejected(self):
-        with pytest.raises(ShadowInvalid):
+        with pytest.raises(DecomposeError, match="source mass 1.0 exceeds target mass 0.5") as info:
             shadow(dm((0.0, 1.0)), dm((0.0, 0.5)))
+        assert (info.value.witness, info.value.gap) == (None, 0.5)
 
     def test_full_mass_source_shadows_to_the_target_bitwise(self):
         # a source with the target's mass that lies below it in convex order
@@ -69,20 +71,24 @@ class TestShadowExamples:
     def test_full_mass_source_outside_convex_order_rejected(self, mu):
         # spread past the target on both sides, off the target's mean, and
         # past it on one side with the target's mean
-        with pytest.raises(ShadowInvalid, match="convex order"):
+        with pytest.raises(DecomposeError, match="convex order"):
             shadow(mu, dm((-1.0, 0.5), (1.0, 0.5)))
 
     def test_invalid_embedding_rejected(self):
-        # mass fits but the source is too spread out for the target
-        with pytest.raises(ShadowInvalid):
+        # mass fits but the source is too spread out for the target: its
+        # first atom has no target atom left of it for all of its mass
+        with pytest.raises(DecomposeError, match="one side") as info:
             shadow(dm((-5.0, 0.25), (5.0, 0.25)), dm((-1.0, 0.5), (1.0, 0.5)))
+        assert (info.value.witness, info.value.gap) == (-5.0, 0.25)
 
     def test_overdrawn_target_atom_rejected(self):
         # both atoms lie inside the target's support, but the atom at 0.9
         # sends 0.38 to 1, where only 0.25 is left after the atom at 0: the
         # walk overdraws the target's atom there by 0.13
-        with pytest.raises(ShadowInvalid, match="overdraws nu by 1.300e-01, most at 1.0"):
+        with pytest.raises(DecomposeError, match="overdraws nu by 1.300e-01, most at 1.0") as info:
             shadow(dm((0.0, 0.5), (0.9, 0.4)), dm((-1.0, 0.5), (1.0, 0.5)))
+        # the walk's error reaches the caller with its witness and gap
+        assert (info.value.witness, info.value.gap) == (1.0, pytest.approx(0.13))
 
 
 class TestShadowProperties:
@@ -119,6 +125,44 @@ class TestShadowProperties:
             s = shadow(part, nu)
             assert s.mass == pytest.approx(part.mass, abs=1e-12)
             assert s.mean == pytest.approx(part.mean, abs=1e-10)
+
+
+class TestValidation:
+    """The shadow's mass and mean are judged by the tolerances of
+    ``measures``: the mass within ``DEFAULT_TOL``, the mean within
+    ``DEFAULT_TOL`` times the shadow's largest distance from the origin."""
+
+    def test_a_mass_or_mean_gap_raises_the_order_error_with_the_gap(self):
+        with pytest.raises(DecomposeError, match="shadow mass 0.4 != source mass 0.5") as info:
+            _validate(dm((0.0, 0.5)), dm((0.0, 0.4)))
+        assert info.value.gap == pytest.approx(0.1)
+        with pytest.raises(DecomposeError, match="shadow mean") as info:
+            _validate(dm((0.0, 0.5)), dm((1e-6, 0.5)))
+        assert info.value.gap == pytest.approx(5e-7)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4, 1e8, 1e12])
+    def test_the_mean_test_scales_with_the_positions(self, scale):
+        # a relative mean gap of 1e-10 passes at every scale, 1e-8 at none
+        part = dm((scale, 0.5))
+        _validate(part, dm((scale * (1 + 1e-10), 0.5)))
+        with pytest.raises(DecomposeError, match="shadow mean"):
+            _validate(part, dm((scale * (1 + 1e-8), 0.5)))
+
+    def test_an_empty_shadow_is_judged_without_an_atom(self):
+        _validate(dm((0.0, 1e-14)), DiscreteMeasure([], []))
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e8, 1e12])
+def test_left_parts_keep_their_shadows_when_positions_scale(scale):
+    # the left parts at 0.3 and 0.7 of 200 ordered pairs: judged against
+    # max(1, |mean|), 3 of them lost their shadow at 1e8 and 2 at 1e12
+    for seed in range(200):
+        mu, nu = random_cx_pair(seed, 1 + seed % 5, seed % 4)
+        nu = DiscreteMeasure(nu.xs * scale, nu.ws)
+        for u in (0.3, 0.7):
+            part = restricted_measure(mu, u)
+            got = shadow(DiscreteMeasure(part.xs * scale, part.ws), nu)
+            assert got.mass == pytest.approx(part.mass, abs=1e-12)
 
 
 class TestOverdrawRule:
@@ -173,10 +217,10 @@ def hull_reference_sources(seed):
 
 def _attempt(fn, mu, nu):
     """``fn(mu, nu)`` and an empty message, or ``None`` and the message of
-    the :class:`ShadowInvalid` it raises."""
+    the :class:`DecomposeError` it raises."""
     try:
         return fn(mu, nu), ""
-    except ShadowInvalid as exc:
+    except DecomposeError as exc:
         return None, str(exc)
 
 
@@ -224,7 +268,7 @@ class TestRoundedSources:
         assert tv_distance(shadow(part, self.HAND_NU), hull_shadow(part, self.HAND_NU)) == 0.0
         parts = [restricted_measure(self.HAND_MU, u) for u in (0.9, 0.99999, 1.0 - 1e-9)]
         for part in (*parts, self.HAND_MU):
-            with pytest.raises(ShadowInvalid, match="one side"):
+            with pytest.raises(DecomposeError, match="one side"):
                 shadow(part, self.HAND_NU)
         # the hull route accepted the two parts nearest to full mass, and the
         # whole source on the potential check's verdict
@@ -250,14 +294,18 @@ class TestRoundedSources:
         mu = DiscreteMeasure(np.array(xs) + shift, [float(w[g].sum()) for g in groups])
         return mu, DiscreteMeasure(ys + shift, w)
 
-    def test_the_build_rejects_exactly_the_pairs_whose_walk_coupling_fails(self):
+    def test_the_build_rejects_exactly_the_pairs_whose_walk_coupling_fails(self, monkeypatch):
         # the walk's coupling passes verify_all exactly when the build, whose
-        # order verdict is that walk, accepts the pair: 216 of 300
+        # order verdict is that walk, accepts the pair: 216 of 300.  The
+        # coupling is taken from the walk without its overdraw judgement, so
+        # that verify_all judges the overdraw on its own
         built = 0
         for seed in range(300):
             mu, nu = self.shifted_barycentre_pair(seed)
             try:
-                rows, _ = _walk(mu, nu, 1.0)
+                with monkeypatch.context() as unjudged:
+                    unjudged.setattr(curtain, "_check_overdraw", lambda nu, left: None)
+                    rows, _ = _walk(mu, nu, 1.0)
                 table = CurtainTable(np.array(rows, dtype=TABLE_DTYPE))
                 passes = verify_all(None, coupling(table, mu), mu, nu).passed()
             except DecomposeError:

@@ -29,7 +29,6 @@ PUBLIC_NAMES = [
     "IrreducibleComponent",
     "LiftedCoupling",
     "OrderResult",
-    "ShadowInvalid",
     "TABLE_DTYPE",
     "VerificationReport",
     "build_curtain",
@@ -171,14 +170,15 @@ def test_the_walk_is_the_one_order_verdict():
     assert callers == {
         ("curtain", "_check_pair"), ("curtain", "check_convex_order"), ("shadow", "shadow")
     }
-    # the walk's overdraw has one rule, whatever the source's mass
+    # the walk judges its own overdraw, by one rule whatever the source's
+    # mass, so no caller of the walk judges it a second time
     judges = {
         (module, name)
-        for module in SOLVER_MODULES
+        for module in (*SOLVER_MODULES, "oracle")
         for name, fn in function_defs(module).items()
         if "_check_overdraw" in called_names(fn)
     }
-    assert judges == {("curtain", "_ordered_walk"), ("shadow", "shadow")}
+    assert judges == {("curtain", "_walk")}
     import leftcurtain.measures as measures
 
     assert not hasattr(measures, "check_convex_order")
@@ -199,10 +199,10 @@ def test_only_the_oracle_evaluates_a_potential_gap():
         (module, name)
         for module in SOLVER_MODULES
         for name, fn in function_defs(module).items()
-        if {"cumsum", "_union"} <= called_names(fn) or {"cumsum", "union1d"} <= called_names(fn)
+        if {"cumsum", "union1d"} <= called_names(fn)
     }
     assert not gap_sums
-    assert not {"_put_values", "_union"} & imported_or_used_names("shadow")
+    assert "_put_values" not in imported_or_used_names("shadow")
 
 
 def test_the_shadow_reads_the_walk():
@@ -218,6 +218,29 @@ def test_the_shadow_reads_the_walk():
     assert not hasattr(measures, "_PairGap")
 
 
+def test_the_shadow_signals_through_the_walks_error():
+    # one order error for every failure of the shadow, and no tolerance of
+    # its own: its checks take those of measures
+    tree = ast.parse((SRC / "shadow.py").read_text())
+    assert not [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    floats = [n for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, float)]
+    assert not floats
+    raised = {
+        n.exc.func.id for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None
+    }
+    assert raised == {"DecomposeError"}
+    assert not hasattr(leftcurtain, "ShadowInvalid")
+    assert "ShadowInvalid" not in (SRC / "cli.py").read_text()
+
+
+def test_the_sample_points_need_no_union():
+    # the identity's sample points read the atoms sorted, repeats and all
+    import leftcurtain.measures as measures
+
+    assert not hasattr(measures, "_union")
+    assert not called_names(ast.parse((SRC / "verify.py").read_text())) & {"_union", "union1d"}
+
+
 def test_the_table_keeps_what_the_sweep_decides():
     # a row is fixed by its levels, its kernel (g, r, s) and phi at its
     # start; the coupling's lifted rows are the table's first five columns
@@ -229,10 +252,11 @@ def test_the_table_keeps_what_the_sweep_decides():
 
 
 def test_the_verifiers_read_no_table():
-    # every residual judges the coupling it is given: phi comes from its rows
+    # every residual judges the coupling it is given: phi comes from its
+    # rows, and no verifier builds a coupling of its own
     tree = ast.parse((SRC / "verify.py").read_text())
     strings = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
-    assert "CurtainTable" not in imported_or_used_names("verify")
+    assert not {"CurtainTable", "coupling"} & imported_or_used_names("verify")
     assert "phi_lo" not in called_names(tree) | strings
 
 

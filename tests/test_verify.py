@@ -306,8 +306,9 @@ class TestShadowConsistency:
     def test_consistency_on_random_instances(self, seed):
         mu, nu = random_instance(seed)
         table = build_curtain(mu, nu)
-        assert verify_shadow_consistency(table, mu, nu, grid=6, seed=seed) <= 1e-9
-        assert shadow_tv_max(table, mu, nu, coupling(table, mu), grid=6, seed=seed) <= 1e-9
+        pi = coupling(table, mu)
+        assert verify_shadow_consistency(table, mu, nu, grid=6, seed=seed, coupling_obj=pi) <= 1e-9
+        assert shadow_tv_max(table, mu, nu, pi, grid=6, seed=seed) <= 1e-9
 
     def test_moved_upper_destination_is_caught(self, three_atom):
         # the lifted rows send the first source atom to 3 in place of 0; the
