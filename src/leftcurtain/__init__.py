@@ -13,7 +13,6 @@ from .curtain import (
     CurtainTable,
     LiftedCoupling,
     OrderResult,
-    TABLE_DTYPE,
     build_curtain,
     check_convex_order,
     coupling,
@@ -26,17 +25,14 @@ from .measures import (
     DiscreteMeasure,
     measure_from_json,
     measure_to_json,
-    put_potential,
     quantile_left,
     quantize_density,
     random_cx_pair,
-    restricted_measure,
 )
 from .oracle import curtain_incremental, joint_tv
 from .shadow import shadow
 from .verify import (
     VerificationReport,
-    destination_cdf,
     verify_all,
     verify_coupling,
     verify_left_monotone,
@@ -54,7 +50,6 @@ __all__ = [
     "IrreducibleComponent",
     "LiftedCoupling",
     "OrderResult",
-    "TABLE_DTYPE",
     "VerificationReport",
     "build_curtain",
     "check_convex_order",
@@ -62,15 +57,12 @@ __all__ = [
     "curtain_incremental",
     "curve_rows",
     "decompose",
-    "destination_cdf",
     "joint_tv",
     "measure_from_json",
     "measure_to_json",
-    "put_potential",
     "quantile_left",
     "quantize_density",
     "random_cx_pair",
-    "restricted_measure",
     "sample_y_many",
     "shadow",
     "verify_all",

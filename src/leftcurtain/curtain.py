@@ -42,13 +42,9 @@ from .measures import (
     _reach,
 )
 
-#: row layout of :attr:`CurtainTable.intervals`: a row's levels, its
-#: kernel ``(g, r, s)`` and phi at its start
-TABLE_DTYPE = np.dtype(
-    [(name, np.float64) for name in ("u_lo", "u_hi", "g", "r", "s", "phi_lo")]
-)
-
-#: column names of :attr:`LiftedCoupling.intervals` and of its JSON rows
+#: column names of the rows of :class:`CurtainTable` and
+#: :class:`LiftedCoupling`, and of the coupling's JSON rows: a row's levels,
+#: its source ``x = G(u)`` and its kernel's two destinations ``r <= x <= s``
 _COUPLING_ROW_KEYS = ("u_lo", "u_hi", "x", "r", "s")
 
 
@@ -69,29 +65,39 @@ def _two_point(x, r, s):
 
 
 @dataclass(frozen=True, eq=False)
-class CurtainTable:
-    """Piecewise-constant-in-``u`` representation of ``(G, R, S, phi)``.
-
-    ``intervals`` is one structured array of dtype :data:`TABLE_DTYPE`,
-    one row per quantile interval ``(u_lo, u_hi]`` in increasing order;
-    pointwise queries at exact breakpoints follow the left-limit
-    convention.  Point-kernel rows store exactly ``r = g = s``, and
-    ``phi_lo`` fixes phi on the whole row (:func:`_phi_hi`).
-    """
+class _Rows:
+    """``intervals`` is an ``(N, 5)`` float array of rows ``(u_lo, u_hi, x,
+    r, s)`` (:data:`_COUPLING_ROW_KEYS`), one per quantile interval ``(u_lo,
+    u_hi]``: on it the source ``x`` sends its levels to ``r`` and ``s`` by a
+    mean-preserving kernel."""
 
     intervals: np.ndarray
 
     @cached_property
     def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_two_point` of the rows ``(g, r, s)``."""
-        t = self.intervals
-        return _two_point(t["g"], t["r"], t["s"])
+        """:func:`_two_point` of the rows ``(x, r, s)``."""
+        return _two_point(*self.intervals[:, 2:].T)
+
+
+@dataclass(frozen=True, eq=False)
+class CurtainTable(_Rows):
+    """Piecewise-constant-in-``u`` representation of ``(G, R, S, phi)``.
+
+    ``intervals`` holds the rows in increasing order of level, read-only,
+    and :func:`coupling` hands them on as they are; ``x`` is ``G`` on the
+    row.  Pointwise queries at exact breakpoints follow the left-limit
+    convention.  Point-kernel rows store exactly ``r = x = s``.
+    ``phi_lo`` is phi at each row's start, which fixes phi on the whole row
+    (:func:`_phi_hi`).
+    """
+
+    phi_lo: np.ndarray
 
     @cached_property
     def _guide(self) -> tuple:
         """:func:`~leftcurtain.measures._guide_table` of the interior row
         ends ``u_hi[:-1]``."""
-        return _guide_table(self.intervals["u_hi"][:-1])
+        return _guide_table(self.intervals[:-1, 1])
 
 
 def _phi_hi(phi_lo: np.ndarray, width: np.ndarray, kernels: tuple) -> np.ndarray:
@@ -122,12 +128,12 @@ def _walk(
     less ``u``.  The levels are ``mu``'s cumulative weights, from exactly 0
     to exactly ``end``: 1 for a probability pair, ``mu.mass`` for a
     sub-probability source, whose shadow is the mass used up.  Rows are
-    :data:`TABLE_DTYPE` tuples ``(u_lo, u_hi, g, r, s, phi_lo)``.  The walk
-    judges itself, so ``mu`` does not lie below ``nu`` in convex order where
-    it raises :class:`~leftcurtain.measures.DecomposeError`: at a source atom
-    with no target atom with mass left on one side of it (the atom is the
-    witness, its levels not yet sent the gap), or at an overdraw of ``nu``'s
-    atoms (:func:`_check_overdraw`).
+    tuples ``(u_lo, u_hi, x, r, s, phi_lo)``.  The walk judges itself, so
+    ``mu`` does not lie below ``nu`` in convex order where it raises
+    :class:`~leftcurtain.measures.DecomposeError`: at a source atom with no
+    target atom with mass left on one side of it (the atom is the witness,
+    its levels not yet sent the gap), or at an overdraw of ``nu``'s atoms
+    (:func:`_check_overdraw`).
     """
     # scalars are read as Python floats, which is faster than numpy's
     ys, f_nu, left = nu.xs.tolist(), nu.cum_weights.tolist(), nu.ws.tolist()
@@ -244,33 +250,26 @@ def build_curtain(mu: DiscreteMeasure, nu: DiscreteMeasure) -> CurtainTable:
     :class:`~leftcurtain.measures.DecomposeError` unless the walk finds the
     pair in convex order (:func:`_ordered_walk`).
     """
-    table = np.array(_check_pair(mu, nu), dtype=TABLE_DTYPE)
-    table.flags.writeable = False
-    return CurtainTable(table)
+    rows = np.array(_check_pair(mu, nu), dtype=float).reshape(-1, 6)
+    rows.flags.writeable = False
+    return CurtainTable(rows[:, :5], rows[:, 5])
 
 
 # -- lifted coupling -------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class LiftedCoupling:
+class LiftedCoupling(_Rows):
     """Curtain kernels integrated over the quantile level.
 
-    ``intervals`` is an ``(N, 5)`` float array of ``(u_lo, u_hi, x, r, s)``
-    rows.  The flattened joint measure on pairs ``(joint_x, joint_y)`` with
+    The flattened joint measure on pairs ``(joint_x, joint_y)`` with
     weights ``joint_w`` is the rows' integral: each pair carries what the
     rows send from its source atom to its target atom.
     """
 
-    intervals: np.ndarray
     joint_x: np.ndarray
     joint_y: np.ndarray
     joint_w: np.ndarray
-
-    @cached_property
-    def _kernels(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:func:`_two_point` of the rows ``(x, r, s)``."""
-        return _two_point(*self.intervals[:, 2:].T)
 
     def to_json(self, components=None) -> dict:
         return {
@@ -281,17 +280,21 @@ class LiftedCoupling:
 
     @staticmethod
     def from_json(obj: dict) -> "LiftedCoupling":
-        rows = [[float(r[key]) for key in _COUPLING_ROW_KEYS] for r in obj["intervals"]]
+        """The coupling of a JSON document as :meth:`to_json` writes it; a
+        document of another shape, or an entry that is not a finite number,
+        is a ``ValueError``."""
+        try:
+            rows = [[float(r[key]) for key in _COUPLING_ROW_KEYS] for r in obj["intervals"]]
+            joint = np.array(obj["joint"], dtype=float)
+        except TypeError as exc:
+            raise ValueError(f"coupling entries must be finite numbers in rows ({exc})") from None
+        if joint.size and joint.shape[1:] != (3,):
+            raise ValueError("coupling joint rows must be [x, y, weight] triples of finite numbers")
+        joint = joint.reshape(-1, 3)
         rows = np.array(rows, dtype=float).reshape(-1, 5)
-        joint = np.array(obj["joint"], dtype=float).reshape(-1, 3)
         if not (np.isfinite(rows).all() and np.isfinite(joint).all() and (joint[:, 2] >= 0).all()):
             raise ValueError("coupling entries must be finite and joint weights non-negative")
-        return LiftedCoupling(
-            rows,
-            joint[:, 0].copy(),
-            joint[:, 1].copy(),
-            joint[:, 2].copy(),
-        )
+        return LiftedCoupling(rows, joint[:, 0].copy(), joint[:, 1].copy(), joint[:, 2].copy())
 
 
 def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
@@ -300,13 +303,16 @@ def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
     The kernel is constant on every table interval, so the flattened joint
     measure is an exact finite sum; its first marginal is ``mu`` by
     construction and its second marginal is the target law.  Weights of
-    equal ``(x, y)`` pairs are added in table order.
+    equal ``(x, y)`` pairs are added in table order.  The coupling's rows
+    are the table's own read-only array.  ``mu`` is unread, since the rows
+    carry the source; it stays because ``perfbench`` passes it, until
+    ROADMAP item 1 changes those calls.
     """
-    t = table.intervals
+    u_lo, u_hi, x, _, s = table.intervals.T
     lower, w_r, _ = table._kernels
-    du = t["u_hi"] - t["u_lo"]
-    xs = np.repeat(t["g"], 2)
-    ys = np.column_stack((lower, t["s"])).ravel()
+    du = u_hi - u_lo
+    xs = np.repeat(x, 2)
+    ys = np.column_stack((lower, s)).ravel()
     ws = np.column_stack((du * w_r, du * (1.0 - w_r))).ravel()
     # a point kernel sends nothing to its upper atom; empty intervals carry no mass
     live = np.repeat(du > 0, 2) & (ws != 0)
@@ -318,10 +324,7 @@ def coupling(table: CurtainTable, mu: DiscreteMeasure) -> LiftedCoupling:
     pairs, inverse = np.unique(keys, return_inverse=True)
     weights = np.bincount(inverse, weights=ws[live], minlength=len(pairs))
     keep = weights > 0
-    rows = np.column_stack([t[name] for name in TABLE_DTYPE.names[:5]])
-    pi = LiftedCoupling(rows, pairs.real[keep], pairs.imag[keep], weights[keep])
-    pi.__dict__["_kernels"] = table._kernels  # its rows (x, r, s) are the table's (g, r, s)
-    return pi
+    return LiftedCoupling(table.intervals, pairs.real[keep], pairs.imag[keep], weights[keep])
 
 
 def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
@@ -331,18 +334,18 @@ def sample_y_many(table: CurtainTable, us: np.ndarray, vs: np.ndarray) -> np.nda
     destination where ``v`` is at most the mean-preserving share ``(S -
     G) / (S - R)`` and the upper one above it.
     """
-    t = table.intervals
+    _, u_hi, _, _, s = table.intervals.T
     lower, share, _ = table._kernels
-    idx = _level_index(t["u_hi"], us, table)
-    return np.where(vs <= share[idx], lower[idx], t["s"][idx])
+    idx = _level_index(u_hi, us, table)
+    return np.where(vs <= share[idx], lower[idx], s[idx])
 
 
 def curve_rows(table: CurtainTable) -> np.ndarray:
     """Rows ``(u, G, R, Q, S, phi)`` at both endpoints of every interval;
     the contact ``Q`` of the envelope left of ``G`` is ``R`` itself."""
-    t = table.intervals
-    shape = [t[name] for name in ("g", "r", "r", "s")]
-    lo = np.column_stack([t["u_lo"], *shape, t["phi_lo"]])
-    phi_hi = _phi_hi(t["phi_lo"], t["u_hi"] - t["u_lo"], table._kernels)
-    hi = np.column_stack([t["u_hi"], *shape, phi_hi])
+    u_lo, u_hi, x, r, s = table.intervals.T
+    shape = (x, r, r, s)
+    lo = np.column_stack((u_lo, *shape, table.phi_lo))
+    phi_hi = _phi_hi(table.phi_lo, u_hi - u_lo, table._kernels)
+    hi = np.column_stack((u_hi, *shape, phi_hi))
     return np.stack((lo, hi), axis=1).reshape(-1, 6)

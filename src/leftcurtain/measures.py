@@ -1,4 +1,4 @@
-"""Finite measures with atoms: potentials, quantiles and restriction.
+"""Finite measures with atoms: quantiles, quantisation and the JSON schema.
 
 Measures are unnormalised throughout (restrictions and shadows have mass
 below one), with weights strictly positive and positions strictly
@@ -125,12 +125,6 @@ class DiscreteMeasure:
             out = np.where(np.minimum(gap_left, gap_right) <= POS_EPS, near, out)
         return int(out) if out.ndim == 0 else out
 
-    def atom_weight(self, x) -> np.ndarray | float:
-        """Weight of the atom that :meth:`atom_index` matches to ``x``, or 0
-        if there is none; elementwise for an array ``x``."""
-        out = np.append(self.ws, 0.0)[self.atom_index(x)]
-        return float(out) if out.ndim == 0 else out
-
     def __setattr__(self, name, value):
         raise AttributeError("DiscreteMeasure is immutable")
 
@@ -228,36 +222,6 @@ def _level_index(ends: np.ndarray, u, owner) -> np.ndarray:
     return np.minimum(np.searchsorted(ends, u, side="left"), ends.size - 1)
 
 
-def _put_values(xs: np.ndarray, ws: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
-    """Put potential ``sum_{x_i < k} w_i (k - x_i)`` of the atoms ``(xs,
-    ws)`` at the points ``k``.
-
-    Evaluated in coordinates centred at ``c`` (the barycentre, so every
-    term is of the size of the spread, not of the positions), from the
-    cumulative weight and the cumulative centred moment of the atoms
-    strictly below each point: ``F(k-) (k - c) - sum_{x_i < k} w_i (x_i -
-    c)``.  Any ``c`` gives the same function in exact arithmetic.
-    """
-    j = np.searchsorted(xs, k, side="left")
-    cw = np.concatenate(([0.0], np.cumsum(ws)))
-    cm = np.concatenate(([0.0], np.cumsum(ws * (xs - c))))
-    return cw[j] * (k - c) - cm[j]
-
-
-def put_potential(eta: DiscreteMeasure, k):
-    """Put-option potential ``P(k) = integral of (k - x)^+ d eta`` at ``k``.
-
-    Piecewise linear with a kink of size ``w_i`` at each atom, identically
-    zero left of the support, and asymptote ``mass * k - mean`` on the
-    right.  Evaluated by :func:`_put_values` centred at ``eta``'s own
-    barycentre; a scalar ``k`` gives a float, an array an array.
-    """
-    if eta.n_atoms == 0:
-        raise ValueError("put_potential requires a non-empty measure")
-    out = _put_values(eta.xs, eta.ws, eta.mean / eta.mass, np.asarray(k, dtype=float))
-    return float(out) if out.ndim == 0 else out
-
-
 def quantile_left(eta: DiscreteMeasure, u):
     """Left-continuous quantile of a probability measure at ``u`` in (0, 1).
 
@@ -271,22 +235,6 @@ def quantile_left(eta: DiscreteMeasure, u):
         raise ValueError("quantile level must lie in (0, 1)")
     out = eta.xs[_level_index(eta.cum_weights, u_arr, eta)]
     return float(out) if out.ndim == 0 else out
-
-
-def restricted_measure(mu: DiscreteMeasure, u: float) -> DiscreteMeasure:
-    """Leftmost part of ``mu`` with mass exactly ``u``.
-
-    Keeps every atom strictly below the quantile ``G(u)`` and a partial
-    atom of weight ``u - F(G(u)-)`` at ``G(u)``.
-    """
-    if not (0.0 < u < 1.0):
-        raise ValueError("restriction level must lie in (0, 1)")
-    g = quantile_left(mu, u)
-    i = int(np.searchsorted(mu.cum_weights, u, side="left"))
-    below = u - (mu.cum_weights[i - 1] if i > 0 else 0.0)
-    xs = np.concatenate([mu.xs[:i], [g]])
-    ws = np.concatenate([mu.ws[:i], [below]])
-    return DiscreteMeasure(xs, ws)
 
 
 class DecomposeError(ValueError):
@@ -422,10 +370,28 @@ def measure_to_json(eta: DiscreteMeasure) -> dict:
     return {"type": "atoms", "atoms": [[float(x), float(w)] for x, w in zip(eta.xs, eta.ws)]}
 
 
-def measure_from_json(obj: dict) -> DiscreteMeasure:
+def measure_from_json(obj) -> DiscreteMeasure:
+    """The measure of a JSON document of the schema in :mod:`leftcurtain.cli`.
+
+    A document of another shape is a ``ValueError``, and so is a cell count
+    ``n`` that is not a whole number: a boolean, ``null`` or ``2.7``.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"a measure must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "atoms":
-        return DiscreteMeasure.from_atoms((float(x), float(w)) for x, w in obj["atoms"])
+        try:
+            pairs = [(float(x), float(w)) for x, w in obj["atoms"]]
+        except TypeError:
+            raise ValueError("atoms must be a list of [x, w] pairs of numbers") from None
+        return DiscreteMeasure.from_atoms(pairs)
     if kind == "grid-density":
-        return quantize_density(obj["xs"], obj["pdf"], int(obj["n"]))
+        n = obj["n"]
+        if not (type(n) is int or isinstance(n, float) and n.is_integer()):
+            raise ValueError(f"grid-density n must be a whole number, got {n!r}")
+        try:
+            xs, pdf = np.asarray(obj["xs"], dtype=float), np.asarray(obj["pdf"], dtype=float)
+        except TypeError:
+            raise ValueError("grid-density xs and pdf must be lists of numbers") from None
+        return quantize_density(xs, pdf, int(n))
     raise ValueError(f"unknown measure type: {kind!r}")

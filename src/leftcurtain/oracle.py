@@ -31,18 +31,57 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .measures import (
-    MASS_TOL,
-    POS_EPS,
-    DiscreteMeasure,
-    _put_values,
-    put_potential,
-    restricted_measure,
-)
+from .measures import MASS_TOL, POS_EPS, DiscreteMeasure, quantile_left
 from .pwl import convex_hull, evaluate
 
 #: tolerance for deciding that a function touches its convex envelope
 CONTACT_EPS = 1e-10
+
+
+def _put_values(xs: np.ndarray, ws: np.ndarray, c: float, k: np.ndarray) -> np.ndarray:
+    """Put potential ``sum_{x_i < k} w_i (k - x_i)`` of the atoms ``(xs,
+    ws)`` at the points ``k``.
+
+    Evaluated in coordinates centred at ``c`` (the barycentre, so every
+    term is of the size of the spread, not of the positions), from the
+    cumulative weight and the cumulative centred moment of the atoms
+    strictly below each point: ``F(k-) (k - c) - sum_{x_i < k} w_i (x_i -
+    c)``.  Any ``c`` gives the same function in exact arithmetic.
+    """
+    j = np.searchsorted(xs, k, side="left")
+    cw = np.concatenate(([0.0], np.cumsum(ws)))
+    cm = np.concatenate(([0.0], np.cumsum(ws * (xs - c))))
+    return cw[j] * (k - c) - cm[j]
+
+
+def put_potential(eta: DiscreteMeasure, k):
+    """Put-option potential ``P(k) = integral of (k - x)^+ d eta`` at ``k``.
+
+    Piecewise linear with a kink of size ``w_i`` at each atom, identically
+    zero left of the support, and asymptote ``mass * k - mean`` on the
+    right.  Evaluated by :func:`_put_values` centred at ``eta``'s own
+    barycentre; a scalar ``k`` gives a float, an array an array.
+    """
+    if eta.n_atoms == 0:
+        raise ValueError("put_potential requires a non-empty measure")
+    out = _put_values(eta.xs, eta.ws, eta.mean / eta.mass, np.asarray(k, dtype=float))
+    return float(out) if out.ndim == 0 else out
+
+
+def restricted_measure(mu: DiscreteMeasure, u: float) -> DiscreteMeasure:
+    """Leftmost part of ``mu`` with mass exactly ``u``.
+
+    Keeps every atom strictly below the quantile ``G(u)`` and a partial
+    atom of weight ``u - F(G(u)-)`` at ``G(u)``.
+    """
+    if not (0.0 < u < 1.0):
+        raise ValueError("restriction level must lie in (0, 1)")
+    g = quantile_left(mu, u)
+    i = int(np.searchsorted(mu.cum_weights, u, side="left"))
+    below = u - (mu.cum_weights[i - 1] if i > 0 else 0.0)
+    xs = np.concatenate([mu.xs[:i], [g]])
+    ws = np.concatenate([mu.ws[:i], [below]])
+    return DiscreteMeasure(xs, ws)
 
 
 class Infeasible(ValueError):

@@ -202,25 +202,14 @@ def _s_inverse(pi: LiftedCoupling, y: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return np.append(0.0, pi.intervals[:, 1])[j], j
 
 
-def destination_cdf(pi: LiftedCoupling, y):
-    """Probability that the destination lies at or below ``y``;
-    elementwise for an array ``y``.
-
-    Exact for the piecewise-constant rows of the coupling ``pi``: levels up
-    to the inverse of the upper function all land at or below ``y``; above
-    it, the lower branch contributes its kernel weight wherever the lower
-    function stays at or below ``y``.
-    """
-    y = np.asarray(y, dtype=float)
-    out = _destination_cdf(pi, y.ravel(), _s_inverse(pi, y.ravel())[0]).reshape(y.shape)
-    return float(out) if out.ndim == 0 else out
-
-
 def _destination_cdf(pi: LiftedCoupling, y: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """:func:`destination_cdf` at the points of a flat ``y``, given
-    ``v = S^{-1}(y)``.
+    """Probability that the destination of ``pi``'s rows lies at or below
+    each point of a flat ``y``, given ``v = S^{-1}(y)`` (:func:`_s_inverse`).
 
-    A point keeps the mass ``(u_hi - max(u_lo, v)) * share`` of each row
+    Exact for the piecewise-constant rows: the levels up to ``v`` all land
+    at or below ``y``; above it, the lower branch contributes its kernel
+    weight wherever the lower function stays at or below ``y``.  A point
+    keeps the mass ``(u_hi - max(u_lo, v)) * share`` of each row
     from ``above``, the first row with ``u_hi > v``, whose lower value is at
     most ``y``.  The rows of ``above``'s leaf of ``_LEAF`` rows (the whole
     table when it is one leaf) are summed in one block.  A later leaf lies
@@ -383,14 +372,16 @@ def verify_shadow_consistency(
     level mass of the band rows below the highest fill level inside their
     band.  Together they are zero exactly when ``S_u`` is the shadow of
     ``mu_u`` at every level, not only at sampled ones.  Destinations are
-    matched to target atoms by the rule of
-    :meth:`DiscreteMeasure.atom_weight`, so "strictly inside a band" is an
-    integer test on atom indices.  Cost ``O((N + n) log n)`` for ``N`` rows
-    and ``n`` target atoms, all of it in array operations: a binary search
-    per destination and a sparse table of range maxima over the atoms.
+    matched to target atoms by :meth:`DiscreteMeasure.atom_index`, so
+    "strictly inside a band" is an integer test on atom indices.  Cost
+    ``O((N + n) log n)`` for ``N`` rows and ``n`` target atoms, all of it in
+    array operations: a binary search per destination and a sparse table
+    of range maxima over the atoms.
 
     The rows are those of ``coupling_obj``, which is required: the verifier
-    builds nothing.  ``table``, ``grid`` and ``seed`` are unused.
+    builds nothing.  ``table``, ``grid`` and ``seed`` are unread, and stay
+    because ``perfbench`` passes them, until ROADMAP item 1 changes those
+    calls.
     """
     u_lo, u_hi, x, r, s = coupling_obj.intervals.T
     width = u_hi - u_lo
@@ -460,7 +451,8 @@ def verify_all(
     """Run every verifier on the coupling ``pi`` and collect one report.
 
     ``table`` is unread: every check judges ``pi`` against ``mu`` and
-    ``nu``, so the report depends on nothing else.
+    ``nu``, so the report depends on nothing else.  It stays because
+    ``perfbench`` passes it, until ROADMAP item 1 changes those calls.
     """
     rep = VerificationReport()
     verify_coupling(pi, mu, nu, tol, report=rep)

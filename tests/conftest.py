@@ -11,14 +11,21 @@ from leftcurtain import (
     random_cx_pair,
     sample_y_many,
 )
-from leftcurtain.curtain import _two_point
+from leftcurtain.curtain import _COUPLING_ROW_KEYS, _two_point
 from leftcurtain.measures import POS_EPS, _merge_atoms
-from leftcurtain.verify import _s_inverse
+from leftcurtain.verify import _destination_cdf, _s_inverse
 
 
 def dm(*pairs):
     """Shorthand measure constructor from (position, weight) pairs."""
     return DiscreteMeasure.from_atoms(pairs)
+
+
+def atom_weight(eta, x):
+    """Weight of the atom of ``eta`` that :meth:`DiscreteMeasure.atom_index`
+    matches to ``x``, or 0 if there is none; elementwise for an array ``x``."""
+    out = np.append(eta.ws, 0.0)[eta.atom_index(x)]
+    return float(out) if out.ndim == 0 else out
 
 
 def tv_distance(a, b):
@@ -67,29 +74,46 @@ def decompose_pair(mu, nu):
     return decompose(coupling(build_curtain(mu, nu), mu), mu, nu)
 
 
+def columns(table):
+    """The columns of ``table``'s rows by name (``_COUPLING_ROW_KEYS``), and
+    ``phi_lo``."""
+    return {**dict(zip(_COUPLING_ROW_KEYS, table.intervals.T)), "phi_lo": table.phi_lo}
+
+
+def row_at(table, i):
+    """Row ``i`` of ``table`` as a dict of its named entries (:func:`columns`)."""
+    return {name: column[i] for name, column in columns(table).items()}
+
+
+def rows_of(table):
+    """Every row of ``table``, in order, as by :func:`row_at`."""
+    return [row_at(table, i) for i in range(len(table.intervals))]
+
+
 def row_components(table, mu, nu):
     """Irreducible component of every row of ``table``, read off its
     coupling: the index of the component whose interval ``(a, b)`` strictly
-    holds the row's ``g``, or -1 for a static atom."""
-    g = table.intervals["g"]
-    out = np.full(g.shape, -1, dtype=np.int64)
+    holds the row's ``x``, or -1 for a static atom."""
+    x = columns(table)["x"]
+    out = np.full(x.shape, -1, dtype=np.int64)
     for k, comp in enumerate(decompose(coupling(table, mu), mu, nu).components):
-        out[(g > comp.a) & (g < comp.b)] = k
+        out[(x > comp.a) & (x < comp.b)] = k
     return out
 
 
 def breakpoints(table):
     """The levels that bound the rows of ``table``, from 0 to 1."""
-    return np.concatenate(([table.intervals["u_lo"][0]], table.intervals["u_hi"]))
+    t = columns(table)
+    return np.concatenate(([t["u_lo"][0]], t["u_hi"]))
 
 
 def nontrivial_runs(table):
     """Maximal index runs of the rows of ``table`` whose kernel splits mass
     and whose upper function stays above the next row's quantile."""
-    t = table.intervals
+    t = columns(table)
     split = t["s"] > t["r"]
-    joined = np.zeros(len(t), dtype=bool)
-    joined[1:] = split[:-1] & (t["g"][1:] < t["s"][:-1] - POS_EPS)
+    joined = np.zeros(len(split), dtype=bool)
+    joined[1:] = split[:-1] & (t["x"][1:] < t["s"][:-1] - POS_EPS)
     idx = np.flatnonzero(split)
     if idx.size == 0:
         return []
@@ -100,14 +124,14 @@ def nontrivial_runs(table):
 def locate(table, u):
     """Index of the row of ``table`` whose interval ``(u_lo, u_hi]`` holds
     the level ``u``."""
-    t = table.intervals
-    return min(int(t["u_hi"].searchsorted(u, side="left")), len(t) - 1)
+    u_hi = columns(table)["u_hi"]
+    return min(int(u_hi.searchsorted(u, side="left")), len(u_hi) - 1)
 
 
 def dphi(rows):
-    """phi's slope on ``rows``: ``-(S - G) / (S - R)`` where the kernel
-    splits, 0 on point rows."""
-    _, share, split = _two_point(rows["g"], rows["r"], rows["s"])
+    """phi's slope on ``rows`` (:func:`columns` or :func:`row_at`): ``-(S -
+    G) / (S - R)`` where the kernel splits, 0 on point rows."""
+    _, share, split = _two_point(rows["x"], rows["r"], rows["s"])
     return np.where(split, -share, 0.0)[()]
 
 
@@ -119,13 +143,20 @@ def phi_at(rows, u):
 def phi(table, u):
     """phi(u) of ``table``: left-continuous, with its right limit at
     ``u = 0``."""
-    t = table.intervals
-    return float(t["phi_lo"][0] if u <= 0.0 else phi_at(t[locate(table, u)], u))
+    return float(table.phi_lo[0] if u <= 0.0 else phi_at(row_at(table, locate(table, u)), u))
 
 
 def s_inverse(pi, y):
     """``S^{-1}(y)`` of the coupling ``pi`` at one point, as the verifiers read it."""
     return float(_s_inverse(pi, np.array([y], dtype=float))[0][0])
+
+
+def destination_cdf(pi, y):
+    """Probability that the destination of the coupling ``pi`` lies at or
+    below ``y``, as the verifiers read it; elementwise for an array ``y``."""
+    y = np.asarray(y, dtype=float)
+    out = _destination_cdf(pi, y.ravel(), _s_inverse(pi, y.ravel())[0]).reshape(y.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -161,9 +192,9 @@ def td_tu(table):
     one configuration and flagged multi-valued otherwise (genuine source
     atoms spanning several configurations).
     """
-    t = table.intervals
-    order = np.argsort(t["g"], kind="stable")
-    g = t["g"][order]
+    t = columns(table)
+    order = np.argsort(t["x"], kind="stable")
+    g = t["x"][order]
     new_x = np.concatenate(([True], g[1:] != g[:-1]))
     firsts = np.flatnonzero(new_x)
 

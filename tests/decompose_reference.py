@@ -14,7 +14,7 @@ import numpy as np
 from leftcurtain import DiscreteMeasure, check_convex_order
 from leftcurtain.measures import MASS_TOL
 from leftcurtain.decompose import Decomposition, IrreducibleComponent
-from conftest import tv_distance
+from conftest import atom_weight, tv_distance
 
 #: gap values below this, times the pair's spread, count as zeros of D
 ZERO_TOL = 1e-11
@@ -49,7 +49,7 @@ def decompose_reference(mu, nu):
     residual = {}
     for i in zero_idx.tolist():
         x = float(grid[i])
-        m_w, n_w = mu.atom_weight(x), nu.atom_weight(x)
+        m_w, n_w = atom_weight(mu, x), atom_weight(nu, x)
         assert m_w <= n_w + BALANCE_TOL
         take = min(m_w, n_w)
         if take > 0:

@@ -20,8 +20,10 @@ before the walk became its convex-order verdict.
 import numpy as np
 
 from leftcurtain import DecomposeError as ShadowInvalid
-from leftcurtain.measures import MASS_TOL, DiscreteMeasure, _put_values
+from leftcurtain.measures import MASS_TOL, DiscreteMeasure
+from leftcurtain.oracle import _put_values
 from leftcurtain.pwl import convex_hull
+from conftest import atom_weight
 
 #: slack the hull route allowed when checking atomwise domination by ``nu``
 DOMINATION_SLACK = 1e-10
@@ -69,7 +71,7 @@ def _validate(mu, nu, s):
         raise ShadowInvalid(f"shadow mass {s.mass} != source mass {mu.mass}")
     if abs(s.mean - mu.mean) > 1e-9 * max(1.0, abs(mu.mean)):
         raise ShadowInvalid(f"shadow mean {s.mean} != source mean {mu.mean}")
-    cap = nu.atom_weight(s.xs)
+    cap = atom_weight(nu, s.xs)
     over = np.flatnonzero(s.ws > cap + DOMINATION_SLACK)
     if over.size:
         x, w, target = (float(a[over[0]]) for a in (s.xs, s.ws, cap))

@@ -10,7 +10,8 @@ runs the walk that builds the rows.  It shares no code with the certificate.
 
 import numpy as np
 
-from leftcurtain import DiscreteMeasure, restricted_measure
+from leftcurtain import DiscreteMeasure
+from leftcurtain.oracle import restricted_measure
 from conftest import breakpoints, tv_distance
 from shadow_hull_reference import hull_shadow
 

@@ -7,7 +7,7 @@ potentials and prefix sums, so the walk's tables can be compared with an
 independent construction.  It shares no code with the walk: it reads only
 the measures' positions and cumulative weights.
 
-``sweep_rows(mu, nu)`` returns the sweep's rows ``(u_lo, u_hi, g, r, s,
+``sweep_rows(mu, nu)`` returns the sweep's rows ``(u_lo, u_hi, x, r, s,
 phi_lo)`` for a probability pair in convex order.
 """
 

@@ -24,22 +24,22 @@ from leftcurtain import (
     curtain_incremental,
     decompose,
     joint_tv,
-    put_potential,
     quantize_density,
-    restricted_measure,
     sample_y_many,
     shadow,
     verify_left_monotone,
     verify_marginal_identity,
 )
 from leftcurtain.curtain import LiftedCoupling
-from leftcurtain.oracle import PairReference, shadow_lp
+from leftcurtain.oracle import PairReference, put_potential, restricted_measure, shadow_lp
 from conftest import (
     bank_instance,
     barrier_instance,
+    columns,
     interior_zeros,
     nontrivial_runs,
     phi_at,
+    row_at,
     row_components,
     scaled,
     straddle_mass,
@@ -163,7 +163,7 @@ def _component_frames(pi, mu, nu, table, components):
     dec = decompose(pi, mu, nu)
     frames = {}
     for k, comp in enumerate(dec.components):
-        offset = float(table.intervals["u_lo"][components == k].min())
+        offset = float(columns(table)["u_lo"][components == k].min())
         local = (scaled(comp.mu_part, 1 / comp.mass), scaled(comp.nu_part, 1 / comp.mass))
         frames[k] = (offset, comp.mass, PairReference(*local))
     return frames
@@ -176,7 +176,7 @@ def test_criterion_5_phi_laws(bank):
     fd_worst = 0.0
     for seed, mu, nu, table, pi, oracle in instances:
         # Lipschitz-type lower bound at interval representatives
-        t = table.intervals
+        t = columns(table)
         mids = 0.5 * (t["u_lo"] + t["u_hi"])
         us = np.concatenate((mids, t["u_hi"]))
         ps = np.concatenate((phi_at(t, mids), phi_at(t, t["u_hi"])))
@@ -189,7 +189,7 @@ def test_criterion_5_phi_laws(bank):
         for run in nontrivial_runs(table):
             last = None
             for idx in run:
-                iv = table.intervals[idx]
+                iv = row_at(table, idx)
                 if last is not None:
                     mono_worst = max(mono_worst, iv["phi_lo"] - last)
                 last = phi_at(iv, iv["u_hi"])
@@ -197,13 +197,13 @@ def test_criterion_5_phi_laws(bank):
         components = row_components(table, mu, nu)
         frames = _component_frames(pi, mu, nu, table, components)
         for run in nontrivial_runs(table):
-            run_ivs = table.intervals[run]
+            run_ivs = [row_at(table, i) for i in run]
             run_components = components[run]
-            lo = run_ivs["u_lo"][0]
-            hi = run_ivs["u_hi"][-1]
+            lo = run_ivs[0]["u_lo"]
+            hi = run_ivs[-1]["u_hi"]
             for j in range(20):
                 u = lo + (hi - lo) * (j + 0.5) / 20
-                k = min(int(np.searchsorted(run_ivs["u_hi"], u, side="left")), len(run) - 1)
+                k = min(int(np.searchsorted([iv["u_hi"] for iv in run_ivs], u, side="left")), len(run) - 1)
                 iv = run_ivs[k]
                 length = iv["u_hi"] - iv["u_lo"]
                 u = min(max(u, iv["u_lo"] + length / 4), iv["u_hi"] - length / 4)
@@ -212,7 +212,7 @@ def test_criterion_5_phi_laws(bank):
                 u_l = (u - offset) / w
                 h_l = h / w
                 fd = (ref.at(u_l + h_l).phi - ref.at(u_l - h_l).phi) / (2 * h_l)
-                expect = -(iv["s"] - iv["g"]) / (iv["s"] - iv["r"])
+                expect = -(iv["s"] - iv["x"]) / (iv["s"] - iv["r"])
                 fd_worst = max(fd_worst, abs(fd - expect))
     ok = lip_worst <= 1e-10 and mono_worst <= 1e-10 and fd_worst <= 1e-6
     _line(

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -12,10 +13,14 @@ import pytest
 import leftcurtain
 from leftcurtain import (
     DiscreteMeasure,
+    LiftedCoupling,
     build_curtain,
+    coupling,
     decompose,
+    measure_from_json,
     measure_to_json,
     quantile_left,
+    random_cx_pair,
     sample_y_many,
 )
 from leftcurtain.cli import CSV_BLOCK_ROWS, EXIT_IO, EXIT_OK, EXIT_ORDER, EXIT_VERIFICATION, main
@@ -41,6 +46,57 @@ def test_shadow_command(pair_files, tmp_path):
     obj = json.loads(out.read_text())
     assert obj["type"] == "atoms"
     assert obj["atoms"] == [[-1.0, 0.5], [1.0, 0.5]]
+
+
+def test_shadow_command_reads_a_measure_from_stdin(pair_files, tmp_path, monkeypatch):
+    mu_path, nu_path = pair_files
+    from_file, from_stdin = tmp_path / "file.json", tmp_path / "stdin.json"
+    assert main(["shadow", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(from_file)]) == EXIT_OK
+    monkeypatch.setattr(sys, "stdin", io.StringIO(mu_path.read_text()))
+    assert main(["shadow", "--mu", "-", "--nu", str(nu_path), "--out", str(from_stdin)]) == EXIT_OK
+    assert from_stdin.read_bytes() == from_file.read_bytes()
+
+
+def test_shadow_command_of_an_empty_source(pair_files, tmp_path):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps(measure_to_json(DiscreteMeasure([], []))))
+    out = tmp_path / "shadow.json"
+    assert main(["shadow", "--mu", str(empty), "--nu", str(pair_files[1]), "--out", str(out)]) == EXIT_OK
+    assert json.loads(out.read_text()) == {"type": "atoms", "atoms": []}
+
+
+def assert_coupling_file_reads_back_bitwise(mu_path, nu_path, out):
+    """The rows and joint that ``curtain`` writes for the pair read back
+    through ``LiftedCoupling.from_json`` bit for bit as the table's rows and
+    the coupling's joint."""
+    assert main(["curtain", "--mu", str(mu_path), "--nu", str(nu_path), "--out", str(out)]) == EXIT_OK
+    mu, nu = (measure_from_json(json.loads(path.read_text())) for path in (mu_path, nu_path))
+    table = build_curtain(mu, nu)
+    pi = coupling(table, mu)
+    back = LiftedCoupling.from_json(json.loads(out.read_text()))
+    for name, got, want in (
+        ("intervals", back.intervals, table.intervals),
+        ("joint_x", back.joint_x, pi.joint_x),
+        ("joint_y", back.joint_y, pi.joint_y),
+        ("joint_w", back.joint_w, pi.joint_w),
+    ):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("pair", ["barrier", "uniform40"])
+def test_golden_coupling_file_reads_back_as_the_tables_rows(pair, tmp_path):
+    d = Path(__file__).parent / "golden" / pair
+    assert_coupling_file_reads_back_bitwise(d / "mu.json", d / "nu.json", tmp_path / "out.json")
+
+
+def test_bank_coupling_files_read_back_as_the_tables_rows(tmp_path):
+    # the first 50 random pairs of the benchmark's cx-bank
+    mu_path, nu_path = tmp_path / "mu.json", tmp_path / "nu.json"
+    for i in range(50):
+        mu, nu = random_cx_pair(i, 1 + i % 8, (i // 8) % 7)
+        mu_path.write_text(json.dumps(measure_to_json(mu)))
+        nu_path.write_text(json.dumps(measure_to_json(nu)))
+        assert_coupling_file_reads_back_bitwise(mu_path, nu_path, tmp_path / "out.json")
 
 
 def test_curtain_command_and_verify_round_trip(pair_files, tmp_path):
@@ -518,7 +574,16 @@ def test_non_finite_atom_is_an_input_error(tmp_path):
 
 @pytest.mark.parametrize(
     "where, bad",
-    [("s", float("nan")), ("u_hi", float("inf")), ("joint", -float("inf")), ("joint", -1e-3)],
+    [
+        ("s", float("nan")),
+        ("u_hi", float("inf")),
+        ("joint", -float("inf")),
+        ("joint", -1e-3),
+        ("x", None),
+        ("rows", "lists"),
+        pytest.param("document", [1, 2], id="document-list"),
+        pytest.param("joint", "flat", id="joint-flat"),
+    ],
 )
 def test_non_finite_coupling_entry_is_an_input_error(tmp_path, capsys, where, bad):
     # the coupling file of the n = 500 uniform grid densities, one entry
@@ -531,8 +596,14 @@ def test_non_finite_coupling_entry_is_an_input_error(tmp_path, capsys, where, ba
     good, bad_path = tmp_path / "coupling.json", tmp_path / "bad.json"
     assert main(["curtain", *pair, "--out", str(good)]) == EXIT_OK
     obj = json.loads(good.read_text())
-    if where == "joint":
+    if where == "joint" and bad == "flat":
+        obj["joint"] = [entry for row in obj["joint"] for entry in row]
+    elif where == "joint":
         obj["joint"][3][2] = bad
+    elif where == "rows":
+        obj["intervals"] = [list(row.values()) for row in obj["intervals"]]
+    elif where == "document":
+        obj = bad
     else:
         obj["intervals"][len(obj["intervals"]) // 2][where] = bad
     bad_path.write_text(json.dumps(obj))
@@ -556,8 +627,29 @@ def grid(xs, pdf, n=4):
         (grid([0.0, 1.0], [1.0, -1.0]), "density must be non-negative"),
         (grid([0.0, 1.0], [1.0, 1.0], n=0), "need at least one cell"),
         ({"type": "dirac", "at": 0.0}, "unknown measure type: 'dirac'"),
+        ({"type": "atoms", "atoms": 5}, "atoms must be a list of [x, w] pairs of numbers"),
+        ([1, 2], "a measure must be a JSON object, got list"),
+        ({"type": "atoms", "atoms": [[0.0, None]]}, "atoms must be a list of [x, w] pairs of numbers"),
+        (grid([0.0, 1.0], [1.0, 1.0], n=None), "grid-density n must be a whole number, got None"),
+        (grid([0.0, 1.0], [1.0, 1.0], n=2.7), "grid-density n must be a whole number, got 2.7"),
+        (grid([0.0, 1.0], [1.0, 1.0], n=True), "grid-density n must be a whole number, got True"),
+        (grid([{}, 1.0], [1.0, 1.0]), "grid-density xs and pdf must be lists of numbers"),
     ],
-    ids=["negative-weight", "one-point-grid", "flat-grid", "negative-pdf", "no-cells", "unknown-type"],
+    ids=[
+        "negative-weight",
+        "one-point-grid",
+        "flat-grid",
+        "negative-pdf",
+        "no-cells",
+        "unknown-type",
+        "atoms-not-a-list",
+        "top-level-list",
+        "null-weight",
+        "null-cells",
+        "fractional-cells",
+        "boolean-cells",
+        "object-in-grid",
+    ],
 )
 def test_a_bad_measure_file_is_an_input_error(tmp_path, monkeypatch, capsys, measure, message):
     monkeypatch.chdir(tmp_path)

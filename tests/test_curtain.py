@@ -14,10 +14,11 @@ from leftcurtain import (
     verify_coupling,
     verify_left_monotone,
 )
-from leftcurtain.curtain import TABLE_DTYPE, _walk
+from leftcurtain.curtain import _walk
 from leftcurtain.oracle import PairReference, contact_points
 from sweep_reference import sweep_rows
 from conftest import (
+    columns,
     decompose_pair,
     dm,
     dphi,
@@ -26,7 +27,9 @@ from conftest import (
     phi,
     phi_at,
     random_instance,
+    row_at,
     row_components,
+    rows_of,
     sample_y,
     td_tu,
     tv_distance,
@@ -124,7 +127,7 @@ class TestBuildCurtain:
         mu, nu = two_point
         table = build_curtain(mu, nu)
         assert len(table.intervals) == 1
-        iv = table.intervals[0]
+        iv = row_at(table, 0)
         assert (iv["u_lo"], iv["u_hi"]) == (0.0, 1.0)
         assert (iv["r"], iv["s"]) == (-1.0, 1.0)
 
@@ -133,10 +136,10 @@ class TestBuildCurtain:
         mu, nu = three_atom
         table = build_curtain(mu, nu)
         assert len(table.intervals) == 2
-        first, second = table.intervals
+        first, second = rows_of(table)
         assert first["u_hi"] == pytest.approx(0.5)
-        assert (first["r"], first["g"], first["s"]) == (-3.0, -1.0, 0.0)
-        assert (second["r"], second["g"], second["s"]) == (-3.0, 1.0, 3.0)
+        assert (first["r"], first["x"], first["s"]) == (-3.0, -1.0, 0.0)
+        assert (second["r"], second["x"], second["s"]) == (-3.0, 1.0, 3.0)
         # envelope slope: (1 - u) / 3 on both intervals
         assert first["phi_lo"] == pytest.approx(1 / 3)
         assert phi(table, 0.5) == pytest.approx(1 / 6)
@@ -146,10 +149,10 @@ class TestBuildCurtain:
         mu, nu = split_pair
         table = build_curtain(mu, nu)
         assert len(table.intervals) == 2
-        first, second = table.intervals
-        assert (first["r"], first["g"], first["s"]) == (-2.0, -1.0, 0.0)
+        first, second = rows_of(table)
+        assert (first["r"], first["x"], first["s"]) == (-2.0, -1.0, 0.0)
         assert first["u_hi"] == pytest.approx(0.5)
-        assert (second["r"], second["g"], second["s"]) == (0.0, 1.0, 2.0)
+        assert (second["r"], second["x"], second["s"]) == (0.0, 1.0, 2.0)
 
     def test_table_reproduces_point_construction(self):
         for seed, mu, nu in single_component_instances(8):
@@ -158,8 +161,8 @@ class TestBuildCurtain:
             rng = np.random.default_rng(seed + 1)
             for u in rng.uniform(1e-4, 1 - 1e-4, size=50):
                 pc = ref.at(float(u))
-                iv = table.intervals[locate(table, float(u))]
-                assert pc.g == pytest.approx(iv["g"], abs=1e-10)
+                iv = row_at(table, locate(table, float(u)))
+                assert pc.g == pytest.approx(iv["x"], abs=1e-10)
                 assert pc.q == pytest.approx(iv["r"], abs=1e-10)
                 assert pc.s == pytest.approx(iv["s"], abs=1e-10)
                 assert pc.phi == pytest.approx(phi_at(iv, float(u)), abs=1e-10)
@@ -177,8 +180,7 @@ class TestBuildCurtain:
             for n in (500, 1000)
         ]
         for mu, nu in [random_instance(seed) for seed in range(12)] + uniform:
-            table = build_curtain(mu, nu)
-            t = table.intervals
+            t = columns(build_curtain(mu, nu))
             assert t["u_lo"][0] == 0.0
             assert t["u_hi"][-1] == 1.0
             assert np.array_equal(t["u_hi"][:-1], t["u_lo"][1:])
@@ -234,8 +236,8 @@ class TestSweepRegressions:
             for side in zip(*parts)
         )
         table = build_curtain(mu, nu)
-        t = table.intervals
-        assert len(t) == sum(len(build_curtain(*part).intervals) for part in parts)
+        t = columns(table)
+        assert len(table.intervals) == sum(len(build_curtain(*part).intervals) for part in parts)
         assert (t["u_hi"] - t["u_lo"]).min() >= 1e-10
         rep = verify_all(table, coupling(table, mu), mu, nu)
         assert rep.passed(), rep.checks
@@ -260,8 +262,8 @@ class TestSweepRegressions:
         # the sweep's levels are mu's cumulative weights themselves, not a
         # second sum of the same weights
         mu, nu = pair()
-        t = build_curtain(mu, nu).intervals
-        atom = mu.xs.searchsorted(t["g"])
+        t = columns(build_curtain(mu, nu))
+        atom = mu.xs.searchsorted(t["x"])
         last = atom.searchsorted(np.arange(mu.n_atoms - 1), side="right") - 1
         assert np.array_equal(t["u_hi"][last], mu.cum_weights[:-1])
 
@@ -270,12 +272,11 @@ class TestSweepRegressions:
         nu = quantize_density([-2.0, 2.0], [0.25, 0.25], 200)
         table = build_curtain(mu, nu)
         assert np.all(row_components(table, mu, nu) == 0)
-        t = table.intervals
         ref = PairReference(mu, nu)
-        for iv in t:
+        for iv in rows_of(table):
             u = 0.5 * (iv["u_lo"] + iv["u_hi"])
             pc = ref.at(u)
-            assert (pc.g, pc.q, pc.s) == (iv["g"], iv["r"], iv["s"])
+            assert (pc.g, pc.q, pc.s) == (iv["x"], iv["r"], iv["s"])
             assert pc.phi == pytest.approx(phi_at(iv, u), abs=1e-10)
             if iv["s"] > iv["r"]:
                 assert pc.r == iv["r"]
@@ -287,10 +288,10 @@ class TestWalk:
 
     @staticmethod
     def assert_sweep_table(mu, nu):
-        t = build_curtain(mu, nu).intervals
-        ref = np.array(sweep_rows(mu, nu), dtype=TABLE_DTYPE)
-        assert len(t) == len(ref)
-        for name in ("g", "r", "s"):
+        t = columns(build_curtain(mu, nu))
+        ref = dict(zip(t, np.array(sweep_rows(mu, nu)).T))
+        assert len(t["x"]) == len(ref["x"])
+        for name in ("x", "r", "s"):
             assert np.array_equal(t[name], ref[name]), name
         for name in ("u_lo", "u_hi", "phi_lo"):
             assert np.abs(t[name] - ref[name]).max() <= 1e-13, name
@@ -323,7 +324,7 @@ class TestWalk:
             [999999.9173611072, 1000000.0736816676], [0.5364223277403153, 0.4635776722596847]
         )
         table = build_curtain(mu, nu)
-        assert [tuple(row) for row in table.intervals] == sweep_rows(mu, nu)
+        assert [(*row, phi) for row, phi in zip(table.intervals, table.phi_lo)] == sweep_rows(mu, nu)
         rep = verify_all(table, coupling(table, mu), mu, nu)
         assert rep.passed(), rep.checks
 
@@ -362,11 +363,11 @@ class TestContinuumLimit:
     def test_table_converges_at_rate_one_over_n(self, a, b, n):
         mu = quantize_density([-a, a], [0.5 / a, 0.5 / a], n)
         nu = quantize_density([-b, b], [0.5 / b, 0.5 / b], n)
-        t = build_curtain(mu, nu).intervals
+        t = columns(build_curtain(mu, nu))
         u = 0.5 * (t["u_lo"] + t["u_hi"])
-        assert np.array_equal(t["g"][~(t["s"] > t["r"])], mu.xs[self.POINT_ATOMS[a, b]])
+        assert np.array_equal(t["x"][~(t["s"] > t["r"])], mu.xs[self.POINT_ATOMS[a, b]])
         errors = {
-            "g": t["g"] - a * (2.0 * u - 1.0),
+            "g": t["x"] - a * (2.0 * u - 1.0),
             "r": t["r"] - ((a - b) * u - a),
             "s": t["s"] - ((a + b) * u - a),
             "phi": phi_at(t, u) - (b - a) * (1.0 - u) / (2.0 * b),
@@ -481,7 +482,7 @@ class TestPhiLaws:
         mu, nu = random_instance(seed)
         table = build_curtain(mu, nu)
         pts = []
-        for iv in table.intervals:
+        for iv in rows_of(table):
             mid = 0.5 * (iv["u_lo"] + iv["u_hi"])
             pts.extend([(mid, phi_at(iv, mid)), (iv["u_hi"], phi_at(iv, iv["u_hi"]))])
         pts.sort()
@@ -497,7 +498,7 @@ class TestPhiLaws:
         for run in nontrivial_runs(table):
             last = None
             for idx in run:
-                iv = table.intervals[idx]
+                iv = row_at(table, idx)
                 if last is not None:
                     assert iv["phi_lo"] <= last + 1e-10
                 assert dphi(iv) <= 1e-12  # nonincreasing inside intervals
@@ -508,7 +509,7 @@ class TestPhiLaws:
         """phi stays within [0, 1 - u] and vanishes at the top level."""
         mu, nu = random_instance(seed)
         table = build_curtain(mu, nu)
-        t = table.intervals
+        t = columns(table)
         for u in (t["u_lo"] + (t["u_hi"] - t["u_lo"]) / 2, t["u_hi"]):
             val = phi_at(t, u)
             assert np.all(-1e-10 <= val) and np.all(val <= 1.0 - u + 1e-10)
@@ -522,13 +523,13 @@ class TestPhiLaws:
         ref = PairReference(mu, nu)
         for run in nontrivial_runs(table):
             for idx in run:
-                iv = table.intervals[idx]
+                iv = row_at(table, idx)
                 h = (iv["u_hi"] - iv["u_lo"]) / 8
                 if h < 1e-9:
                     continue
                 u0 = 0.5 * (iv["u_lo"] + iv["u_hi"])
                 fd = (ref.at(u0 + h).phi - ref.at(u0 - h).phi) / (2 * h)
-                expect = -(iv["s"] - iv["g"]) / (iv["s"] - iv["r"])
+                expect = -(iv["s"] - iv["x"]) / (iv["s"] - iv["r"])
                 assert fd == pytest.approx(expect, abs=1e-6)
 
     @pytest.mark.parametrize("seed", range(8))

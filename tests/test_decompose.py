@@ -11,6 +11,7 @@ from leftcurtain import (
     random_cx_pair,
 )
 from conftest import (
+    atom_weight,
     bank_instance,
     barrier_instance,
     decompose_pair,
@@ -59,7 +60,7 @@ class TestDecomposeExamples:
         mu = dm((-1.0, 0.25), (0.0, 0.5), (1.0, 0.25))
         nu = dm((-2.0, 0.125), (0.0, 0.75), (2.0, 0.125))
         dec = decompose_pair(mu, nu)
-        assert dec.static.atom_weight(0.0) == pytest.approx(0.5)
+        assert atom_weight(dec.static, 0.0) == pytest.approx(0.5)
         assert len(dec.components) == 2
 
     def test_unordered_inputs_rejected(self):

@@ -13,7 +13,6 @@ import pytest
 from leftcurtain import (
     CurtainTable,
     DiscreteMeasure,
-    TABLE_DTYPE,
     build_curtain,
     quantile_left,
     quantize_density,
@@ -21,6 +20,7 @@ from leftcurtain import (
     sample_y_many,
 )
 from leftcurtain.measures import _GUIDE_MIN_LEVELS, _guide_table, _level_index
+from conftest import columns
 
 TINY = np.finfo(float).tiny
 
@@ -140,7 +140,7 @@ def test_negative_zero_and_other_shapes_take_the_guide():
 
 def reference_draws(table, us, vs):
     """``sample_y_many`` with the row found by the binary search."""
-    t = table.intervals
+    t = columns(table)
     lower, share, _ = table._kernels
     idx = binary_search(t["u_hi"], us)
     return np.where(np.asarray(vs) <= share[idx], lower[idx], t["s"][idx])
@@ -152,7 +152,7 @@ def same_bits(a, b):
 
 
 def table_levels(table, rng):
-    return np.clip(guided_levels(table.intervals["u_hi"], rng), TINY, 1.0 - 1e-16)
+    return np.clip(guided_levels(columns(table)["u_hi"], rng), TINY, 1.0 - 1e-16)
 
 
 def test_uniform_pair_draws_and_quantiles_match_the_binary_search():
@@ -187,11 +187,8 @@ def test_every_bank_table_matches_the_binary_search():
 
 def test_table_of_zero_width_rows():
     u_hi = np.array([0.0, 0.25, 0.25, 0.5, 1.0, 1.0])
-    rows = np.zeros(u_hi.size, dtype=TABLE_DTYPE)
-    rows["u_lo"] = np.append(0.0, u_hi[:-1])
-    rows["u_hi"] = u_hi
-    rows["g"] = rows["r"] = rows["s"] = np.arange(u_hi.size, dtype=float)
-    table = CurtainTable(rows)
+    x = np.arange(u_hi.size, dtype=float)
+    table = CurtainTable(np.column_stack((np.append(0.0, u_hi[:-1]), u_hi, x, x, x)), np.zeros(x.size))
     rng = np.random.default_rng(7)
     us = guided_levels(u_hi, rng)
     got = sample_y_many(table, us, np.full(us.size, 0.5))

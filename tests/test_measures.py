@@ -10,15 +10,14 @@ from hypothesis import strategies as st
 from leftcurtain import (
     DiscreteMeasure,
     check_convex_order,
-    put_potential,
     quantile_left,
     quantize_density,
     random_cx_pair,
-    restricted_measure,
 )
-from leftcurtain.measures import POS_TOL, _merge_atoms, _put_values
+from leftcurtain.measures import POS_TOL, _merge_atoms
+from leftcurtain.oracle import _put_values, put_potential, restricted_measure
 from leftcurtain.pwl import evaluate
-from conftest import dm, tv_distance
+from conftest import atom_weight, dm, tv_distance
 from exact_reference import exact_order
 from quantize_reference import quantize_reference
 
@@ -78,9 +77,9 @@ class TestDiscreteMeasure:
         # one when they are equally near
         eta = dm((0.0, 0.1), (5e-12, 0.4), (1.0, 0.5))
         x = np.array([2.5e-12, 5e-12 + 8e-12, -5e-12, 0.5, 1.0 + 5e-12, -1.0, 2.0])
-        assert eta.atom_weight(x).tolist() == [0.1, 0.4, 0.1, 0.0, 0.5, 0.0, 0.0]
-        assert [eta.atom_weight(v) for v in x] == eta.atom_weight(x).tolist()
-        assert isinstance(eta.atom_weight(0.0), float)
+        assert atom_weight(eta, x).tolist() == [0.1, 0.4, 0.1, 0.0, 0.5, 0.0, 0.0]
+        assert [atom_weight(eta, v) for v in x] == atom_weight(eta, x).tolist()
+        assert isinstance(atom_weight(eta, 0.0), float)
 
     def test_atoms_closer_than_pos_eps_each_match_themselves(self):
         # apart by more than POS_TOL, so not merged, and by less than POS_EPS
@@ -88,7 +87,14 @@ class TestDiscreteMeasure:
         assert nu.n_atoms == 3
         assert nu.atom_index(nu.xs).tolist() == [0, 1, 2]
         assert [nu.atom_index(1.0 + d) for d in (1e-12, 2e-12, 4e-12, 1.2e-11)] == [1, 1, 2, 2]
-        assert nu.atom_weight(nu.xs).tolist() == nu.ws.tolist()
+        assert atom_weight(nu, nu.xs).tolist() == nu.ws.tolist()
+
+    def test_is_immutable_and_reprs_its_size_mass_and_mean(self):
+        eta = dm((-1.0, 0.25), (1.0, 0.75))
+        with pytest.raises(AttributeError, match="immutable"):
+            eta.xs = np.zeros(2)
+        assert repr(eta) == "DiscreteMeasure(2 atoms, mass=1, mean=0.5)"
+        assert repr(DiscreteMeasure([], [])) == "DiscreteMeasure(empty)"
 
     def test_tv_distance_cancels_weights_at_shared_positions(self):
         a = dm((0.0, 0.5), (1.0, 0.5))
@@ -159,6 +165,10 @@ class TestQuantileLeft:
         with pytest.raises(ValueError):
             quantile_left(eta, 1.0)
 
+    def test_rejects_a_measure_whose_mass_is_not_one(self):
+        with pytest.raises(ValueError, match="probability measure, mass=0.5"):
+            quantile_left(dm((0.0, 0.5)), 0.25)
+
     def test_array_levels_match_scalar_levels(self):
         eta = dm((-2.0, 0.25), (0.0, 0.5), (1.0, 0.25))
         us = np.array([1e-9, 0.25, 0.2500001, 0.5, 0.75, 0.7500001, 1 - 1e-12])
@@ -198,7 +208,7 @@ class TestRestrictedMeasure:
             pv = restricted_measure(eta, v)
             # atomwise domination
             for x, w in zip(pu.xs, pu.ws):
-                assert w <= pv.atom_weight(x) + 1e-12
+                assert w <= atom_weight(pv, x) + 1e-12
             # potential agrees left of the quantile, linear with slope u right
             g = quantile_left(eta, u)
             ks = np.linspace(eta.support_left - 1, g, 7)

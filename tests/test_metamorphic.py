@@ -1,7 +1,7 @@
 """Metamorphic properties of the curtain table.
 
 Scaling every position by ``lam > 0`` maps the coupling covariantly: the
-levels ``u`` stay, the positions ``g, r, s`` scale by ``lam``, and
+levels ``u`` stay, the positions ``x, r, s`` scale by ``lam``, and
 ``phi``, a slope of potentials against positions, stays too, with its
 slope in ``u`` on every row.  For a power of two every product is exact,
 so the tables agree bit for bit.  The order in which atoms are given,
@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leftcurtain import DiscreteMeasure, build_curtain, coupling, random_cx_pair, verify_all
-from conftest import dphi, row_components
+from conftest import columns, dphi, row_components
 
 pairs = st.builds(
     random_cx_pair,
@@ -29,7 +29,7 @@ def scaled_table(mu, nu, lam):
     mu, nu = DiscreteMeasure(mu.xs * lam, mu.ws), DiscreteMeasure(nu.xs * lam, nu.ws)
     table = build_curtain(mu, nu)
     assert verify_all(table, coupling(table, mu), mu, nu).passed(), lam
-    return table.intervals, row_components(table, mu, nu)
+    return columns(table), row_components(table, mu, nu)
 
 
 @given(pairs, st.floats(-6.0, 6.0))
@@ -38,13 +38,13 @@ def test_scaling_positions_scales_the_table(pair, log_lam):
     mu, nu = pair
     lam = 10.0**log_lam
     base_table = build_curtain(mu, nu)
-    base, base_components = base_table.intervals, row_components(base_table, mu, nu)
+    base, base_components = columns(base_table), row_components(base_table, mu, nu)
     t, components = scaled_table(mu, nu, lam)
-    assert len(t) == len(base)
+    assert len(t["x"]) == len(base["x"])
     for name in ("u_lo", "u_hi", "phi_lo"):
         assert np.abs(t[name] - base[name]).max() <= 1e-12, name
     assert np.abs(dphi(t) - dphi(base)).max() <= 1e-12
-    for name in ("g", "r", "s"):
+    for name in ("x", "r", "s"):
         assert np.abs(t[name] - lam * base[name]).max() <= 1e-12 * lam, name
     assert np.array_equal(components, base_components)
 
@@ -55,7 +55,7 @@ def test_a_mean_rounded_near_the_origin_scales_with_the_positions():
     # to the positions' size the pair builds, with the unscaled rows
     mu, nu = random_cx_pair(11154, 1, 2)
     t, _ = scaled_table(mu, nu, 10.0**5.5)
-    assert len(t) == len(build_curtain(mu, nu).intervals)
+    assert len(t["x"]) == len(build_curtain(mu, nu).intervals)
 
 
 @given(pairs, st.integers(-20, 20))
@@ -64,13 +64,13 @@ def test_scaling_by_a_power_of_two_is_exact(pair, exponent):
     mu, nu = pair
     lam = 2.0**exponent
     base_table = build_curtain(mu, nu)
-    base, base_components = base_table.intervals, row_components(base_table, mu, nu)
+    base, base_components = columns(base_table), row_components(base_table, mu, nu)
     t, components = scaled_table(mu, nu, lam)
     assert np.array_equal(components, base_components)
     for name in ("u_lo", "u_hi", "phi_lo"):
         assert np.array_equal(t[name], base[name]), name
     assert np.array_equal(dphi(t), dphi(base))
-    for name in ("g", "r", "s"):
+    for name in ("x", "r", "s"):
         assert np.array_equal(t[name], lam * base[name]), name
 
 

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from leftcurtain import build_curtain, coupling, curtain_incremental, joint_tv, put_potential
-from leftcurtain.oracle import Infeasible, shadow_lp, simplex_solve
+from leftcurtain import build_curtain, coupling, curtain_incremental, joint_tv
+from leftcurtain.oracle import Infeasible, put_potential, shadow_lp, simplex_solve
 from conftest import dm, random_instance, tv_distance
 
 
@@ -76,7 +76,8 @@ class TestIncrementalCurtain:
     def test_mid_atom_levels_are_linear(self):
         """Shadow increments inside one source atom scale linearly, so
         boundary levels suffice for the oracle."""
-        from leftcurtain import restricted_measure, shadow
+        from leftcurtain import shadow
+        from leftcurtain.oracle import restricted_measure
 
         mu, nu = random_instance(3)
         assert mu.n_atoms >= 2

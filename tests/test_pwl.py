@@ -4,8 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leftcurtain import DiscreteMeasure, put_potential
-from leftcurtain.oracle import contact_points
+from leftcurtain import DiscreteMeasure
+from leftcurtain.oracle import contact_points, put_potential
 from leftcurtain.pwl import convex_hull, evaluate
 from conftest import tv_distance
 

@@ -2,26 +2,23 @@ import numpy as np
 import pytest
 
 from leftcurtain import (
-    TABLE_DTYPE,
     CurtainTable,
     DecomposeError,
     DiscreteMeasure,
     build_curtain,
     check_convex_order,
     coupling,
-    put_potential,
     quantize_density,
     random_cx_pair,
-    restricted_measure,
     shadow,
     verify_all,
 )
 import leftcurtain.curtain as curtain
 from leftcurtain.curtain import _check_overdraw, _walk
 from leftcurtain.measures import DEFAULT_TOL
-from leftcurtain.oracle import shadow_lp
+from leftcurtain.oracle import put_potential, restricted_measure, shadow_lp
 from leftcurtain.shadow import _validate
-from conftest import bank_instance, dm, random_instance, tv_distance
+from conftest import atom_weight, bank_instance, dm, random_instance, tv_distance
 from exact_reference import exact_shadow
 from shadow_hull_reference import hull_shadow
 
@@ -44,6 +41,10 @@ class TestShadowExamples:
         expected = dm((-1.0, 1 / 12), (0.0, 1 / 3), (1.0, 1 / 12))
         assert tv_distance(shadow(mu, nu), expected) <= 1e-12
         assert tv_distance(shadow_lp(mu, nu), expected) <= 1e-9
+
+    def test_an_empty_source_has_an_empty_shadow(self):
+        s = shadow(DiscreteMeasure([], []), dm((-1.0, 0.5), (1.0, 0.5)))
+        assert s.n_atoms == 0 and s.mass == 0.0
 
     def test_mass_excess_rejected(self):
         with pytest.raises(DecomposeError, match="source mass 1.0 exceeds target mass 0.5") as info:
@@ -114,7 +115,7 @@ class TestShadowProperties:
             if prev is not None:
                 # atomwise domination of the earlier shadow
                 for x, w in zip(prev.xs, prev.ws):
-                    assert w <= s.atom_weight(x) + 1e-9
+                    assert w <= atom_weight(s, x) + 1e-9
             prev = s
 
     @pytest.mark.parametrize("seed", range(20))
@@ -306,7 +307,8 @@ class TestRoundedSources:
                 with monkeypatch.context() as unjudged:
                     unjudged.setattr(curtain, "_check_overdraw", lambda nu, left: None)
                     rows, _ = _walk(mu, nu, 1.0)
-                table = CurtainTable(np.array(rows, dtype=TABLE_DTYPE))
+                rows = np.array(rows).reshape(-1, 6)
+                table = CurtainTable(rows[:, :5], rows[:, 5])
                 passes = verify_all(None, coupling(table, mu), mu, nu).passed()
             except DecomposeError:
                 passes = False

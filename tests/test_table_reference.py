@@ -12,7 +12,6 @@ import pytest
 from leftcurtain import (
     build_curtain,
     coupling,
-    destination_cdf,
     quantize_density,
     verify_left_monotone,
     verify_marginal_identity,
@@ -20,7 +19,7 @@ from leftcurtain import (
 from leftcurtain.curtain import LiftedCoupling
 from leftcurtain.measures import POS_EPS
 from leftcurtain.verify import VerificationReport, _row_phi, _s_inverse, _sample_points
-from conftest import nontrivial_runs, random_instance
+from conftest import columns, destination_cdf, nontrivial_runs, random_instance, rows_of
 
 
 def _split(row):
@@ -29,15 +28,15 @@ def _split(row):
 
 def loop_coupling(table):
     pairs = {}
-    for row in table.intervals:
+    for row in rows_of(table):
         du = row["u_hi"] - row["u_lo"]
         if du <= 0:
             continue
-        g = float(row["g"])
+        g = float(row["x"])
         if not _split(row):
             pairs[(g, g)] = pairs.get((g, g), 0.0) + du
             continue
-        w_r = (row["s"] - row["g"]) / (row["s"] - row["r"])
+        w_r = (row["s"] - row["x"]) / (row["s"] - row["r"])
         for y, w in ((float(row["r"]), du * w_r), (float(row["s"]), du * (1.0 - w_r))):
             pairs[(g, y)] = pairs.get((g, y), 0.0) + w
     keys = sorted(k for k in pairs if pairs[k] > 0)
@@ -85,17 +84,17 @@ def loop_s_inverse(pi, y):
 def loop_phi(table, u, right_limit=False):
     """phi at ``u``, or its right limit; the row holding ``u`` is the first
     with ``u <= u_hi`` (the last row past the end), and on it phi falls at
-    the rate ``(s - g) / (s - r)`` where the kernel splits."""
-    rows = table.intervals
+    the rate ``(s - x) / (s - r)`` where the kernel splits."""
+    rows = rows_of(table)
     if u <= 0.0:
-        return float(rows["phi_lo"][0])
+        return float(rows[0]["phi_lo"])
     if right_limit and u >= 1.0:
         return 0.0
     i = next((i for i, row in enumerate(rows) if u <= row["u_hi"]), len(rows) - 1)
-    if right_limit and not rows["u_hi"][i] - u > 1e-15:
-        return float(rows["phi_lo"][i + 1]) if i + 1 < len(rows) else 0.0
+    if right_limit and not rows[i]["u_hi"] - u > 1e-15:
+        return float(rows[i + 1]["phi_lo"]) if i + 1 < len(rows) else 0.0
     row = rows[i]
-    slope = -(row["s"] - row["g"]) / (row["s"] - row["r"]) if _split(row) else 0.0
+    slope = -(row["s"] - row["x"]) / (row["s"] - row["r"]) if _split(row) else 0.0
     return float(row["phi_lo"] + slope * (u - row["u_lo"]))
 
 
@@ -118,13 +117,13 @@ def loop_row_phi(pi, nu):
 
 def loop_runs(table):
     runs, current = [], []
-    for i, row in enumerate(table.intervals):
+    for i, row in enumerate(rows_of(table)):
         if not _split(row):
             if current:
                 runs.append(current)
                 current = []
             continue
-        if current and not row["g"] < table.intervals["s"][current[-1]] - POS_EPS:
+        if current and not row["x"] < columns(table)["s"][current[-1]] - POS_EPS:
             runs.append(current)
             current = []
         current.append(i)
@@ -148,13 +147,13 @@ def test_columns_match_row_loops(seed):
             loop_destination_cdf(pi, y), abs=4 * np.finfo(float).eps
         )
         assert got == destination_cdf(pi, y)
-    ys = np.concatenate((ys, nu.xs, table.intervals["s"]))
+    ys = np.concatenate((ys, nu.xs, columns(table)["s"]))
     assert _s_inverse(pi, ys)[0].tolist() == [loop_s_inverse(pi, y) for y in ys]
     # phi from the rows sums each atom's earlier sends in another order
     # than the walk, within one float64 ulp of 1
     phi = _row_phi(pi, mu, nu)
     assert phi == pytest.approx(loop_row_phi(pi, nu), rel=0.0, abs=np.finfo(float).eps)
-    assert phi == pytest.approx(table.intervals["phi_lo"], rel=0.0, abs=np.finfo(float).eps)
+    assert phi == pytest.approx(table.phi_lo, rel=0.0, abs=np.finfo(float).eps)
     report = VerificationReport()
     verify_marginal_identity(pi, nu, samples=60, seed=seed, mu=mu, report=report)
     ys = _sample_points(np.random.default_rng(seed), np.union1d(nu.xs, mu.xs), 60)

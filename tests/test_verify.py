@@ -10,7 +10,6 @@ from leftcurtain import (
     LiftedCoupling,
     build_curtain,
     coupling,
-    destination_cdf,
     joint_tv,
     quantize_density,
     random_cx_pair,
@@ -22,7 +21,7 @@ from leftcurtain import (
 )
 from leftcurtain import verify
 from leftcurtain.verify import VerificationReport
-from conftest import dm, phi, random_instance, s_inverse, tv_distance
+from conftest import columns, destination_cdf, dm, phi, random_instance, s_inverse, tv_distance
 from shadow_oracle import restricted_second_marginal, shadow_tv_max
 from straddle_reference import straddle_max
 
@@ -232,7 +231,7 @@ class TestRowPhi:
         for mu, nu in pairs:
             table = build_curtain(mu, nu)
             got = verify._row_phi(coupling(table, mu), mu, nu)
-            assert np.abs(got - table.intervals["phi_lo"]).max() <= np.finfo(float).eps
+            assert np.abs(got - table.phi_lo).max() <= np.finfo(float).eps
 
     def test_an_upper_destination_off_the_target_has_no_phi(self):
         # the second row is a point row at b, 2.3e-10 right of nu's last atom
@@ -522,8 +521,8 @@ class TestVerifyAll:
         mu = quantize_density([-1.0, 1.0], [0.5, 0.5], n)
         nu = quantize_density([-2.0, 2.0], [0.25, 0.25], n)
         table = build_curtain(mu, nu)
-        t = table.intervals
-        assert len(t) == 3 * n // 2
+        t = columns(table)
+        assert len(table.intervals) == 3 * n // 2
         # no sliver rows: at n = 64000 the narrowest row is about 4.6e-6 wide
         assert (t["u_hi"] - t["u_lo"]).min() >= 1e-10
         rep = verify_all(table, coupling(table, mu), mu, nu)
