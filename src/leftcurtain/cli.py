@@ -16,12 +16,15 @@ or a density to be quantised::
 
     {"type": "grid-density", "xs": [...], "pdf": [...], "n": 1000}
 
-``-`` stands for stdin/stdout.  Exit codes: 0 success, 1 verification
-failure, 2 I/O, format or input error (an array too large for memory
-included), 3 convex-order failure.  CSV output is formatted and written in
-blocks of ``CSV_BLOCK_ROWS`` rows.  Sampling uses
-NumPy's PCG64 generator (``numpy.random.default_rng``) seeded from
-``--seed``, so runs reproduce bit for bit across platforms.
+``-`` stands for stdin/stdout; at most one input reads stdin.  Exit codes:
+0 success, 1 verification failure, 2 I/O, format or input error (an array
+too large for memory included), 3 convex-order failure.  CSV output is
+built, formatted and written in blocks of ``CSV_BLOCK_ROWS`` rows, so
+``sample`` holds no array of ``--n`` entries.  Sampling uses NumPy's PCG64
+generator (``numpy.random.default_rng``) seeded from ``--seed``: ``u`` is
+its first ``--n`` draws and ``v`` the next ``--n``, which a second copy of
+the generator, advanced by ``--n``, draws block by block.  So runs
+reproduce bit for bit across platforms.
 """
 
 from __future__ import annotations
@@ -34,14 +37,14 @@ from collections.abc import Callable, Iterable
 
 import numpy as np
 
-from .curtain import LiftedCoupling, _check_pair, build_curtain, coupling, curve_rows, sample_y_many
+from .curtain import LiftedCoupling, _check_pair, build_curtain, coupling, curve_rows
 from .decompose import Decomposition, decompose
 from .measures import (
     DecomposeError,
     DiscreteMeasure,
+    _level_index,
     measure_from_json,
     measure_to_json,
-    quantile_left,
 )
 from .shadow import shadow
 from .verify import DEFAULT_TOL, verify_all
@@ -74,30 +77,27 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(
-    path: str, header: str, n: int, columns: list[Callable[[slice], Iterable[str]]]
+    path: str, header: str, n: int, block: Callable[[slice], Iterable[Iterable[str]]]
 ) -> None:
     """Write ``header`` and ``n`` rows in blocks of ``CSV_BLOCK_ROWS``, each
-    formatted and written before the next is built; ``columns`` give the
-    texts of a block of rows, one per column."""
+    built, formatted and written before the next: ``block`` gives the texts
+    of the rows of a slice, one iterable per column, and is called once per
+    block, in order."""
     with _open_out(path) as fh:
         fh.write(header + "\n")
         for lo in range(0, n, CSV_BLOCK_ROWS):
-            block = slice(lo, lo + CSV_BLOCK_ROWS)
-            fh.write("\n".join(map(",".join, zip(*(column(block) for column in columns)))) + "\n")
+            columns = block(slice(lo, min(lo + CSV_BLOCK_ROWS, n)))
+            fh.write("\n".join(map(",".join, zip(*columns))) + "\n")
 
 
-def _floats(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
-    """The texts of a block of ``column``: ``repr`` of each value."""
-    return lambda block: map(repr, column[block].tolist())
+def _floats(values: np.ndarray) -> Iterable[str]:
+    """The texts of ``values``: ``repr`` of each."""
+    return map(repr, values.tolist())
 
 
-def _reprs(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
-    """The texts of a block of ``column``, which has few distinct values:
-    ``repr`` of each distinct bit pattern once (so ``-0.0`` keeps its sign),
-    which a block indexes."""
-    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
-    return lambda block: texts[inverse[block]].tolist()
+def _reprs(values: np.ndarray) -> np.ndarray:
+    """``repr`` of each entry of ``values``, as an object array of its shape."""
+    return np.array(list(map(repr, values.ravel().tolist())), dtype=object).reshape(values.shape)
 
 
 def _load_measure(path: str) -> DiscreteMeasure:
@@ -141,7 +141,9 @@ def _cmd_curtain(args) -> int:
     _write_text(args.out, json.dumps(pi.to_json(components=components), indent=2))
     if args.curves:
         rows = curve_rows(table)
-        _write_csv(args.curves, "u,G,R,Q,S,phi", len(rows), [_floats(c) for c in rows.T])
+        _write_csv(
+            args.curves, "u,G,R,Q,S,phi", len(rows), lambda block: map(_floats, rows[block].T)
+        )
     return EXIT_OK
 
 
@@ -161,18 +163,32 @@ def _cmd_sample(args) -> int:
         raise ValueError(f"--n must be non-negative, got {args.n}")
     mu, nu = _load_pair(args)
     table = build_curtain(mu, nu)
-    rng = np.random.default_rng(args.seed)
-    us = rng.uniform(0.0, 1.0, size=args.n)
-    vs = rng.uniform(0.0, 1.0, size=args.n)
+    # u is the generator's draws 0 .. n - 1 and v its draws n .. 2n - 1, each
+    # column drawn a block at a time from its own copy of the generator
+    draw_u, draw_v = np.random.default_rng(args.seed), np.random.default_rng(args.seed)
+    draw_v.bit_generator.advance(args.n)
+    # x is quantile_left(mu, u), the atom of mu at u's index in its cumulative
+    # weights, and y is sample_y_many(table, u, v), the lower destination of
+    # u's row where v is at most the row's share and the upper one otherwise:
+    # each is written as its text, built once per atom and per destination,
+    # so -0.0 keeps its sign
+    u_hi = table.intervals[:, 1]
+    lower, share, _ = table._kernels
+    x_texts = _reprs(mu.xs)
+    y_texts = _reprs(np.column_stack((lower, table.intervals[:, 4])))
     # avoid the measure-zero endpoints where the quantile is undefined
     eps = np.finfo(float).tiny
-    us = np.clip(us, eps, 1.0 - 1e-16)
-    vs = np.clip(vs, eps, 1.0 - 1e-16)
-    ys = sample_y_many(table, us, vs)
-    xs = quantile_left(mu, us)
-    # the columns are whole arrays, drawn and mapped before the file opens;
-    # only their text is built in blocks
-    _write_csv(args.out, "u,v,x,y", args.n, [_floats(us), _floats(vs), _reprs(xs), _reprs(ys)])
+
+    def block(rows: slice) -> tuple:
+        size = rows.stop - rows.start
+        us = np.clip(draw_u.uniform(0.0, 1.0, size=size), eps, 1.0 - 1e-16)
+        vs = np.clip(draw_v.uniform(0.0, 1.0, size=size), eps, 1.0 - 1e-16)
+        xs = x_texts[_level_index(mu.cum_weights, us, mu)]
+        row = _level_index(u_hi, us, table)
+        ys = y_texts[row, (vs > share[row]).view(np.int8)]  # column 1: the upper one
+        return _floats(us), _floats(vs), xs.tolist(), ys.tolist()
+
+    _write_csv(args.out, "u,v,x,y", args.n, block)
     return EXIT_OK
 
 
@@ -243,6 +259,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # stdin can be read once: a second input from it would read nothing
+        stdin = [f"--{key}" for key in ("mu", "nu", "coupling") if getattr(args, key, None) == "-"]
+        if len(stdin) > 1:
+            raise ValueError(f"{stdin[0]} and {stdin[1]} cannot both read stdin")
         return args.func(args)
     except DecomposeError as exc:
         print(f"error: {exc}", file=sys.stderr)

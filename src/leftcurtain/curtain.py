@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from .measures import (
     POS_EPS,
     DecomposeError,
     DiscreteMeasure,
+    _check_numbers,
     _guide_table,
     _level_index,
     _reach,
@@ -281,15 +283,19 @@ class LiftedCoupling(_Rows):
     @staticmethod
     def from_json(obj: dict) -> "LiftedCoupling":
         """The coupling of a JSON document as :meth:`to_json` writes it; a
-        document of another shape, or an entry that is not a finite number,
-        is a ``ValueError``."""
+        document of another shape, or an entry that is not a finite number (a
+        boolean included), is a ``ValueError``."""
         try:
-            rows = [[float(r[key]) for key in _COUPLING_ROW_KEYS] for r in obj["intervals"]]
+            rows = [[r[key] for key in _COUPLING_ROW_KEYS] for r in obj["intervals"]]
+            _check_numbers(chain.from_iterable(rows))
             joint = np.array(obj["joint"], dtype=float)
+            if joint.size and joint.shape[1:] != (3,):
+                raise ValueError(
+                    "coupling joint rows must be [x, y, weight] triples of finite numbers"
+                )
+            _check_numbers(chain.from_iterable(obj["joint"]))
         except TypeError as exc:
-            raise ValueError(f"coupling entries must be finite numbers in rows ({exc})") from None
-        if joint.size and joint.shape[1:] != (3,):
-            raise ValueError("coupling joint rows must be [x, y, weight] triples of finite numbers")
+            raise ValueError(f"coupling entries must be finite numbers ({exc})") from None
         joint = joint.reshape(-1, 3)
         rows = np.array(rows, dtype=float).reshape(-1, 5)
         if not (np.isfinite(rows).all() and np.isfinite(joint).all() and (joint[:, 2] >= 0).all()):

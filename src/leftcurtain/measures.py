@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -370,17 +371,28 @@ def measure_to_json(eta: DiscreteMeasure) -> dict:
     return {"type": "atoms", "atoms": [[float(x), float(w)] for x, w in zip(eta.xs, eta.ws)]}
 
 
+def _check_numbers(entries) -> None:
+    """Raise ``TypeError`` unless each of ``entries`` is a number of a JSON
+    document: ``float`` and numpy read a boolean as 0 or 1 and a string of
+    digits as its value."""
+    for kind in set(map(type, entries)):
+        if kind is bool or not issubclass(kind, (int, float)):
+            raise TypeError(f"{kind.__name__} entries are not numbers")
+
+
 def measure_from_json(obj) -> DiscreteMeasure:
     """The measure of a JSON document of the schema in :mod:`leftcurtain.cli`.
 
-    A document of another shape is a ``ValueError``, and so is a cell count
-    ``n`` that is not a whole number: a boolean, ``null`` or ``2.7``.
+    A document of another shape is a ``ValueError``: an entry that is not a
+    number (a boolean, a string or ``null``), and a cell count ``n`` that is
+    not a whole number (a boolean, ``null`` or ``2.7``).
     """
     if not isinstance(obj, dict):
         raise ValueError(f"a measure must be a JSON object, got {type(obj).__name__}")
     kind = obj.get("type")
     if kind == "atoms":
         try:
+            _check_numbers(chain.from_iterable(obj["atoms"]))
             pairs = [(float(x), float(w)) for x, w in obj["atoms"]]
         except TypeError:
             raise ValueError("atoms must be a list of [x, w] pairs of numbers") from None
@@ -390,6 +402,7 @@ def measure_from_json(obj) -> DiscreteMeasure:
         if not (type(n) is int or isinstance(n, float) and n.is_integer()):
             raise ValueError(f"grid-density n must be a whole number, got {n!r}")
         try:
+            _check_numbers(chain(obj["xs"], obj["pdf"]))
             xs, pdf = np.asarray(obj["xs"], dtype=float), np.asarray(obj["pdf"], dtype=float)
         except TypeError:
             raise ValueError("grid-density xs and pdf must be lists of numbers") from None

@@ -57,6 +57,28 @@ def test_shadow_command_reads_a_measure_from_stdin(pair_files, tmp_path, monkeyp
     assert from_stdin.read_bytes() == from_file.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        (["shadow", "--mu", "-", "--nu", "-"], "--mu and --nu"),
+        (["verify", "--mu", "-", "--nu", "nu.json", "--coupling", "-"], "--mu and --coupling"),
+    ],
+    ids=["pair", "coupling"],
+)
+def test_two_inputs_from_stdin_are_an_input_error(pair_files, monkeypatch, capsys, command, inputs):
+    # stdin can be read once, so the command is refused before it reads any
+    # input, with a message that names the options
+    mu_path, nu_path = pair_files
+    monkeypatch.chdir(nu_path.parent)
+    stdin = io.StringIO(mu_path.read_text())
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert main([*command, "--out", "out"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.splitlines() == [f"error: {inputs} cannot both read stdin"]
+    assert stdin.tell() == 0
+    assert not (nu_path.parent / "out").exists()
+
+
 def test_shadow_command_of_an_empty_source(pair_files, tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps(measure_to_json(DiscreteMeasure([], []))))
@@ -229,7 +251,15 @@ def test_sample_x_is_left_quantile_of_multi_atom_source(tmp_path):
         *(
             pytest.param(n, False, id=str(n))
             for n in sorted(
-                {0, 500, CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * _GUIDE_MIN_LEVELS}
+                {
+                    0,
+                    500,
+                    CSV_BLOCK_ROWS - 1,
+                    CSV_BLOCK_ROWS,
+                    CSV_BLOCK_ROWS + 1,
+                    2 * _GUIDE_MIN_LEVELS,
+                    3 * CSV_BLOCK_ROWS + 5,
+                }
             )
         ),
         pytest.param(CSV_BLOCK_ROWS + 1, True, id=f"{CSV_BLOCK_ROWS + 1}-stdout"),
@@ -240,7 +270,10 @@ def test_sample_csv_matches_per_row_repr(tmp_path, capsys, n, stdout):
     # y, while the upper destination 0.0 is nu's atom: both zeros appear in
     # y.  The reference draws one row at a time, by the binary search, so
     # the larger values of n also pin the guide table's rows, and the writer's blocks
-    # of CSV_BLOCK_ROWS rows end on either side of n.
+    # of CSV_BLOCK_ROWS rows end on either side of n.  The reference takes u
+    # and v from one generator, all of u first, while the command draws them
+    # block by block from two, the second advanced by n: at 3 * CSV_BLOCK_ROWS
+    # + 5 the second, third and fourth blocks pin where each copy resumes.
     mu = DiscreteMeasure([-1.0, -0.0, 1.0], [0.25, 0.5, 0.25])
     nu = dm((-2.0, 0.2), (0.0, 0.6), (2.0, 0.2))
     mu_path = tmp_path / "mu.json"
@@ -266,43 +299,69 @@ def test_sample_csv_matches_per_row_repr(tmp_path, capsys, n, stdout):
         assert {line.rsplit(",", 1)[1] for line in lines[1:]} >= {"-0.0", "0.0"}
 
 
+@pytest.mark.parametrize("n", [0, 1, CSV_BLOCK_ROWS - 1, 3 * CSV_BLOCK_ROWS + 5, 10**6 + 3])
+def test_an_advanced_generator_draws_on_from_where_it_is_advanced_to(n):
+    # sample draws u and v block by block from two copies of one PCG64
+    # generator, the second advanced by n, and writes what one generator
+    # draws whole: u its draws 0 .. n - 1 and v its draws n .. 2n - 1
+    k = CSV_BLOCK_ROWS + 3
+    whole = np.random.default_rng(2024).uniform(0.0, 1.0, size=n + k)
+    ahead = np.random.default_rng(2024)
+    ahead.bit_generator.advance(n)
+    assert np.array_equal(ahead.uniform(0.0, 1.0, size=k), whole[n:])
+    blocks = np.random.default_rng(2024)
+    drawn = [blocks.uniform(0.0, 1.0, size=size) for size in (1, CSV_BLOCK_ROWS, 2)]
+    assert np.array_equal(np.concatenate(drawn), whole[:k])
+
+
+def grid_density_files(tmp_path, cells=500):
+    """The benchmark's pair of uniform grid densities with ``cells`` atoms
+    each, as ``--mu`` and ``--nu`` arguments."""
+    for name, lo, hi in (("mu", -1.0, 1.0), ("nu", -2.0, 2.0)):
+        spec = {"type": "grid-density", "xs": [lo, hi], "pdf": [1 / (hi - lo)] * 2, "n": cells}
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    return ["--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")]
+
+
 @pytest.mark.parametrize(
-    "n, message",
+    "n, cells, message",
     [
-        ("-1", "error: --n must be non-negative, got -1"),
-        ("100000000000000", "error: Unable to allocate"),
+        ("-1", 500, "error: --n must be non-negative, got -1"),
+        ("10", 10**14, "error: Unable to allocate"),
     ],
     ids=["negative", "beyond-memory"],
 )
-def test_sample_count_out_of_range_is_an_input_error(pair_files, tmp_path, capsys, n, message):
-    # 1e14 draws ask for more than the user address space, so the allocation
-    # fails at once and touches no memory: the draws are never made in blocks
-    mu_path, nu_path = pair_files
+def test_sample_count_out_of_range_is_an_input_error(tmp_path, capsys, n, cells, message):
+    # 1e14 grid cells ask for more than the user address space, so the
+    # allocation fails at once and touches no memory, before the file opens;
+    # the draws are made in blocks, so no --n fails this way
+    pair = grid_density_files(tmp_path, cells)
     out = tmp_path / "s.csv"
-    args = ["sample", "--mu", str(mu_path), "--nu", str(nu_path), "--n", n, "--seed", "0"]
-    assert main(args + ["--out", str(out)]) == EXIT_IO
+    assert main(["sample", *pair, "--n", n, "--seed", "0", "--out", str(out)]) == EXIT_IO
     err = capsys.readouterr().err
     assert err.startswith(message)
     assert "Traceback" not in err
     assert not out.exists()
 
 
-def test_sample_memory_is_the_columns_not_their_text(tmp_path):
-    # 2e5 draws on the benchmark's grid densities: the text of all rows
-    # (about 16 MB, held as Python strings several times over) is never held
-    # at once; the tracemalloc peak read 56.8 MB with it and 16.6 MB without
-    for name, lo, hi in (("mu", -1.0, 1.0), ("nu", -2.0, 2.0)):
-        spec = {"type": "grid-density", "xs": [lo, hi], "pdf": [1 / (hi - lo)] * 2, "n": 500}
-        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
-    pair = ["--mu", str(tmp_path / "mu.json"), "--nu", str(tmp_path / "nu.json")]
-    args = ["sample", *pair, "--n", "200000", "--seed", "1", "--out", str(tmp_path / "s.csv")]
+def test_sample_memory_is_flat_in_the_number_of_draws(tmp_path):
+    # the draws are made, looked up, formatted and written a block at a
+    # time, so no array or text of all the rows exists: the tracemalloc peak
+    # at 2e5 draws is that at 2e4 (with whole columns it read 4.1 and 16.6 MB)
+    pair = grid_density_files(tmp_path)
+    peaks = []
     tracemalloc.start()
     try:
-        assert main(args) == EXIT_OK
-        peak = tracemalloc.get_traced_memory()[1]
+        for n in (20_000, 200_000):
+            tracemalloc.reset_peak()
+            args = ["sample", *pair, "--n", str(n), "--seed", "1", "--out", str(tmp_path / "s.csv")]
+            assert main(args) == EXIT_OK
+            peaks.append(tracemalloc.get_traced_memory()[1])
     finally:
         tracemalloc.stop()
-    assert peak < 24 * 2**20
+    small, large = peaks
+    assert abs(large - small) <= 0.5 * 2**20
+    assert large < 4 * 2**20
 
 
 def test_verify_reads_the_destinations_of_the_coupling_file(three_atom, tmp_path):
@@ -583,6 +642,8 @@ def test_non_finite_atom_is_an_input_error(tmp_path):
         ("rows", "lists"),
         pytest.param("document", [1, 2], id="document-list"),
         pytest.param("joint", "flat", id="joint-flat"),
+        ("x", True),
+        ("joint", False),
     ],
 )
 def test_non_finite_coupling_entry_is_an_input_error(tmp_path, capsys, where, bad):
@@ -634,6 +695,11 @@ def grid(xs, pdf, n=4):
         (grid([0.0, 1.0], [1.0, 1.0], n=2.7), "grid-density n must be a whole number, got 2.7"),
         (grid([0.0, 1.0], [1.0, 1.0], n=True), "grid-density n must be a whole number, got True"),
         (grid([{}, 1.0], [1.0, 1.0]), "grid-density xs and pdf must be lists of numbers"),
+        ({"type": "atoms", "atoms": [[True, 1.0]]}, "atoms must be a list of [x, w] pairs of numbers"),
+        ({"type": "atoms", "atoms": [[0.0, True]]}, "atoms must be a list of [x, w] pairs of numbers"),
+        (grid([False, 1.0], [1.0, 1.0]), "grid-density xs and pdf must be lists of numbers"),
+        (grid([0.0, 1.0], [1.0, True]), "grid-density xs and pdf must be lists of numbers"),
+        ({"type": "atoms", "atoms": [["0.0", 1.0]]}, "atoms must be a list of [x, w] pairs of numbers"),
     ],
     ids=[
         "negative-weight",
@@ -649,6 +715,11 @@ def grid(xs, pdf, n=4):
         "fractional-cells",
         "boolean-cells",
         "object-in-grid",
+        "boolean-position",
+        "boolean-weight",
+        "boolean-grid",
+        "boolean-pdf",
+        "string-position",
     ],
 )
 def test_a_bad_measure_file_is_an_input_error(tmp_path, monkeypatch, capsys, measure, message):

@@ -341,6 +341,37 @@ def test_the_csv_commands_write_their_rows_in_blocks():
     assert joins and all(n in set(ast.walk(loop)) for n in joins)
 
 
+def test_sample_builds_no_array_of_the_number_of_draws():
+    # sample draws, looks up and writes its rows a block at a time: --n
+    # reaches the check on its sign, its error message, the writer's row
+    # count and the advance of the second generator, and no array
+    # constructor; every size= is a block's
+    fn = function_defs("cli")["_cmd_sample"]
+
+    def is_n(node):
+        return (
+            isinstance(node, ast.Attribute)
+            and node.attr == "n"
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "args"
+        )
+
+    def name(call):
+        return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+    calls = [n for n in ast.walk(fn) if isinstance(n, ast.Call)]
+    takers = {name(c) for c in calls if any(map(is_n, ast.walk(c)))}
+    assert takers == {"ValueError", "_write_csv", "advance"}
+    allowed = [c for c in calls if name(c) in takers] + [
+        n for n in ast.walk(fn) if isinstance(n, ast.Compare)
+    ]
+    inside = {id(n) for node in allowed for n in ast.walk(node)}
+    uses = [n for n in ast.walk(fn) if is_n(n)]
+    assert uses and all(id(n) in inside for n in uses)
+    sizes = [k.value for c in calls for k in c.keywords if k.arg == "size"]
+    assert sizes and not any(is_n(n) for size in sizes for n in ast.walk(size))
+
+
 def test_the_left_monotone_count_reads_one_row_format():
     tree = ast.parse((SRC / "verify.py").read_text())
     (fn,) = (
